@@ -276,6 +276,8 @@ def _parse_grid(text: str, spacing: str) -> tuple:
         raise InputError(f"cannot parse grid spec {text!r}") from None
     if count < 1:
         raise InputError("grid count must be positive")
+    if spacing == "log" and not (start > 0.0 and stop > 0.0):
+        raise InputError(f"log-spaced grid {text!r} needs positive start and stop")
     if count == 1:
         return (start,)
     if spacing == "log":

@@ -12,6 +12,11 @@ uniform on (0, 1] (a quarter of the node budget), uniform in log t on
 [1, T] (the rest).  Slowly decaying CFs that never reach the threshold
 are rejected rather than integrated badly.
 
+Every entry point inverts through one core that handles many laws at
+once: the laws share the largest of their truncation points, one node
+set and one sine kernel, so comparing a target against a whole stable
+grid costs one kernel and a few matrix products.
+
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
 stable law to a target CF, and approx_compare, which asks whether the
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import moments
-from .cf_core import GaussianCF, StableCF, SymmetricCF, sum_rescale
+from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, sum_rescale
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
 __all__ = [
@@ -43,11 +48,17 @@ __all__ = [
     "TIE_TOLERANCE",
 ]
 
-_T_PROBE_MIN = 1e-2
 _T_PROBE_MAX = 1e5
+# candidate truncation points, shared by every automatic choice of T
+_T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 701)
+_T_PROBE.flags.writeable = False
 _CLAMP = 1e-9
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
+# the sine kernel is built at most this many distinct |x| at a time, and
+# coefficient columns this many laws at a time, to bound memory
+_X_CHUNK = 512
+_LAW_BLOCK = 32
 
 TIE_TOLERANCE = 1e-4
 
@@ -60,7 +71,8 @@ class QuadratureSpec:
     """Truncation and node budget for the inversion integral.
 
     T = None picks the truncation point automatically as the first t
-    with |f(t)| < eps_tail (failing if that never happens by t = 1e5).
+    with |f(t)| < eps_tail (failing if that never happens by t = 1e5);
+    laws inverted together share the largest of their points.
     """
 
     T: float | None = None
@@ -106,15 +118,14 @@ class ComparisonReport:
 
 
 def _auto_truncation(cf: SymmetricCF, eps_tail: float) -> float:
-    probe = np.geomspace(_T_PROBE_MIN, _T_PROBE_MAX, 701)
-    vals = np.abs(cf.evaluate(probe))
+    vals = np.abs(cf.evaluate(_T_PROBE))
     below = np.flatnonzero(vals < eps_tail)
     if below.size == 0:
         raise QuadratureError(
             f"|f(t)| does not decay below eps_tail = {eps_tail:g} by t = {_T_PROBE_MAX:g}; "
             "pass an explicit truncation T"
         )
-    return float(probe[int(below[0])])
+    return float(_T_PROBE[int(below[0])])
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -140,8 +151,10 @@ def _nodes_and_weights(quad: QuadratureSpec, T: float):
         t_log = np.exp(u)
         # d t = t d u, so log-segment weights pick up a factor t
         w_log = _simpson_weights(n_log, u[1] - u[0]) * t_log
-        t = np.concatenate([t_lin, t_log])
-        w = np.concatenate([w_lin, w_log])
+        # t = 1 ends one segment and starts the next: one node, both weights
+        w_lin[-1] += w_log[0]
+        t = np.concatenate([t_lin, t_log[1:]])
+        w = np.concatenate([w_lin, w_log[1:]])
     else:
         n_lin = _even_at_least(quad.N)
         t = np.linspace(0.0, T, n_lin + 1)
@@ -149,22 +162,49 @@ def _nodes_and_weights(quad: QuadratureSpec, T: float):
     return t, w
 
 
-def _cdf_values(cf: SymmetricCF, xs: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    T = quad.T if quad.T is not None else _auto_truncation(cf, quad.eps_tail)
+def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec):
+    """CDFs of several laws on one 1-d grid: column j holds F_j(xs).
+
+    All laws share one truncation T (quad.T, else the largest automatic
+    T among them) and one node set.  The sine kernel is built over the
+    distinct |x| only, since F(-x) = 1 - F(x); coefficient columns
+    w f(t) / t are formed a block of laws at a time, never for all laws
+    at once.  Returns the (len(xs), len(cfs)) matrix, T and the number
+    of nodes.
+    """
+    if quad.T is not None:
+        T = quad.T
+    else:
+        T = max(_auto_truncation(cf, quad.eps_tail) for cf in cfs)
     t, w = _nodes_and_weights(quad, T)
-    f = cf.evaluate(t[1:])
-    coeff = w[1:] * f / t[1:]
-    out = np.empty(xs.shape)
+    w0, t, w = w[0], t[1:], w[1:]
+    ax, row = np.unique(np.abs(xs), return_inverse=True)
+    half = np.empty((ax.size, len(cfs)))
+    coeff = np.empty((t.size, min(len(cfs), _LAW_BLOCK)))
+    for x0 in range(0, ax.size, _X_CHUNK):
+        rows = slice(x0, x0 + _X_CHUNK)
+        kernel = np.outer(ax[rows], t)
+        np.sin(kernel, out=kernel)
+        for j0 in range(0, len(cfs), _LAW_BLOCK):
+            block = cfs[j0 : j0 + _LAW_BLOCK]
+            c = coeff[:, : len(block)]
+            for j, cf in enumerate(block):
+                c[:, j] = w * cf.evaluate(t) / t
+            half[rows, j0 : j0 + len(block)] = kernel @ c
     # the integrand tends to x * f(0) = x at t = 0
-    chunk = 256
-    for start in range(0, xs.size, chunk):
-        xb = xs[start : start + chunk]
-        integral = w[0] * xb + np.sin(np.outer(xb, t[1:])) @ coeff
-        out[start : start + chunk] = integral
-    out = 0.5 + out / math.pi
-    out = np.where((out < 0.0) & (out >= -_CLAMP), 0.0, out)
-    out = np.where((out > 1.0) & (out <= 1.0 + _CLAMP), 1.0, out)
-    return out
+    half += (w0 * ax)[:, None]
+    half /= math.pi
+    out = half[row]
+    out *= np.sign(xs)[:, None]
+    out += 0.5
+    out[(out < 0.0) & (out >= -_CLAMP)] = 0.0
+    out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
+    return out, T, t.size + 1
+
+
+def _sup_gaps(F: np.ndarray) -> np.ndarray:
+    """max over x of |F_j(x) - F_0(x)|, for each column j >= 1."""
+    return np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
 
 
 def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
@@ -173,9 +213,8 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InputError("x must be finite")
-    scalar = arr.ndim == 0
-    vals = _cdf_values(cf, np.atleast_1d(arr.astype(float)), quad)
-    return float(vals[0]) if scalar else vals.reshape(arr.shape)
+    vals = _cdf_matrix([cf], arr.reshape(-1), quad)[0][:, 0]
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def _scale_proxy(cf: SymmetricCF) -> float:
@@ -206,9 +245,20 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     return 1.0 / hi
 
 
-def _default_x_grid(*cfs: SymmetricCF) -> np.ndarray:
-    radius = _X_SPAN_SCALES * max(_scale_proxy(cf) for cf in cfs)
-    return np.linspace(-radius, radius, _X_GRID_SIZE)
+def _symmetric_grid(radius: float) -> np.ndarray:
+    # built from its nonnegative half so that x and -x pair up exactly
+    half = np.linspace(0.0, radius, _X_GRID_SIZE // 2 + 1)
+    return np.concatenate([-half[:0:-1], half])
+
+
+def _x_values(x_grid, *cfs: SymmetricCF) -> np.ndarray:
+    if x_grid is None:
+        radius = _X_SPAN_SCALES * max(_scale_proxy(cf) for cf in cfs)
+        return _symmetric_grid(radius)
+    xs = np.asarray(x_grid, dtype=float).reshape(-1)
+    if xs.size == 0 or not np.all(np.isfinite(xs)):
+        raise InputError("x_grid must be nonempty and finite")
+    return xs
 
 
 def kolmogorov_distance(
@@ -224,15 +274,32 @@ def kolmogorov_distance(
     the wider law.
     """
     quad = quad or QuadratureSpec()
-    if x_grid is None:
-        xs = _default_x_grid(cf_a, cf_b)
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-        if xs.size == 0 or not np.all(np.isfinite(xs)):
-            raise InputError("x_grid must be nonempty and finite")
-    fa = _cdf_values(cf_a, xs, quad)
-    fb = _cdf_values(cf_b, xs, quad)
-    return float(np.max(np.abs(fa - fb)))
+    xs = _x_values(x_grid, cf_a, cf_b)
+    F = _cdf_matrix([cf_a, cf_b], xs, quad)[0]
+    return float(_sup_gaps(F)[0])
+
+
+def _stable_grid(alpha_grid, scale_grid):
+    alphas = sorted(float(a) for a in alpha_grid)
+    scales = sorted(float(c) for c in scale_grid)
+    if not alphas or not scales:
+        raise InputError("alpha_grid and scale_grid must be nonempty")
+    for a in alphas:
+        if not 0.0 < a <= 2.0:
+            raise InputError(f"alpha grid entry {a!r} outside (0, 2]")
+    for c in scales:
+        if not (math.isfinite(c) and c > 0.0):
+            raise InputError(f"scale grid entry {c!r} must be positive")
+    candidates = [StableCF(alpha=a, scale=c) for a in alphas for c in scales]
+    return alphas, scales, candidates
+
+
+def _best_fit(gaps: np.ndarray, alphas: list, scales: list) -> StableFit:
+    # candidates run alpha-major in ascending order and argmin keeps the
+    # first minimum, so ties resolve to the smallest alpha, then scale
+    i = int(np.argmin(gaps))
+    a, c = divmod(i, len(scales))
+    return StableFit(alpha=alphas[a], scale=scales[c], distance=float(gaps[i]))
 
 
 def fit_stable(
@@ -250,31 +317,10 @@ def fit_stable(
     scale.
     """
     quad = quad or QuadratureSpec()
-    alphas = sorted(float(a) for a in alpha_grid)
-    scales = sorted(float(c) for c in scale_grid)
-    if not alphas or not scales:
-        raise InputError("alpha_grid and scale_grid must be nonempty")
-    for a in alphas:
-        if not 0.0 < a <= 2.0:
-            raise InputError(f"alpha grid entry {a!r} outside (0, 2]")
-    for c in scales:
-        if not (math.isfinite(c) and c > 0.0):
-            raise InputError(f"scale grid entry {c!r} must be positive")
-
-    if x_grid is None:
-        xs = _default_x_grid(target)
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-    f_target = _cdf_values(target, xs, quad)
-
-    best = None
-    for a in alphas:
-        for c in scales:
-            f_cand = _cdf_values(StableCF(alpha=a, scale=c), xs, quad)
-            d = float(np.max(np.abs(f_cand - f_target)))
-            if best is None or d < best.distance:
-                best = StableFit(alpha=a, scale=c, distance=d)
-    return best
+    alphas, scales, candidates = _stable_grid(alpha_grid, scale_grid)
+    xs = _x_values(x_grid, target)
+    F = _cdf_matrix([target, *candidates], xs, quad)[0]
+    return _best_fit(_sup_gaps(F), alphas, scales)
 
 
 def approx_compare(
@@ -290,30 +336,28 @@ def approx_compare(
     The gaussian competitor carries the family's exact variance, which
     is also the variance of the normalized sum.  Stable candidates with
     alpha = 2 are dropped from the grid since the gaussian side already
-    covers them.  Both distances use one shared x grid; verdicts within
-    tie_tol of each other are called a tie.
+    covers them.  Both distances use one shared x grid and one shared
+    quadrature; verdicts within tie_tol of each other are called a tie.
     """
     quad = quad or QuadratureSpec()
-    m = int(m)
-    if m < 1:
-        raise InputError("m must be a positive integer")
+    m = _check_m(m)
     mu2 = moments(family_cf).mu2
     if mu2 <= 0.0:
         raise InputError("family must have strictly positive variance")
-    alphas = sorted(float(a) for a in alpha_grid if float(a) < 2.0)
+    alphas = [a for a in alpha_grid if float(a) < 2.0]
     if not alphas:
         raise InputError("alpha grid is empty after removing alpha = 2")
+    alphas, scales, candidates = _stable_grid(alphas, scale_grid)
 
     s_m = sum_rescale(family_cf, m)
-    competitor = GaussianCF(mu2)
-    radius = _X_SPAN_SCALES * math.sqrt(mu2)
-    xs = np.linspace(-radius, radius, _X_GRID_SIZE)
-
-    d_gauss = kolmogorov_distance(s_m, competitor, quad, xs)
-    fit = fit_stable(s_m, alphas, scale_grid, quad, xs)
+    xs = _symmetric_grid(_X_SPAN_SCALES * math.sqrt(mu2))
+    F, T, nodes = _cdf_matrix([s_m, GaussianCF(mu2), *candidates], xs, quad)
+    gaps = _sup_gaps(F)
+    d_gauss = float(gaps[0])
+    fit = _best_fit(gaps[1:], alphas, scales)
 
     if abs(d_gauss - fit.distance) <= tie_tol:
-        verdict = "tie within tolerance"
+        verdict = "tie"
     elif fit.distance < d_gauss:
         verdict = "stable closer"
     else:
@@ -328,7 +372,7 @@ def approx_compare(
         d_stable=fit.distance,
         verdict=verdict,
         alpha_grid=tuple(alphas),
-        scale_grid=tuple(sorted(float(c) for c in scale_grid)),
+        scale_grid=tuple(scales),
         x_grid={"min": float(xs[0]), "max": float(xs[-1]), "size": int(xs.size)},
-        quadrature={"T": quad.T, "N": quad.N, "eps_tail": quad.eps_tail},
+        quadrature={"T": T, "N": quad.N, "nodes": nodes, "eps_tail": quad.eps_tail},
     )

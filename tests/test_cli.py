@@ -221,6 +221,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "empirical", "--input", str(tmp_path / "none.txt"))
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:1", "0.5:-2:3"])
+    def test_nonpositive_log_grid_is_one(self, capsys, grid):
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "gauss", "--variance", "1",
+            "--m", "2", f"--scale-grid={grid}",
+        )
+        assert code == 1 and out == "" and err.startswith("iddlab:")
+
     def test_moment_error_is_two(self, capsys):
         code, _, err = run(
             capsys, "kurtosis", "--family", "stable", "--alpha", "1.5",

@@ -21,6 +21,7 @@ from iddlab import (
     root_rescale,
     sum_rescale,
 )
+from iddlab.inversion import _cdf_matrix
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
 KS_LAPLACE_VS_GAUSS2 = 0.062021369217940658
@@ -112,10 +113,44 @@ class TestCdfFromCf:
         with pytest.raises(QuadratureError):
             cdf_from_cf(root_rescale(SymmetrizedGammaCF(1.0), 10**6), 1.0)
 
+    def test_asymmetric_grid_with_repeated_abs_x(self):
+        # only |x| <= 1 has both signs on the grid; 0 is on it
+        xs = np.linspace(-1.0, 5.0, 37)
+        got = cdf_from_cf(GaussianCF(1.0), xs)
+        np.testing.assert_allclose(got, [normal_cdf(x) for x in xs], atol=1e-6)
+
+    def test_grid_longer_than_one_kernel_chunk(self):
+        xs = np.linspace(-4.0, 7.0, 1201)
+        got = cdf_from_cf(GaussianCF(1.0), xs)
+        np.testing.assert_allclose(got, [normal_cdf(x) for x in xs], atol=1e-6)
+
     def test_explicit_truncation_override(self):
         auto = cdf_from_cf(GaussianCF(1.0), 1.0)
         manual = cdf_from_cf(GaussianCF(1.0), 1.0, QuadratureSpec(T=12.0))
         assert manual == pytest.approx(auto, abs=1e-9)
+
+
+class TestCdfMatrix:
+    def test_batched_columns_match_single_law(self):
+        # more laws than one coefficient block, at one explicit truncation
+        laws = [GaussianCF(1.0), SymmetrizedGammaCF(1.0)] + [
+            StableCF(a, c) for a in (1.0, 1.3, 1.6, 1.9) for c in np.geomspace(0.5, 2.0, 10)
+        ]
+        quad = QuadratureSpec(T=40.0, N=1024)
+        xs = np.linspace(-6.0, 6.0, 41)
+        F, T, nodes = _cdf_matrix(laws, xs, quad)
+        assert F.shape == (xs.size, len(laws))
+        assert (T, nodes) == (40.0, 1025)
+        for j, cf in enumerate(laws):
+            np.testing.assert_allclose(F[:, j], cdf_from_cf(cf, xs, quad), rtol=0, atol=1e-12)
+
+    def test_shared_truncation_is_the_largest_automatic_one(self):
+        quad = QuadratureSpec()
+        slow = StableCF(1.0, 0.25)  # |f| = exp(-t / 4) reaches 1e-10 only past t = 92
+        T_fast = _cdf_matrix([GaussianCF(1.0)], np.array([1.0]), quad)[1]
+        T_slow = _cdf_matrix([slow], np.array([1.0]), quad)[1]
+        assert T_fast < 92.0 < T_slow
+        assert _cdf_matrix([GaussianCF(1.0), slow], np.array([1.0]), quad)[1] == T_slow
 
 
 class TestKolmogorovDistance:
@@ -174,6 +209,28 @@ class TestFitStable:
         with pytest.raises(InputError):
             fit_stable(GaussianCF(1.0), alpha_grid=(), scale_grid=(1.0,))
 
+    def test_ties_resolve_to_smallest_alpha_then_scale(self):
+        # every symmetric CDF is 1/2 at x = 0, so all candidates tie there
+        fit = fit_stable(
+            GaussianCF(1.0), alpha_grid=(1.8, 1.2, 1.5), scale_grid=(2.0, 0.5), x_grid=[0.0]
+        )
+        assert (fit.alpha, fit.scale, fit.distance) == (1.2, 0.5, 0.0)
+
+    def test_matches_per_candidate_distances(self):
+        target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
+        alphas, scales = (1.2, 1.5, 1.8), (0.5, 0.75, 1.0, 1.5)
+        quad = QuadratureSpec(T=60.0, N=1024)
+        xs = np.linspace(-8.0, 8.0, 81)
+        best = None
+        for a in alphas:
+            for c in scales:
+                d = kolmogorov_distance(target, StableCF(a, c), quad, xs)
+                if best is None or d < best[2]:
+                    best = (a, c, d)
+        fit = fit_stable(target, alphas, scales, quad, xs)
+        assert (fit.alpha, fit.scale) == best[:2]
+        assert fit.distance == pytest.approx(best[2], abs=1e-12)
+
 
 class TestApproxCompare:
     def test_gaussian_family_verdict(self):
@@ -208,6 +265,27 @@ class TestApproxCompare:
     def test_bad_m_rejected(self):
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), 0)
+
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(InputError):
+            approx_compare(SymmetrizedGammaCF(1.0), m)
+
+    def test_tie_within_tolerance(self):
+        report = approx_compare(
+            SymmetrizedGammaCF(1.0), 2, alpha_grid=(1.5,), scale_grid=(1.0,),
+            quad=QuadratureSpec(N=1024), tie_tol=1.0,
+        )
+        assert report.verdict == "tie"
+
+    def test_reports_the_quadrature_used(self):
+        quad = QuadratureSpec(N=1024)
+        report = approx_compare(
+            GaussianCF(1.0), 2, alpha_grid=(1.0, 1.5), scale_grid=(0.25, 1.0), quad=quad,
+        )
+        # the slowest candidate, exp(-t / 4), sets the shared truncation
+        T = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]
+        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "eps_tail": 1e-10}
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):
