@@ -6,10 +6,14 @@ The coefficient a is therefore read off at large t:
 
     a_hat = -log f(t) / t^2   at the largest point of a schedule,
 
-with the gap to the second largest point serving as a conservative
-error bound.  A gaussian component is declared present only when a_hat
-clears the tolerance by more than that bound, so noisy or borderline
-estimates answer "no".
+with the gap to the second largest point serving as the error bound.
+A gaussian component is declared present only when a_hat clears the
+tolerance by more than that bound, so noisy or borderline estimates
+answer "no".  An exponent that vanishes too slowly still can clear it:
+a symmetric stable law has a_hat = c^alpha t^(alpha - 2), which the
+default schedule reads as a component for alpha above about 1.41 at
+c = 1.  The estimator itself lives in cf_core's ladder core, shared
+with the drift estimator of laplace_core.
 
 Moments come in two flavours: exact cumulant algebra per family
 (closed-form) and fourth-order central differences of the CF at zero
@@ -25,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_core import GaussianCF, SymmetricCF, limit_gaussian, root_rescale
+from .cf_core import (
+    _DEFAULT_SCHEDULE,
+    _DEFAULT_TOL,
+    SymmetricCF,
+    _clears,
+    _ladder_estimate,
+    _limit_sup,
+    limit_gaussian,
+    root_rescale,
+)
 from .errors import InputError, MomentError
 
 __all__ = [
@@ -43,8 +56,9 @@ __all__ = [
     "remainder_profile",
 ]
 
-DEFAULT_T_SCHEDULE = (10.0, 31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0)
-DEFAULT_DETECTION_TOL = 1e-4
+# shared with laplace_core as DEFAULT_S_SCHEDULE and DEFAULT_SUPPORT_TOL
+DEFAULT_T_SCHEDULE = _DEFAULT_SCHEDULE
+DEFAULT_DETECTION_TOL = _DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -92,19 +106,6 @@ class KurtosisScaling:
     method: str
 
 
-def _check_schedule(t_schedule) -> np.ndarray:
-    sched = np.asarray(tuple(t_schedule), dtype=float)
-    if sched.size < 3:
-        raise InputError("t_schedule needs at least 3 points")
-    if not np.all(np.isfinite(sched)) or np.min(sched) <= 0.0:
-        raise InputError("t_schedule points must be finite and positive")
-    if np.min(np.diff(sched)) <= 0.0:
-        raise InputError("t_schedule must be strictly increasing")
-    if sched[-1] / sched[0] < 100.0:
-        raise InputError("t_schedule must span at least two decades")
-    return sched
-
-
 def estimate_gaussian_coefficient(
     cf: SymmetricCF, t_schedule=DEFAULT_T_SCHEDULE
 ) -> GaussianEstimate:
@@ -115,17 +116,16 @@ def estimate_gaussian_coefficient(
     strictly positive along the schedule (always true away from the
     empirical kind).
     """
-    sched = _check_schedule(t_schedule)
-    logs = cf.log_evaluate(sched)
-    vals = -logs / (sched * sched)
-    a_hat = float(vals[-1])
+    a_hat, error_bound, t_used, schedule, values = _ladder_estimate(
+        cf, t_schedule, "t_schedule"
+    )
     return GaussianEstimate(
         a_hat=a_hat,
         component_variance=2.0 * a_hat,
-        error_bound=abs(float(vals[-1]) - float(vals[-2])),
-        t_used=float(sched[-1]),
-        schedule=tuple(float(t) for t in sched),
-        values=tuple(float(v) for v in vals),
+        error_bound=error_bound,
+        t_used=t_used,
+        schedule=schedule,
+        values=values,
     )
 
 
@@ -139,11 +139,8 @@ def has_gaussian_component(
     Answers yes only when a_hat > tol + error_bound; anything within
     the uncertainty band is reported as "no component detected".
     """
-    tol = float(tol)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
     est = estimate_gaussian_coefficient(cf, t_schedule)
-    return GaussianDecision(has_component=est.a_hat > tol + est.error_bound, estimate=est)
+    return GaussianDecision(has_component=_clears(est.a_hat, est.error_bound, tol), estimate=est)
 
 
 def limit_deviation(
@@ -160,21 +157,13 @@ def limit_deviation(
     When a is not supplied it is estimated from the schedule, and the
     detection rule is applied first: if no gaussian component clears the
     tolerance the limit is the constant 1 (a = 0), matching the
-    degenerate branch of the limit theorem.
+    degenerate branch of the limit theorem.  Both sides are even, so
+    the grid covers 0 < t <= T only.
     """
-    T = float(T)
-    if not math.isfinite(T) or T <= 0.0:
-        raise InputError(f"T must be finite and positive, got {T!r}")
-    if int(grid_size) < 2:
-        raise InputError("grid_size must be at least 2")
     if a is None:
         decision = has_gaussian_component(cf, tol, t_schedule)
         a = decision.estimate.a_hat if decision.has_component else 0.0
-    g = limit_gaussian(a)
-    rescaled = root_rescale(cf, m)
-    pos = np.geomspace(min(1e-3, T / 2.0), T, int(grid_size))
-    grid = np.concatenate([-pos[::-1], pos])
-    return float(np.max(np.abs(rescaled.evaluate(grid) - g.evaluate(grid))))
+    return _limit_sup(root_rescale(cf, m), limit_gaussian(a), "T", T, grid_size)
 
 
 def _fd_moments(cf: SymmetricCF) -> tuple[float, float]:
@@ -229,8 +218,11 @@ def kurtosis_scaling_check(
     back to the absolute gap, which must stay below 1e-9 to count as
     exact.
     """
-    base = moments(cf, method)
-    rescaled = moments(root_rescale(cf, m), method)
+    return _kurtosis_scaling(m, moments(cf, method), moments(root_rescale(cf, m), method))
+
+
+def _kurtosis_scaling(m: int, base: MomentSet, rescaled: MomentSet) -> KurtosisScaling:
+    """The scaling report from moment sets already computed."""
     expected = m * base.kappa
     gap = abs(rescaled.kappa - expected)
     if abs(expected) < 1e-9:
@@ -243,7 +235,7 @@ def kurtosis_scaling_check(
         kappa_m=rescaled.kappa,
         expected=expected,
         relative_error=float(rel),
-        method=method,
+        method=base.method,
     )
 
 

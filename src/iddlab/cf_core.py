@@ -28,7 +28,8 @@ exactly; gaussian CFs, the fixed points of both maps, are returned
 unchanged.
 
 All objects are immutable after construction and safe to share between
-threads.
+threads.  The exponent-ladder core at the top of this module is shared
+with laplace_core, which reads Laplace transforms the same way.
 """
 
 from __future__ import annotations
@@ -61,29 +62,25 @@ __all__ = [
     "from_samples",
     "scale_argument",
     "compound_poisson_canonical",
-    "default_grid",
-    "DEFAULT_T_MAX",
-    "DEFAULT_GRID_SIZE",
 ]
 
-DEFAULT_T_MAX = 50.0
-DEFAULT_GRID_SIZE = 2048
 
+# ---------------------------------------------------------------------------
+# the exponent ladder shared with laplace_core
+#
+# A symmetric CF (power p = 2, argument t) and a Laplace transform of a
+# positive law (p = 1, argument s) are read the same way: through the
+# exponent log phi(x), along the root-rescale ladder
+# phi(m^(1/p) x)^(1/m), whose limit exp(-c x^p) carries the coefficient
+# c = lim -log phi(x) / x^p.  The validators, the rescaled and product
+# exponents, the schedule estimator, the decision rule and the
+# limit-deviation sup below serve both families; analysis and
+# laplace_core wrap them in their public entry points.
 
-def _check_finite_t(t: np.ndarray) -> None:
-    if not np.all(np.isfinite(t)):
-        raise InputError("t must be finite")
-
-
-def _prepare(t):
-    """Normalize scalar-or-array input; returns (array, was_scalar)."""
-    arr = np.asarray(t, dtype=float)
-    _check_finite_t(arr)
-    return arr, arr.ndim == 0
-
-
-def _finish(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+# default schedule and tolerance of both the gaussian-component and the
+# drift estimator
+_DEFAULT_SCHEDULE = (10.0, 31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0)
+_DEFAULT_TOL = 1e-4
 
 
 def _check_positive_param(name: str, value: float) -> float:
@@ -93,24 +90,189 @@ def _check_positive_param(name: str, value: float) -> float:
     return value
 
 
-class SymmetricCF:
-    """Base class; concrete kinds implement _log_values on float arrays."""
+def _check_nonneg_param(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
 
-    def _log_values(self, t: np.ndarray) -> np.ndarray:
+
+def _check_m(m) -> int:
+    if isinstance(m, bool) or int(m) != m or int(m) < 1:
+        raise InputError(f"m must be a positive integer, got {m!r}")
+    return int(m)
+
+
+def _check_schedule(schedule, name: str) -> np.ndarray:
+    sched = np.asarray(tuple(schedule), dtype=float)
+    if sched.size < 3:
+        raise InputError(f"{name} needs at least 3 points")
+    if not np.all(np.isfinite(sched)) or np.min(sched) <= 0.0:
+        raise InputError(f"{name} points must be finite and positive")
+    if np.min(np.diff(sched)) <= 0.0:
+        raise InputError(f"{name} must be strictly increasing")
+    if sched[-1] / sched[0] < 100.0:
+        raise InputError(f"{name} must span at least two decades")
+    return sched
+
+
+def _ladder_estimate(phi, schedule, name: str) -> tuple:
+    """-log phi(x) / x^p along an increasing schedule.
+
+    Returns (estimate, error_bound, x_used, schedule, values): the
+    estimate is the value at the largest schedule point and the error
+    bound its absolute gap to the value at the second largest.
+    """
+    sched = _check_schedule(schedule, name)
+    vals = -phi.log_evaluate(sched) / sched**phi._power
+    return (
+        float(vals[-1]),
+        abs(float(vals[-1]) - float(vals[-2])),
+        float(sched[-1]),
+        tuple(float(x) for x in sched),
+        tuple(float(v) for v in vals),
+    )
+
+
+def _clears(value: float, error_bound: float, tol: float) -> bool:
+    """The ladder decision: the estimate clears tol by more than its error bound.
+
+    A non-finite estimate or bound (the exponent overflowed along the
+    schedule) carries no answer either way, so it is refused.
+    """
+    tol = _check_nonneg_param("tol", tol)
+    if not (math.isfinite(value) and math.isfinite(error_bound)):
+        raise InputError(
+            f"estimate {value!r} with error bound {error_bound!r} is not finite; "
+            "no decision can be made on this schedule"
+        )
+    return value > tol + error_bound
+
+
+def _limit_sup(rescaled, limit, name: str, x_max: float, grid_size: int) -> float:
+    """sup over 0 < x <= x_max of |rescaled(x) - limit(x)|.
+
+    The grid is log-spaced from min(1e-3, x_max / 2).  CFs are even and
+    Laplace transforms live on x > 0, so the positive half carries the
+    whole supremum.
+    """
+    x_max = _check_positive_param(name, x_max)
+    if int(grid_size) < 2:
+        raise InputError("grid_size must be at least 2")
+    grid = np.geomspace(min(1e-3, x_max / 2.0), x_max, int(grid_size))
+    return float(np.max(np.abs(rescaled.evaluate(grid) - limit.evaluate(grid))))
+
+
+def _measure_fields(measure: DiscretizedMeasure) -> dict:
+    """The describe() entries of a canonical exponent's measure."""
+    return {
+        "atoms": [
+            [float(p), float(m)] for p, m in zip(measure.atom_positions, measure.atom_masses)
+        ],
+        "density_points": int(measure.density_grid.size),
+    }
+
+
+class _Transform:
+    """An exponent log phi(x) of power p, evaluated on checked arguments.
+
+    Kinds implement _log_values on float arrays; _values defaults to its
+    exponential.  Families supply _power and _check_domain.
+    """
+
+    _power: int
+
+    @staticmethod
+    def _check_domain(x: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _values(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(self._log_values(t))
+    def _log_values(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
-    def evaluate(self, t):
-        """CF value at t; t must be finite."""
-        arr, scalar = _prepare(t)
-        return _finish(self._values(arr), scalar)
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(self._log_values(x))
 
-    def log_evaluate(self, t):
-        """log f(t), exact for every kind carrying an exponent."""
-        arr, scalar = _prepare(t)
-        return _finish(self._log_values(arr), scalar)
+    def evaluate(self, x):
+        """phi(x), scalar in, scalar out (arrays pass through elementwise)."""
+        arr = np.asarray(x, dtype=float)
+        self._check_domain(arr)
+        out = self._values(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def log_evaluate(self, x):
+        """log phi(x), exact for every kind carrying an exponent."""
+        arr = np.asarray(x, dtype=float)
+        self._check_domain(arr)
+        out = self._log_values(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def describe(self) -> dict:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class _RootRescaled:
+    """phi_m(x) = phi(m^(1/p) x)^(1/m), evaluated through the exponent."""
+
+    base: _Transform
+    m: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _check_m(self.m))
+
+    def _log_values(self, x):
+        # m^(1/p) for p = 2 and p = 1; math.sqrt is correctly rounded
+        # where a float power need not be
+        stretch = math.sqrt(self.m) if self._power == 2 else self.m
+        return self.base._log_values(stretch * x) / self.m
+
+    def describe(self):
+        return {"kind": "root_rescale", "m": self.m, "base": self.base.describe()}
+
+
+@dataclass(frozen=True)
+class _Product:
+    """Pointwise product within one family: the law of the independent sum.
+
+    Nested products of the same class are flattened; _family names the
+    class every factor must belong to.
+    """
+
+    factors: tuple
+
+    def __post_init__(self):
+        flat = []
+        for f in self.factors:
+            if not isinstance(f, self._family):
+                raise InputError(f"factors must be {self._family.__name__} instances")
+            flat.extend(f.factors if isinstance(f, type(self)) else (f,))
+        if not flat:
+            raise InputError("product of zero factors")
+        object.__setattr__(self, "factors", tuple(flat))
+
+    def _log_values(self, x):
+        out = np.zeros(x.shape)
+        for f in self.factors:
+            out = out + f._log_values(x)
+        return out
+
+    def describe(self):
+        return {"kind": "product", "factors": [f.describe() for f in self.factors]}
+
+
+# ---------------------------------------------------------------------------
+# symmetric characteristic functions
+
+
+class SymmetricCF(_Transform):
+    """Base class; concrete kinds implement _log_values on float arrays."""
+
+    _power = 2
+
+    @staticmethod
+    def _check_domain(t):
+        if not np.all(np.isfinite(t)):
+            raise InputError("t must be finite")
 
     def cumulants(self) -> tuple[float, float]:
         """Second and fourth cumulant (kappa2, kappa4) when both are finite.
@@ -126,9 +288,6 @@ class SymmetricCF:
             return False
         return True
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GaussianCF(SymmetricCF):
@@ -137,10 +296,7 @@ class GaussianCF(SymmetricCF):
     variance: float
 
     def __post_init__(self):
-        v = float(self.variance)
-        if not math.isfinite(v) or v < 0.0:
-            raise InputError(f"variance must be finite and nonnegative, got {v!r}")
-        object.__setattr__(self, "variance", v)
+        object.__setattr__(self, "variance", _check_nonneg_param("variance", self.variance))
 
     def _log_values(self, t):
         return -0.5 * self.variance * t * t
@@ -245,9 +401,7 @@ class CanonicalCF(SymmetricCF):
     measure: DiscretizedMeasure
 
     def __post_init__(self):
-        a = float(self.gaussian_coefficient)
-        if not math.isfinite(a) or a < 0.0:
-            raise InputError(f"gaussian coefficient must be >= 0, got {a!r}")
+        a = _check_nonneg_param("gaussian coefficient", self.gaussian_coefficient)
         object.__setattr__(self, "gaussian_coefficient", a)
         if not isinstance(self.measure, DiscretizedMeasure):
             raise InputError("measure must be a DiscretizedMeasure")
@@ -273,11 +427,7 @@ class CanonicalCF(SymmetricCF):
         return {
             "kind": "canonical",
             "gaussian_coefficient": self.gaussian_coefficient,
-            "atoms": [
-                [float(p), float(m)]
-                for p, m in zip(self.measure.atom_positions, self.measure.atom_masses)
-            ],
-            "density_points": int(self.measure.density_grid.size),
+            **_measure_fields(self.measure),
         }
 
 
@@ -307,14 +457,12 @@ class EmpiricalCF(SymmetricCF):
         raise AttributeError("EmpiricalCF is immutable")
 
     def _values(self, t):
-        total = np.zeros(t.shape)
         flat = t.reshape(-1)
         out = np.zeros(flat.shape)
         for start in range(0, self.samples.size, _EMPIRICAL_CHUNK):
             block = self.samples[start : start + _EMPIRICAL_CHUNK]
             out += np.sum(np.cos(np.outer(flat, block)), axis=1)
-        total = out.reshape(t.shape) / self.samples.size
-        return total
+        return out.reshape(t.shape) / self.samples.size
 
     def _log_values(self, t):
         vals = self._values(t)
@@ -336,35 +484,16 @@ class EmpiricalCF(SymmetricCF):
 
 
 @dataclass(frozen=True)
-class ProductCF(SymmetricCF):
+class ProductCF(_Product, SymmetricCF):
     """Pointwise product of CFs: the CF of the independent sum."""
 
-    factors: tuple
-
-    def __post_init__(self):
-        flat = []
-        for f in self.factors:
-            if not isinstance(f, SymmetricCF):
-                raise InputError("convolve expects SymmetricCF instances")
-            if isinstance(f, ProductCF):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        if not flat:
-            raise InputError("product of zero factors")
-        object.__setattr__(self, "factors", tuple(flat))
+    _family = SymmetricCF
 
     def _values(self, t):
         # plain product stays valid even when a factor dips negative
         out = np.ones(t.shape)
         for f in self.factors:
             out = out * f._values(t)
-        return out
-
-    def _log_values(self, t):
-        out = np.zeros(t.shape)
-        for f in self.factors:
-            out = out + f._log_values(t)
         return out
 
     def cumulants(self):
@@ -376,35 +505,14 @@ class ProductCF(SymmetricCF):
             k4 += b
         return k2, k4
 
-    def describe(self):
-        return {"kind": "product", "factors": [f.describe() for f in self.factors]}
-
-
-def _check_m(m) -> int:
-    if isinstance(m, bool) or int(m) != m or int(m) < 1:
-        raise InputError(f"m must be a positive integer, got {m!r}")
-    return int(m)
-
 
 @dataclass(frozen=True)
-class RootRescaledCF(SymmetricCF):
+class RootRescaledCF(_RootRescaled, SymmetricCF):
     """f_m(t) = f(sqrt(m) t)^(1/m), evaluated through the exponent."""
-
-    base: SymmetricCF
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_m(self.m))
-
-    def _log_values(self, t):
-        return self.base._log_values(math.sqrt(self.m) * t) / self.m
 
     def cumulants(self):
         k2, k4 = self.base.cumulants()
         return k2, self.m * k4
-
-    def describe(self):
-        return {"kind": "root_rescale", "m": self.m, "base": self.base.describe()}
 
 
 @dataclass(frozen=True)
@@ -495,10 +603,7 @@ def limit_gaussian(a: float) -> GaussianCF:
 
     The corresponding variance is 2 a; a = 0 gives the unit constant.
     """
-    a = float(a)
-    if not math.isfinite(a) or a < 0.0:
-        raise InputError(f"gaussian coefficient must be >= 0, got {a!r}")
-    return GaussianCF(2.0 * a)
+    return GaussianCF(2.0 * _check_nonneg_param("gaussian coefficient", a))
 
 
 def convolve(*cfs: SymmetricCF) -> SymmetricCF:
@@ -530,14 +635,3 @@ def compound_poisson_canonical(rate: float, jump: float) -> CanonicalCF:
     mass = rate * jump * jump / (2.0 * (1.0 + jump * jump))
     return CanonicalCF(0.0, DiscretizedMeasure.from_atoms([(jump, mass)]))
 
-
-def default_grid(t_max: float = DEFAULT_T_MAX, n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Log-spaced evaluation grid on [1e-3, t_max], mirrored to negative t."""
-    t_max = float(t_max)
-    if not math.isfinite(t_max) or t_max <= 1e-3:
-        raise InputError("t_max must exceed the smallest grid point 1e-3")
-    n = int(n)
-    if n < 2:
-        raise InputError("grid needs at least 2 points")
-    pos = np.geomspace(1e-3, t_max, n)
-    return np.concatenate([-pos[::-1], pos])

@@ -16,9 +16,12 @@ Exit codes: 0 success, 1 input or usage problems, 2 numerical
 failures, 3 a bound check that failed under --assert.
 
 Numeric knobs may also come from a JSON file via --config; explicit
-flags override file values.  Families are described on the command
-line: --family picks the base law and its parameters, and repeated
---convolve FAMILY:key=value,... flags convolve further components in.
+flags override file values.  Each subcommand declares its knobs once,
+in an option table from which the parser, the config merge and the
+conversion of flag and file values are all built.  Families are
+described on the command line: --family picks the base law and its
+parameters, and repeated --convolve FAMILY:key=value,... flags convolve
+further components in.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    estimate_gaussian_coefficient,
+    DEFAULT_DETECTION_TOL,
+    DEFAULT_T_SCHEDULE,
+    _kurtosis_scaling,
     has_gaussian_component,
-    kurtosis_scaling_check,
-    limit_deviation,
     moments,
     remainder_profile,
 )
@@ -44,7 +47,6 @@ from .cf_core import (
     CompoundPoissonCF,
     GaussianCF,
     StableCF,
-    SymmetricCF,
     SymmetrizedGammaCF,
     convolve,
     from_samples,
@@ -63,7 +65,6 @@ from .inversion import QuadratureSpec, approx_compare
 from .laplace_core import (
     DriftTransform,
     GammaSubordinator,
-    LaplaceTransform,
     PoissonSubordinator,
     StableSubordinator,
     convolve_L,
@@ -210,52 +211,26 @@ def read_samples(path: str) -> list:
                     raise InputError(
                         f"{path}: line {lineno}: cannot parse {text!r} as a number"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read sample file {path}: {exc}") from None
     if not values:
         raise InputError(f"{path}: no samples found")
     return values
 
 
-def _cf_from_args(args) -> tuple[SymmetricCF, dict]:
+def _law_from_args(args, families: dict, combine) -> tuple:
     """Base family (or sample file) plus any --convolve components."""
     if getattr(args, "input", None):
-        base: SymmetricCF = from_samples(read_samples(args.input))
+        base = from_samples(read_samples(args.input))
     elif args.family:
-        params = {
-            "variance": args.variance,
-            "alpha": args.alpha,
-            "scale": args.scale,
-            "shape": args.shape,
-            "rate": args.rate,
-            "jump": args.jump,
-        }
-        base = _build_family(args.family, params, _CF_FAMILIES)
+        params = {n: getattr(args, n) for names, _ in families.values() for n in names}
+        base = _build_family(args.family, params, families)
     else:
-        raise InputError("specify --family (or --input for sample data)")
-    parts = [base]
-    for spec in args.convolve or []:
-        parts.append(_parse_inline_spec(spec, _CF_FAMILIES))
-    cf = convolve(*parts) if len(parts) > 1 else base
-    return cf, cf.describe()
-
-
-def _lt_from_args(args) -> tuple[LaplaceTransform, dict]:
-    if not args.family:
-        raise InputError("specify --family")
-    params = {
-        "shape": args.shape,
-        "rate": args.rate,
-        "alpha": args.alpha,
-        "scale": args.scale,
-        "sigma": args.sigma,
-    }
-    base = _build_family(args.family, params, _LT_FAMILIES)
-    parts = [base]
-    for spec in args.convolve or []:
-        parts.append(_parse_inline_spec(spec, _LT_FAMILIES))
-    lt = convolve_L(*parts) if len(parts) > 1 else base
-    return lt, lt.describe()
+        hint = " (or --input for sample data)" if hasattr(args, "input") else ""
+        raise InputError(f"specify --family{hint}")
+    parts = [base] + [_parse_inline_spec(spec, families) for spec in args.convolve or []]
+    law = combine(*parts) if len(parts) > 1 else base
+    return law, law.describe()
 
 
 def _parse_floats(text: str) -> tuple:
@@ -295,59 +270,132 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
 
 
-def _merge_config(defaults: dict, args) -> dict:
-    """defaults < config file < explicit flags, with unknown keys rejected."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_cfg) - set(defaults))
+def _merge_config(options, args) -> dict:
+    """defaults < config file < explicit flags, with unknown keys rejected.
+
+    File and flag values pass through the same converter and choice
+    check; a JSON null leaves the value unset, like an absent flag.
+    """
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - {key for key, *_ in options})
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} for this command")
-    merged = dict(defaults)
-    for key, value in file_cfg.items():
-        if isinstance(defaults[key], bool):
-            merged[key] = bool(value)
-        else:
-            merged[key] = value
-    for key in defaults:
-        cli_val = getattr(args, key, None)
-        if isinstance(defaults[key], bool):
-            if cli_val:
-                merged[key] = True
-        elif cli_val is not None:
-            merged[key] = cli_val
+    merged = {}
+    for key, convert, default, choices, _ in options:
+        flag = _flag(key)
+        value = default
+        for raw, where, error in (
+            (file_cfg.get(key), f"config key {key!r}", ConfigError),
+            (getattr(args, key), flag, InputError),
+        ):
+            if raw is None:
+                continue
+            try:
+                value = convert(raw)
+            except (ValueError, OverflowError) as exc:
+                raise error(f"{where}: {exc}") from None
+            if choices and value not in choices:
+                raise error(f"{where}: {value!r} is not one of {', '.join(choices)}")
+        if value is _REQUIRED:
+            raise InputError(f"{flag} is required")
+        merged[key] = value
     return merged
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (config, result, diagnostics, exit_code)
+# option tables
+#
+# Each knob is a row (key, converter, default, choices, help).  Its flag
+# is --key with "_" spelled "-", and its config-file key is key itself.
+# Flags reach the converter as the raw command-line text, file values as
+# parsed JSON; _switch rows become store-true flags.
+
+
+_REQUIRED = object()
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _integer(value) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _schedule(value) -> tuple:
+    text = _text(value)
+    return DEFAULT_T_SCHEDULE if text == "default" else _parse_floats(text)
+
+
+_M = ("m", _integer, _REQUIRED, None, "rescaling order")
+_R = ("r", _number, _REQUIRED, None, "metric order, r > 2")
+_TOL = ("tol", _number, DEFAULT_DETECTION_TOL, None, "decision tolerance (default 1e-4)")
+_SCHEDULE = ("schedule", _schedule, DEFAULT_T_SCHEDULE, None, "comma-separated schedule")
+_LAMBDA = (
+    ("t_min", _number, 1e-3, None, "smallest grid t"),
+    ("t_max", _number, 50.0, None, "largest grid t"),
+    ("grid_size", _integer, 4096, None, "grid points"),
+    ("small_t_policy", _text, "taylor-bound", ("taylor-bound", "exclude"), None),
+)
+
+def _lambda_config(cfg: dict) -> LambdaConfig:
+    return LambdaConfig(r=cfg["r"], **{key: cfg[key] for key, *_ in _LAMBDA})
+
+
+def _linspace(start: float, stop: float, points: int, flags: str) -> np.ndarray:
+    if not math.isfinite(stop - start) or points < 1:
+        raise InputError(f"{flags} need a finite span and at least one point")
+    return np.linspace(start, stop, points)
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers; each takes the merged knobs and returns
+# (config, result, diagnostics, exit_code)
 
 
 def _profile_grid(t_used: float) -> np.ndarray:
     return np.geomspace(0.1, t_used, 101)
 
 
-def _cmd_detect(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config({"tol": 1e-4, "schedule": "default"}, args)
-    schedule = (
-        _parse_floats(cfg["schedule"])
-        if cfg["schedule"] != "default"
-        else None
-    )
-    from .analysis import DEFAULT_T_SCHEDULE
-
-    sched = schedule or DEFAULT_T_SCHEDULE
-    decision = has_gaussian_component(cf, float(cfg["tol"]), sched)
+def _cmd_detect(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+    decision = has_gaussian_component(cf, cfg["tol"], cfg["schedule"])
     est = decision.estimate
     a_used = est.a_hat if decision.has_component else 0.0
     profile = remainder_profile(cf, a_used, _profile_grid(est.t_used))
-    config = {"family": family_desc, "tol": float(cfg["tol"]), "schedule": list(sched)}
     result = {
         "has_gaussian_component": decision.has_component,
         "a_hat": est.a_hat,
@@ -359,39 +407,20 @@ def _cmd_detect(args):
     }
     diagnostics = {
         "monotone_decreasing": est.monotone_decreasing,
-        "decision_margin": est.a_hat - float(cfg["tol"]) - est.error_bound,
+        "decision_margin": est.a_hat - cfg["tol"] - est.error_bound,
         "a_used_for_profile": a_used,
     }
-    return config, result, diagnostics, EXIT_OK
+    return {"family": family_desc, **cfg}, result, diagnostics, EXIT_OK
 
 
-def _cmd_rescale(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config(
-        {"m": None, "transform": "root", "t_max": 10.0, "points": 201,
-         "check_fixed_point": False},
-        args,
-    )
-    if cfg["m"] is None:
-        raise InputError("--m is required")
-    m = int(cfg["m"])
-    transform = str(cfg["transform"])
-    if transform == "root":
-        rescaled = root_rescale(cf, m)
-    elif transform == "sum":
-        rescaled = sum_rescale(cf, m)
-    else:
-        raise InputError(f"unknown transform {transform!r}; use root or sum")
-    t_max = float(cfg["t_max"])
-    grid = np.linspace(-t_max, t_max, int(cfg["points"]))
+def _cmd_rescale(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+    m, transform = cfg["m"], cfg["transform"]
+    rescaled = (root_rescale if transform == "root" else sum_rescale)(cf, m)
+    grid = _linspace(-cfg["t_max"], cfg["t_max"], cfg["points"], "--t-max and --points")
     base_vals = cf.evaluate(grid)
     new_vals = rescaled.evaluate(grid)
     deviation = float(np.max(np.abs(new_vals - base_vals)))
-    config = {
-        "family": family_desc, "m": m, "transform": transform,
-        "t_max": t_max, "points": int(cfg["points"]),
-        "check_fixed_point": bool(cfg["check_fixed_point"]),
-    }
     result = {
         "m": m,
         "transform": transform,
@@ -400,24 +429,20 @@ def _cmd_rescale(args):
         "rescaled_values": [float(v) for v in new_vals],
         "base_values": [float(v) for v in base_vals],
     }
-    if bool(cfg["check_fixed_point"]):
+    if cfg["check_fixed_point"]:
         result["fixed_point"] = {
             "deviation": deviation,
             "is_fixed_point": bool(deviation < 1e-12),
         }
-    return config, result, {}, EXIT_OK
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
 
 
-def _cmd_kurtosis(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config({"m": None, "method": "closed-form"}, args)
-    if cfg["m"] is None:
-        raise InputError("--m is required")
-    m = int(cfg["m"])
-    check = kurtosis_scaling_check(cf, m, str(cfg["method"]))
-    base = moments(cf, str(cfg["method"]))
-    resc = moments(root_rescale(cf, m), str(cfg["method"]))
-    config = {"family": family_desc, "m": m, "method": str(cfg["method"])}
+def _cmd_kurtosis(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+    m, method = cfg["m"], cfg["method"]
+    base = moments(cf, method)
+    resc = moments(root_rescale(cf, m), method)
+    check = _kurtosis_scaling(m, base, resc)
     result = {
         "m": m,
         "kappa_1": check.kappa_1,
@@ -427,164 +452,81 @@ def _cmd_kurtosis(args):
         "base_moments": {"mu2": base.mu2, "mu4": base.mu4, "kappa": base.kappa},
         "rescaled_moments": {"mu2": resc.mu2, "mu4": resc.mu4, "kappa": resc.kappa},
     }
-    return config, result, {}, EXIT_OK
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
 
 
-def _cmd_distance(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config(
-        {"r": None, "vs": None, "t_min": 1e-3, "t_max": 50.0,
-         "grid_size": 4096, "small_t_policy": "taylor-bound"},
-        args,
-    )
-    if cfg["r"] is None:
-        raise InputError("--r is required")
+def _cmd_distance(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
     if cfg["vs"]:
-        other = _parse_inline_spec(str(cfg["vs"]), _CF_FAMILIES)
+        other = _parse_inline_spec(cfg["vs"], _CF_FAMILIES)
     else:
         other = GaussianCF(moments(cf).mu2)
-    lam_cfg = LambdaConfig(
-        r=float(cfg["r"]),
-        t_min=float(cfg["t_min"]),
-        t_max=float(cfg["t_max"]),
-        grid_size=int(cfg["grid_size"]),
-        small_t_policy=str(cfg["small_t_policy"]),
-    )
-    value = lambda_r(cf, other, lam_cfg)
-    config = {
-        "family": family_desc,
-        "vs": other.describe(),
-        "r": lam_cfg.r,
-        "t_min": lam_cfg.t_min,
-        "t_max": lam_cfg.t_max,
-        "grid_size": lam_cfg.grid_size,
-        "small_t_policy": lam_cfg.small_t_policy,
-    }
-    result = {"r": lam_cfg.r, "lambda_r": value}
+    value = lambda_r(cf, other, _lambda_config(cfg))
+    config = {"family": family_desc, **cfg, "vs": other.describe()}
+    result = {"r": cfg["r"], "lambda_r": value}
     return config, result, {"finite": math.isfinite(value)}, EXIT_OK
 
 
-def _cmd_bound_check(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config(
-        {"m": None, "r": None, "backward": False, "assert": False,
-         "t_min": 1e-3, "t_max": 50.0, "grid_size": 4096,
-         "small_t_policy": "taylor-bound"},
-        args,
-    )
-    if cfg["m"] is None or cfg["r"] is None:
-        raise InputError("--m and --r are required")
-    m, r = int(cfg["m"]), float(cfg["r"])
-    lam_cfg = LambdaConfig(
-        r=r, t_min=float(cfg["t_min"]), t_max=float(cfg["t_max"]),
-        grid_size=int(cfg["grid_size"]), small_t_policy=str(cfg["small_t_policy"]),
-    )
+def _cmd_bound_check(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+    m, r = cfg["m"], cfg["r"]
+    direction = "backward" if cfg["backward"] else "forward"
     config = {
-        "family": family_desc, "m": m, "r": r,
-        "direction": "backward" if cfg["backward"] else "forward",
-        "assert": bool(cfg["assert"]),
-        "t_min": lam_cfg.t_min, "t_max": lam_cfg.t_max,
-        "grid_size": lam_cfg.grid_size, "small_t_policy": lam_cfg.small_t_policy,
+        "family": family_desc, "m": m, "r": r, "direction": direction,
+        "assert": cfg["assert"], **{key: cfg[key] for key, *_ in _LAMBDA},
     }
+    lam_cfg = _lambda_config(cfg)
     if cfg["backward"]:
         chk = backward_bound(cf, m, r, lam_cfg)
-        result = {
-            "direction": "backward", "m": m, "r": r,
-            "lhs": chk.lhs, "lower": chk.lower,
-            "holds": chk.holds, "applicable": chk.applicable,
-        }
-        holds = chk.holds
+        bound = {"lower": chk.lower}
     else:
         chk = clt_bound_check(cf, m, r, lam_cfg)
-        result = {
-            "direction": "forward", "m": m, "r": r,
-            "lhs": chk.lhs, "rhs": chk.rhs,
-            "holds": chk.holds, "applicable": chk.applicable,
-        }
-        holds = chk.holds
-    code = EXIT_ASSERT if (bool(cfg["assert"]) and not holds) else EXIT_OK
+        bound = {"rhs": chk.rhs}
+    result = {
+        "direction": direction, "m": m, "r": r, "lhs": chk.lhs, **bound,
+        "holds": chk.holds, "applicable": chk.applicable,
+    }
+    code = EXIT_ASSERT if (cfg["assert"] and not chk.holds) else EXIT_OK
     return config, result, {}, code
 
 
-def _cmd_laplace(args):
-    lt, family_desc = _lt_from_args(args)
-    action = args.action
-    if action == "drift":
-        cfg = _merge_config({"schedule": "default"}, args)
-        from .laplace_core import DEFAULT_S_SCHEDULE
-
-        sched = (
-            _parse_floats(cfg["schedule"])
-            if cfg["schedule"] != "default"
-            else DEFAULT_S_SCHEDULE
-        )
-        est = estimate_drift(lt, sched)
-        config = {"family": family_desc, "schedule": list(sched)}
+def _cmd_laplace(args, cfg):
+    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+    if args.command == "laplace drift":
+        est = estimate_drift(lt, cfg["schedule"])
         result = {
             "sigma_hat": est.sigma_hat,
             "error_bound": est.error_bound,
             "s_used": est.s_used,
             "schedule_values": [[s, v] for s, v in zip(est.schedule, est.values)],
         }
-        return config, result, {}, EXIT_OK
-    if action == "support":
-        cfg = _merge_config({"tol": 1e-4}, args)
-        decision = support_touches_zero(lt, float(cfg["tol"]))
-        config = {"family": family_desc, "tol": float(cfg["tol"])}
+    elif args.command == "laplace support":
+        decision = support_touches_zero(lt, cfg["tol"], cfg["schedule"])
         result = {
             "touches_zero": decision.touches_zero,
             "sigma_hat": decision.sigma_hat,
             "error_bound": decision.estimate.error_bound,
         }
-        return config, result, {}, EXIT_OK
-    if action == "limit":
-        cfg = _merge_config(
-            {"m": None, "S": 10.0, "grid_size": 1024, "known_sigma": None,
-             "tol": 1e-4},
-            args,
-        )
-        if cfg["m"] is None:
-            raise InputError("--m is required")
-        m = int(cfg["m"])
+    else:
         sigma = cfg["known_sigma"]
-        sigma = float(sigma) if sigma is not None else None
         dev = limit_deviation_L(
-            lt, m, float(cfg["S"]), int(cfg["grid_size"]),
-            sigma=sigma, tol=float(cfg["tol"]),
+            lt, cfg["m"], cfg["S"], cfg["grid_size"],
+            sigma=sigma, tol=cfg["tol"], s_schedule=cfg["schedule"],
         )
-        config = {
-            "family": family_desc, "m": m, "S": float(cfg["S"]),
-            "grid_size": int(cfg["grid_size"]), "tol": float(cfg["tol"]),
-            "known_sigma": sigma,
-        }
         result = {
-            "m": m,
+            "m": cfg["m"],
             "deviation": dev,
             "sigma_source": "provided" if sigma is not None else "estimated",
         }
-        return config, result, {}, EXIT_OK
-    raise InputError(f"unknown laplace action {action!r}")
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
 
 
-def _cmd_approx_compare(args):
-    cf, family_desc = _cf_from_args(args)
-    cfg = _merge_config(
-        {"m": None, "alpha_grid": "1.0:1.95:20", "scale_grid": "0.25:4.0:21",
-         "quad_n": 4096, "eps_tail": 1e-10, "tie_tol": 1e-4},
-        args,
-    )
-    if cfg["m"] is None:
-        raise InputError("--m is required")
-    m = int(cfg["m"])
-    alphas = _parse_grid(str(cfg["alpha_grid"]), "linear")
-    scales = _parse_grid(str(cfg["scale_grid"]), "log")
-    quad = QuadratureSpec(N=int(cfg["quad_n"]), eps_tail=float(cfg["eps_tail"]))
-    report = approx_compare(cf, m, alphas, scales, quad, float(cfg["tie_tol"]))
-    config = {
-        "family": family_desc, "m": m,
-        "alpha_grid": str(cfg["alpha_grid"]), "scale_grid": str(cfg["scale_grid"]),
-        "quad_n": quad.N, "eps_tail": quad.eps_tail, "tie_tol": float(cfg["tie_tol"]),
-    }
+def _cmd_approx_compare(args, cfg):
+    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+    alphas = _parse_grid(cfg["alpha_grid"], "linear")
+    scales = _parse_grid(cfg["scale_grid"], "log")
+    quad = QuadratureSpec(N=cfg["quad_n"], eps_tail=cfg["eps_tail"])
+    report = approx_compare(cf, cfg["m"], alphas, scales, quad, cfg["tie_tol"])
     result = {
         "family": report.family,
         "m": report.m,
@@ -598,23 +540,17 @@ def _cmd_approx_compare(args):
         "x_grid": report.x_grid,
         "quadrature": report.quadrature,
     }
-    return config, result, {}, EXIT_OK
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
 
 
-def _cmd_empirical(args):
+def _cmd_empirical(args, cfg):
     if not args.input:
         raise InputError("--input is required")
     samples = read_samples(args.input)
-    cfg = _merge_config({"cf_t_max": 10.0, "cf_points": 101}, args)
     cf = from_samples(samples)
     arr = np.asarray(samples, dtype=float)
-    grid = np.linspace(0.0, float(cfg["cf_t_max"]), int(cfg["cf_points"]))
+    grid = _linspace(0.0, cfg["cf_t_max"], cfg["cf_points"], "--cf-t-max and --cf-points")
     vals = cf.evaluate(grid)
-    config = {
-        "input": args.input,
-        "cf_t_max": float(cfg["cf_t_max"]),
-        "cf_points": int(cfg["cf_points"]),
-    }
     result = {
         "n": int(arr.size),
         "mean": float(np.mean(arr)),
@@ -622,156 +558,128 @@ def _cmd_empirical(args):
         "cf_t": [float(t) for t in grid],
         "cf_values": [float(v) for v in vals],
     }
-    return config, result, {}, EXIT_OK
+    return {"input": args.input, **cfg}, result, {}, EXIT_OK
+
+
+# name -> (handler, help, families, knobs); a two-word name is an action
+# of the group named by its first word
+_COMMANDS = {
+    "detect": (_cmd_detect, "gaussian component detection", _CF_FAMILIES, (_TOL, _SCHEDULE)),
+    "rescale": (_cmd_rescale, "root or sum rescaling of a CF", _CF_FAMILIES, (
+        _M,
+        ("transform", _text, "root", ("root", "sum"), None),
+        ("t_max", _number, 10.0, None, "report grid half-width"),
+        ("points", _integer, 201, None, "report grid size"),
+        ("check_fixed_point", _switch, False, None, "report whether the CF is unchanged"),
+    )),
+    "kurtosis": (_cmd_kurtosis, "kurtosis scaling check kappa(m) = m kappa(1)", _CF_FAMILIES, (
+        _M,
+        ("method", _text, "closed-form", ("closed-form", "finite-difference"), None),
+    )),
+    "distance": (_cmd_distance, "lambda_r distance between two CFs", _CF_FAMILIES, (
+        ("vs", _text, None, None,
+         "second CF, FAMILY:K=V,... (default: matched-variance gaussian)"),
+        _R,
+        *_LAMBDA,
+    )),
+    "bound-check": (_cmd_bound_check, "forward or backward lambda_r rate bound", _CF_FAMILIES, (
+        _M,
+        _R,
+        ("backward", _switch, False, None,
+         "check the divergence bound instead of the CLT bound"),
+        ("assert", _switch, False, None, "exit 3 when the inequality fails"),
+        *_LAMBDA,
+    )),
+    "laplace drift": (_cmd_laplace, "drift estimate sigma_hat", _LT_FAMILIES, (_SCHEDULE,)),
+    "laplace support": (_cmd_laplace, "does the support touch zero", _LT_FAMILIES,
+                        (_TOL, _SCHEDULE)),
+    "laplace limit": (_cmd_laplace, "distance to the limit transform", _LT_FAMILIES, (
+        _M,
+        ("S", _number, 10.0, None, "deviation grid upper end"),
+        ("grid_size", _integer, 1024, None, "deviation grid points"),
+        _TOL,
+        ("known_sigma", _number, None, None,
+         "compare against exp(-sigma s) with this known drift"),
+        _SCHEDULE,
+    )),
+    "approx-compare": (_cmd_approx_compare, "gaussian vs stable approximation of the m-fold sum",
+                       _CF_FAMILIES, (
+        _M,
+        ("alpha_grid", _text, "1.0:1.95:20", None, "linear alpha grid START:STOP:COUNT"),
+        ("scale_grid", _text, "0.25:4.0:21", None, "log-spaced scale grid START:STOP:COUNT"),
+        ("quad_n", _integer, 4096, None, "quadrature nodes"),
+        ("eps_tail", _number, 1e-10, None, "CF tail level that sets the truncation"),
+        ("tie_tol", _number, 1e-4, None, "distance gap called a tie"),
+    )),
+    "empirical": (_cmd_empirical, "summarize a sample file and its empirical CF", None, (
+        ("cf_t_max", _number, 10.0, None, "CF grid upper end"),
+        ("cf_points", _integer, 101, None, "CF grid size"),
+    )),
+}
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
-def _add_cf_family_flags(p):
-    p.add_argument("--family", choices=sorted(_CF_FAMILIES), help="base CF family")
-    p.add_argument("--variance", type=float, help="gauss: variance")
-    p.add_argument("--alpha", type=float, help="stable: index in (0, 2]")
-    p.add_argument("--scale", type=float, help="stable: scale")
-    p.add_argument("--shape", type=float, help="symgamma: shape")
-    p.add_argument("--rate", type=float, help="cpoisson: jump intensity")
-    p.add_argument("--jump", type=float, help="cpoisson: jump size")
+def _add_family_flags(p, families: dict) -> None:
+    p.add_argument("--family", choices=sorted(families), help="base family")
+    used_by: dict = {}
+    for kind, (names, _) in families.items():
+        for name in names:
+            used_by.setdefault(name, []).append(kind)
+    for name, kinds in used_by.items():
+        p.add_argument(f"--{name}", type=float, help=f"parameter of {', '.join(kinds)}")
     p.add_argument(
         "--convolve", action="append", metavar="FAMILY:K=V,...",
         help="convolve another component in (repeatable)",
     )
 
 
-def _add_lt_family_flags(p):
-    p.add_argument("--family", choices=sorted(_LT_FAMILIES), help="transform family")
-    p.add_argument("--shape", type=float, help="gammasub: shape")
-    p.add_argument("--rate", type=float, help="poissonsub: rate")
-    p.add_argument("--alpha", type=float, help="stablesub: index in (0, 1)")
-    p.add_argument("--scale", type=float, help="stablesub: scale")
-    p.add_argument("--sigma", type=float, help="drift: coefficient")
-    p.add_argument(
-        "--convolve", action="append", metavar="FAMILY:K=V,...",
-        help="convolve another component in (repeatable)",
-    )
-
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON file with numeric defaults")
-    p.add_argument("--output", help="write the report here instead of stdout")
+_GROUPS = {"laplace": "positive-law transforms: drift, limit, support"}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="iddlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-
-    p = sub.add_parser("detect",
-                       help="gaussian component detection")
-    _add_cf_family_flags(p)
-    p.add_argument("--input", help="sample file, one value per line")
-    p.add_argument("--tol", type=float, help="detection tolerance (default 1e-4)")
-    p.add_argument("--schedule", help="comma-separated t schedule")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_detect)
-
-    p = sub.add_parser("rescale",
-                       help="root or sum rescaling of a CF")
-    _add_cf_family_flags(p)
-    p.add_argument("--m", type=int, help="rescaling order")
-    p.add_argument("--transform", choices=("root", "sum"))
-    p.add_argument("--t-max", dest="t_max", type=float, help="report grid half-width")
-    p.add_argument("--points", type=int, help="report grid size")
-    p.add_argument("--check-fixed-point", dest="check_fixed_point",
-                   action="store_true", default=False,
-                   help="report whether the CF is unchanged")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_rescale)
-
-    p = sub.add_parser("kurtosis",
-                       help="kurtosis scaling check kappa(m) = m kappa(1)")
-    _add_cf_family_flags(p)
-    p.add_argument("--m", type=int, help="rescaling order")
-    p.add_argument("--method", choices=("closed-form", "finite-difference"))
-    _add_common(p)
-    p.set_defaults(handler=_cmd_kurtosis)
-
-    p = sub.add_parser("distance",
-                       help="lambda_r distance between two CFs")
-    _add_cf_family_flags(p)
-    p.add_argument("--vs", metavar="FAMILY:K=V,...",
-                   help="second CF (default: matched-variance gaussian)")
-    p.add_argument("--r", type=float, help="metric order, r > 2")
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--small-t-policy", dest="small_t_policy",
-                   choices=("taylor-bound", "exclude"))
-    _add_common(p)
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("bound-check",
-                       help="forward or backward lambda_r rate bound")
-    _add_cf_family_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--backward", action="store_true", default=False,
-                   help="check the divergence bound instead of the CLT bound")
-    p.add_argument("--assert", dest="assert", action="store_true", default=False,
-                   help="exit 3 when the inequality fails")
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--small-t-policy", dest="small_t_policy",
-                   choices=("taylor-bound", "exclude"))
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bound_check)
-
-    p = sub.add_parser("laplace",
-                       help="positive-law transforms: drift, limit, support")
-    p.add_argument("action", choices=("drift", "limit", "support"))
-    _add_lt_family_flags(p)
-    p.add_argument("--schedule", help="comma-separated s schedule (drift)")
-    p.add_argument("--tol", type=float, help="support tolerance (default 1e-4)")
-    p.add_argument("--m", type=int, help="rescaling order (limit)")
-    p.add_argument("--S", type=float, help="deviation grid upper end (limit)")
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--known-sigma", dest="known_sigma", type=float,
-                   help="compare against exp(-sigma s) with this known drift")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_laplace)
-
-    p = sub.add_parser("approx-compare",
-                       help="gaussian vs stable approximation of the m-fold sum")
-    _add_cf_family_flags(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--alpha-grid", dest="alpha_grid", metavar="START:STOP:COUNT",
-                   help="linear alpha grid (default 1.0:1.95:20)")
-    p.add_argument("--scale-grid", dest="scale_grid", metavar="START:STOP:COUNT",
-                   help="log-spaced scale grid (default 0.25:4.0:21)")
-    p.add_argument("--quad-n", dest="quad_n", type=int, help="quadrature nodes")
-    p.add_argument("--eps-tail", dest="eps_tail", type=float)
-    p.add_argument("--tie-tol", dest="tie_tol", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_approx_compare)
-
-    p = sub.add_parser("empirical",
-                       help="summarize a sample file and its empirical CF")
-    p.add_argument("--input", required=False, help="sample file")
-    p.add_argument("--cf-t-max", dest="cf_t_max", type=float)
-    p.add_argument("--cf-points", dest="cf_points", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_empirical)
-
+    groups: dict = {}
+    for name, (handler, help_text, families, options) in _COMMANDS.items():
+        group, _, action = name.partition(" ")
+        if action:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                    dest="action", metavar="ACTION", required=True, parser_class=_Parser
+                )
+            p = groups[group].add_parser(action, help=help_text)
+        else:
+            p = sub.add_parser(name, help=help_text)
+        if families is not None:
+            _add_family_flags(p, families)
+        if name in ("detect", "empirical"):
+            p.add_argument("--input", help="sample file, one value per line")
+        for key, convert, _, choices, help_text in options:
+            if convert is _switch:
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None,
+                               help=help_text)
+            else:
+                p.add_argument(_flag(key), dest=key, choices=choices, help=help_text)
+        p.add_argument("--config", help="JSON file with numeric defaults")
+        p.add_argument("--output", help="write the report here instead of stdout")
+        # the command's own defaults override the name its group parser set
+        p.set_defaults(handler=handler, command=name, options=options)
     return parser
 
 
 def _emit(report: dict, output: str | None) -> None:
     text = render_json(report) + "\n"
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write report to {output}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -780,7 +688,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _UsageError(parser.format_usage())
-        config, result, diagnostics, code = args.handler(args)
+        config, result, diagnostics, code = args.handler(args, _merge_config(args.options, args))
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "config": config,
+            "result": result,
+            "diagnostics": diagnostics,
+            "meta": {
+                "tool": "iddlab",
+                "version": __version__,
+                "generated_at": datetime.now(timezone.utc).isoformat(),
+            },
+        }
+        _emit(report, args.output)
     except _UsageError as exc:
         sys.stderr.write(f"iddlab: {exc}\n")
         return EXIT_INPUT
@@ -793,23 +714,6 @@ def main(argv=None) -> int:
     except IddlabError as exc:
         sys.stderr.write(f"iddlab: error: {exc}\n")
         return EXIT_NUMERIC
-
-    command = args.command
-    if command == "laplace":
-        command = f"laplace {args.action}"
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "config": config,
-        "result": result,
-        "diagnostics": diagnostics,
-        "meta": {
-            "tool": "iddlab",
-            "version": __version__,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-        },
-    }
-    _emit(report, getattr(args, "output", None))
     return code
 
 

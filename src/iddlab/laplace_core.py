@@ -21,6 +21,11 @@ The canonical exponent is
     log L(s) = -sigma s - int (1 - e^(-a s)) / (1 - e^(-a)) dmu(a)
 
 with mu a finite measure on (0, inf) held as a DiscretizedMeasure.
+
+The ladder itself (validators, rescaled and product exponents, the
+schedule estimator, the decision rule and the limit-deviation sup) is
+the power-1 reading of the core in cf_core, shared with the symmetric
+side.
 """
 
 from __future__ import annotations
@@ -30,6 +35,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cf_core import (
+    _DEFAULT_SCHEDULE,
+    _DEFAULT_TOL,
+    _check_m,
+    _check_nonneg_param,
+    _check_positive_param,
+    _clears,
+    _ladder_estimate,
+    _limit_sup,
+    _measure_fields,
+    _Product,
+    _RootRescaled,
+    _Transform,
+)
 from .errors import InputError
 from .measures import DiscretizedMeasure
 
@@ -44,7 +63,6 @@ __all__ = [
     "RootRescaledLaplace",
     "DriftEstimate",
     "SupportDecision",
-    "evaluate_L",
     "root_rescale_L",
     "convolve_L",
     "estimate_drift",
@@ -55,51 +73,30 @@ __all__ = [
     "DEFAULT_SUPPORT_TOL",
 ]
 
-DEFAULT_S_SCHEDULE = (10.0, 31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0)
-DEFAULT_SUPPORT_TOL = 1e-4
+# the symmetric side's defaults (analysis.DEFAULT_T_SCHEDULE and
+# DEFAULT_DETECTION_TOL) under their Laplace names
+DEFAULT_S_SCHEDULE = _DEFAULT_SCHEDULE
+DEFAULT_SUPPORT_TOL = _DEFAULT_TOL
 DEFAULT_S_MIN = 1e-3
 DEFAULT_S_MAX = 1e3
 DEFAULT_S_GRID_SIZE = 1024
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InputError(f"{name} must be finite and strictly positive, got {value!r}")
-    return value
-
-
-def _prepare_s(s):
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("s must be finite")
-    if np.any(arr <= 0.0):
-        raise InputError("s must be strictly positive")
-    return arr, arr.ndim == 0
-
-
-class LaplaceTransform:
+class LaplaceTransform(_Transform):
     """Base class; kinds implement _log_values on positive float arrays."""
 
-    def _log_values(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    _power = 1
 
-    def evaluate(self, s):
-        arr, scalar = _prepare_s(s)
-        out = np.exp(self._log_values(arr))
-        return float(out) if scalar else out
-
-    def log_evaluate(self, s):
-        arr, scalar = _prepare_s(s)
-        out = self._log_values(arr)
-        return float(out) if scalar else out
+    @staticmethod
+    def _check_domain(s):
+        if not np.all(np.isfinite(s)):
+            raise InputError("s must be finite")
+        if np.any(s <= 0.0):
+            raise InputError("s must be strictly positive")
 
     @property
     def drift(self) -> float:
         """The structurally known drift coefficient sigma."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
 
@@ -110,7 +107,7 @@ class GammaSubordinator(LaplaceTransform):
     shape: float
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", _check_positive("shape", self.shape))
+        object.__setattr__(self, "shape", _check_positive_param("shape", self.shape))
 
     def _log_values(self, s):
         return -self.shape * np.log1p(s)
@@ -130,7 +127,7 @@ class PoissonSubordinator(LaplaceTransform):
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _check_positive("rate", self.rate))
+        object.__setattr__(self, "rate", _check_positive_param("rate", self.rate))
 
     def _log_values(self, s):
         return self.rate * np.expm1(-s)
@@ -155,7 +152,7 @@ class StableSubordinator(LaplaceTransform):
         if not math.isfinite(a) or not 0.0 < a < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {a!r}")
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "scale", _check_positive("scale", self.scale))
+        object.__setattr__(self, "scale", _check_positive_param("scale", self.scale))
 
     def _log_values(self, s):
         return -((self.scale * s) ** self.alpha)
@@ -175,10 +172,7 @@ class DriftTransform(LaplaceTransform):
     sigma: float
 
     def __post_init__(self):
-        v = float(self.sigma)
-        if not math.isfinite(v) or v < 0.0:
-            raise InputError(f"sigma must be finite and nonnegative, got {v!r}")
-        object.__setattr__(self, "sigma", v)
+        object.__setattr__(self, "sigma", _check_nonneg_param("sigma", self.sigma))
 
     def _log_values(self, s):
         return -self.sigma * s
@@ -199,10 +193,7 @@ class CanonicalLaplace(LaplaceTransform):
     measure: DiscretizedMeasure
 
     def __post_init__(self):
-        v = float(self.sigma)
-        if not math.isfinite(v) or v < 0.0:
-            raise InputError(f"sigma must be finite and nonnegative, got {v!r}")
-        object.__setattr__(self, "sigma", v)
+        object.__setattr__(self, "sigma", _check_nonneg_param("sigma", self.sigma))
         if not isinstance(self.measure, DiscretizedMeasure):
             raise InputError("measure must be a DiscretizedMeasure")
 
@@ -218,84 +209,32 @@ class CanonicalLaplace(LaplaceTransform):
         return self.sigma
 
     def describe(self):
-        return {
-            "kind": "canonical",
-            "sigma": self.sigma,
-            "atoms": [
-                [float(p), float(m)]
-                for p, m in zip(self.measure.atom_positions, self.measure.atom_masses)
-            ],
-            "density_points": int(self.measure.density_grid.size),
-        }
+        return {"kind": "canonical", "sigma": self.sigma, **_measure_fields(self.measure)}
 
 
 @dataclass(frozen=True)
-class ProductLaplace(LaplaceTransform):
+class ProductLaplace(_Product, LaplaceTransform):
     """Pointwise product: the transform of the independent sum."""
 
-    factors: tuple
-
-    def __post_init__(self):
-        flat = []
-        for f in self.factors:
-            if not isinstance(f, LaplaceTransform):
-                raise InputError("convolve_L expects LaplaceTransform instances")
-            if isinstance(f, ProductLaplace):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        if not flat:
-            raise InputError("product of zero factors")
-        object.__setattr__(self, "factors", tuple(flat))
-
-    def _log_values(self, s):
-        out = np.zeros(s.shape)
-        for f in self.factors:
-            out = out + f._log_values(s)
-        return out
+    _family = LaplaceTransform
 
     @property
     def drift(self):
         return sum(f.drift for f in self.factors)
 
-    def describe(self):
-        return {"kind": "product", "factors": [f.describe() for f in self.factors]}
-
 
 @dataclass(frozen=True)
-class RootRescaledLaplace(LaplaceTransform):
+class RootRescaledLaplace(_RootRescaled, LaplaceTransform):
     """L_m(s) = L(m s)^(1/m); drift is invariant under this map."""
-
-    base: LaplaceTransform
-    m: int
-
-    def __post_init__(self):
-        m = self.m
-        if isinstance(m, bool) or int(m) != m or int(m) < 1:
-            raise InputError(f"m must be a positive integer, got {m!r}")
-        object.__setattr__(self, "m", int(m))
-
-    def _log_values(self, s):
-        return self.base._log_values(self.m * s) / self.m
 
     @property
     def drift(self):
         return self.base.drift
 
-    def describe(self):
-        return {"kind": "root_rescale", "m": self.m, "base": self.base.describe()}
-
-
-def evaluate_L(lt: LaplaceTransform, s):
-    """Evaluate a Laplace transform at s > 0 (scalar or array)."""
-    return lt.evaluate(s)
-
 
 def root_rescale_L(lt: LaplaceTransform, m) -> LaplaceTransform:
     """L(m s)^(1/m).  Pure drifts are fixed points; nested rescales collapse."""
-    if isinstance(m, bool) or int(m) != m or int(m) < 1:
-        raise InputError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _check_m(m)
     if m == 1 or isinstance(lt, DriftTransform):
         return lt
     if isinstance(lt, RootRescaledLaplace):
@@ -326,34 +265,13 @@ class SupportDecision:
     estimate: DriftEstimate
 
 
-def _check_schedule(s_schedule) -> np.ndarray:
-    sched = np.asarray(tuple(s_schedule), dtype=float)
-    if sched.size < 3:
-        raise InputError("s_schedule needs at least 3 points")
-    if not np.all(np.isfinite(sched)) or np.min(sched) <= 0.0:
-        raise InputError("s_schedule points must be finite and positive")
-    if np.min(np.diff(sched)) <= 0.0:
-        raise InputError("s_schedule must be strictly increasing")
-    if sched[-1] / sched[0] < 100.0:
-        raise InputError("s_schedule must span at least two decades")
-    return sched
-
-
 def estimate_drift(lt: LaplaceTransform, s_schedule=DEFAULT_S_SCHEDULE) -> DriftEstimate:
     """sigma_hat = -log L(s) / s at the largest schedule point.
 
-    The error bound is the gap to the second largest point, mirroring
-    the gaussian-coefficient estimator on the symmetric side.
+    The error bound is the gap to the second largest point, the same
+    estimator as the gaussian coefficient on the symmetric side.
     """
-    sched = _check_schedule(s_schedule)
-    vals = -lt.log_evaluate(sched) / sched
-    return DriftEstimate(
-        sigma_hat=float(vals[-1]),
-        error_bound=abs(float(vals[-1]) - float(vals[-2])),
-        s_used=float(sched[-1]),
-        schedule=tuple(float(s) for s in sched),
-        values=tuple(float(v) for v in vals),
-    )
+    return DriftEstimate(*_ladder_estimate(lt, s_schedule, "s_schedule"))
 
 
 def support_touches_zero(
@@ -363,16 +281,13 @@ def support_touches_zero(
 ) -> SupportDecision:
     """Decide whether the law puts mass arbitrarily close to zero.
 
-    That holds exactly when the drift vanishes; the decision is yes iff
-    sigma_hat <= tol + error_bound, so uncertain estimates err on the
-    side of "touches zero".
+    That holds exactly when the drift vanishes; the decision is yes
+    unless sigma_hat > tol + error_bound, so uncertain estimates err on
+    the side of "touches zero".
     """
-    tol = float(tol)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
     est = estimate_drift(lt, s_schedule)
     return SupportDecision(
-        touches_zero=est.sigma_hat <= tol + est.error_bound,
+        touches_zero=not _clears(est.sigma_hat, est.error_bound, tol),
         sigma_hat=est.sigma_hat,
         estimate=est,
     )
@@ -406,17 +321,7 @@ def limit_deviation_L(
     the constant-one limit (sigma = 0).  Callers who know the drift
     exactly pass it to compare against the true limit.
     """
-    S = float(S)
-    if not math.isfinite(S) or S <= 0.0:
-        raise InputError(f"S must be finite and positive, got {S!r}")
-    if int(grid_size) < 2:
-        raise InputError("grid_size must be at least 2")
     if sigma is None:
         decision = support_touches_zero(lt, tol, s_schedule)
         sigma = 0.0 if decision.touches_zero else decision.sigma_hat
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise InputError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    rescaled = root_rescale_L(lt, m)
-    grid = np.geomspace(min(DEFAULT_S_MIN, S / 2.0), S, int(grid_size))
-    return float(np.max(np.abs(rescaled.evaluate(grid) - np.exp(-sigma * grid))))
+    return _limit_sup(root_rescale_L(lt, m), DriftTransform(sigma), "S", S, grid_size)

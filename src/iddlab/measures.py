@@ -78,13 +78,6 @@ class DiscretizedMeasure:
         mass = [a[1] for a in atoms]
         return cls(atom_positions=pos, atom_masses=mass)
 
-    @property
-    def total_mass(self) -> float:
-        total = float(np.sum(self.atom_masses)) if self.atom_masses.size else 0.0
-        if self.density_grid.size > 1:
-            total += float(np.trapezoid(self.density_values, self.density_grid))
-        return total
-
     def integrate(self, fn) -> float:
         """Integrate a scalar function of the position against the measure."""
         total = 0.0

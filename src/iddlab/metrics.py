@@ -167,30 +167,42 @@ def _effective_config(r: float, config: LambdaConfig | None) -> LambdaConfig:
     return config
 
 
+def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
+    """lambda_r of the m-th rescale of cf against m^(-+(r/2-1)) lambda_r(cf).
+
+    Z is the gaussian with the (rescale-invariant) variance of cf
+    (closed-form moments), and one grid serves both distances.  Forward
+    reads the normalized m-fold sum against the upper bound
+    m^-(r/2-1) lambda_r(cf, Z); backward reads the m-th root rescale
+    against the lower bound m^(r/2-1) lambda_r(cf, Z), where an infinite
+    left side always holds.  Returns (lhs, bound, holds, applicable);
+    an infinite base distance makes the bound vacuous, which is flagged
+    as not applicable rather than failed.
+    """
+    cfg = _effective_config(r, config)
+    z = GaussianCF(moments(cf).mu2)
+    lam_base = lambda_r(cf, z, cfg)
+    exponent = r / 2.0 - 1.0
+    if backward:
+        lhs = lambda_r(root_rescale(cf, m), z, cfg)
+        bound = float(m) ** exponent * lam_base
+        holds = math.isinf(lhs) or lhs >= bound * (1.0 - BACKWARD_SLACK)
+    else:
+        lhs = lambda_r(sum_rescale(cf, m), z, cfg)
+        bound = float(m) ** -exponent * lam_base
+        holds = lhs <= bound * (1.0 + FORWARD_SLACK)
+    return lhs, bound, bool(holds), bool(math.isfinite(lam_base))
+
+
 def clt_bound_check(
     cf_xi: SymmetricCF, m: int, r: float, config: LambdaConfig | None = None
 ) -> BoundCheck:
     """Check lambda_r(S_m, Z) <= m^-(r/2-1) lambda_r(xi, Z).
 
-    Z is the gaussian law with the variance of cf_xi (closed-form
-    moments).  Both distances share one grid.  An infinite base
-    distance makes the bound vacuous; the check is then flagged as not
-    applicable rather than failed.
+    Z is the gaussian law with the variance of cf_xi; see _rate_bound.
     """
-    cfg = _effective_config(r, config)
-    mu2 = moments(cf_xi).mu2
-    z = GaussianCF(mu2)
-    lam_base = lambda_r(cf_xi, z, cfg)
-    lhs = lambda_r(sum_rescale(cf_xi, m), z, cfg)
-    rhs = float(m) ** (-(r / 2.0 - 1.0)) * lam_base
-    return BoundCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=bool(lhs <= rhs * (1.0 + FORWARD_SLACK)),
-        m=int(m),
-        r=float(r),
-        applicable=bool(math.isfinite(lam_base)),
-    )
+    lhs, rhs, holds, applicable = _rate_bound(cf_xi, m, r, config, backward=False)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=holds, m=int(m), r=float(r), applicable=applicable)
 
 
 def backward_bound(
@@ -198,23 +210,10 @@ def backward_bound(
 ) -> BackwardBound:
     """Check lambda_r(X_m, Z) >= m^(r/2-1) lambda_r(X_1, Z).
 
-    X_m is the m-th root rescale of cf_root and Z the gaussian with the
-    (rescale-invariant) variance of cf_root.  The same grid serves both
-    sides, which makes this numerically the forward check read in the
-    opposite direction.
+    X_m is the m-th root rescale of cf_root: numerically the forward
+    check read in the opposite direction; see _rate_bound.
     """
-    cfg = _effective_config(r, config)
-    mu2 = moments(cf_root).mu2
-    z = GaussianCF(mu2)
-    lam_base = lambda_r(cf_root, z, cfg)
-    lhs = lambda_r(root_rescale(cf_root, m), z, cfg)
-    lower = float(m) ** (r / 2.0 - 1.0) * lam_base
-    holds = bool(math.isinf(lhs)) or bool(lhs >= lower * (1.0 - BACKWARD_SLACK))
+    lhs, lower, holds, applicable = _rate_bound(cf_root, m, r, config, backward=True)
     return BackwardBound(
-        lhs=lhs,
-        lower=lower,
-        holds=holds,
-        m=int(m),
-        r=float(r),
-        applicable=bool(math.isfinite(lam_base)),
+        lhs=lhs, lower=lower, holds=holds, m=int(m), r=float(r), applicable=applicable
     )

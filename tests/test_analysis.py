@@ -82,6 +82,17 @@ class TestDecision:
     def test_cauchy_no(self):
         assert not has_gaussian_component(StableCF(1.0, 1.0), 1e-4).has_component
 
+    def test_overflowed_estimate_is_refused(self):
+        # a t^2 overflows at the last two schedule points: a_hat = inf and
+        # the bound inf - inf = nan, which supports no answer either way
+        cf = GaussianCF(1e305)
+        with np.errstate(over="ignore"):
+            assert math.isnan(estimate_gaussian_coefficient(cf).error_bound)
+            with pytest.raises(InputError, match="not finite"):
+                has_gaussian_component(cf)
+            with pytest.raises(InputError, match="not finite"):
+                limit_deviation(cf, 3, 5.0)
+
 
 class TestLimitDeviation:
     @pytest.mark.parametrize("m", [2, 10, 100])

@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import iddlab.cli as cli
 from iddlab.cli import main, render_json
+from iddlab.laplace_core import StableSubordinator, limit_deviation_L, support_touches_zero
 from iddlab.metrics import BoundCheck
 
 
@@ -262,6 +264,53 @@ class TestExitCodes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["kurtosis", "--family", "gauss", "--variance", "1"], {"m": "abc"}),
+            (["detect", "--family", "gauss", "--variance", "1"], {"tol": [1]}),
+            (["kurtosis", "--family", "gauss", "--variance", "1"], {"m": 2.5}),
+            (["rescale", "--family", "gauss", "--variance", "1", "--m", "2", "--points", "0"], None),
+            (["rescale", "--family", "gauss", "--variance", "1", "--m", "2", "--points", "-1"],
+             None),
+            (["rescale", "--family", "gauss", "--variance", "1", "--m", "2", "--t-max", "inf"],
+             None),
+            (["empirical", "--input", "SAMPLES", "--cf-points", "0"], None),
+            (["kurtosis", "--family", "gauss", "--variance", "1", "--m", "3",
+              "--output", "OUTDIR/missing/report.json"], None),
+            (["laplace", "drift", "--family", "drift", "--sigma", "1"], {"m": 3}),
+        ],
+        ids=["config-m-text", "config-tol-list", "config-m-fraction", "points-zero",
+             "points-negative", "t-max-inf", "cf-points-zero", "output-missing-dir",
+             "config-key-of-other-action"],
+    )
+    def test_input_error_is_one(self, capsys, tmp_path, argv, config):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1.0\n-1.0\n")
+        argv = [a.replace("SAMPLES", str(samples)).replace("OUTDIR", str(tmp_path))
+                for a in argv]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("iddlab: input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "action, flag, value",
+        [("drift", "--m", "abc"), ("drift", "--tol", "x"), ("support", "--S", "foo"),
+         ("support", "--grid-size", "1.5"), ("drift", "--m", "3")],
+    )
+    def test_flag_of_other_laplace_action_is_usage_error(self, capsys, action, flag, value):
+        code, out, err = run(
+            capsys, "laplace", action, "--family", "drift", "--sigma", "1", flag, value
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"iddlab: unrecognized arguments: {flag} {value}")
+
 
 class TestDeterminism:
     def test_repeated_runs_identical_result(self, capsys):
@@ -270,3 +319,43 @@ class TestDeterminism:
         second = run_json(capsys, *argv)
         assert render_json(first["result"]) == render_json(second["result"])
         assert render_json(first["config"]) == render_json(second["config"])
+
+
+class TestLaplaceSchedule:
+    """--schedule reaches support and limit, from the flag and from a file."""
+
+    LONG = (1e4, 1e6, 1e8)
+    LAW = ["--family", "stablesub", "--alpha", "0.5", "--scale", "1"]
+
+    def _schedule_args(self, tmp_path, source):
+        if source == "flag":
+            return ["--schedule", "1e4,1e6,1e8"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schedule": "1e4,1e6,1e8"}))
+        return ["--config", str(path)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_support_honours_schedule(self, capsys, tmp_path, source):
+        report = run_json(
+            capsys, "laplace", "support", *self.LAW, *self._schedule_args(tmp_path, source)
+        )
+        lib = support_touches_zero(StableSubordinator(0.5, 1.0), 1e-4, self.LONG)
+        assert lib.touches_zero is True
+        assert report["config"]["schedule"] == list(self.LONG)
+        assert report["result"] == {
+            "touches_zero": lib.touches_zero,
+            "sigma_hat": lib.sigma_hat,
+            "error_bound": lib.estimate.error_bound,
+        }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_limit_honours_schedule(self, capsys, tmp_path, source):
+        report = run_json(
+            capsys, "laplace", "limit", *self.LAW, "--m", "10",
+            *self._schedule_args(tmp_path, source),
+        )
+        lt = StableSubordinator(0.5, 1.0)
+        lib = limit_deviation_L(lt, 10, 10.0, 1024, tol=1e-4, s_schedule=self.LONG)
+        assert report["config"]["schedule"] == list(self.LONG)
+        assert report["result"]["deviation"] == lib
+        assert lib != limit_deviation_L(lt, 10, 10.0, 1024, tol=1e-4)

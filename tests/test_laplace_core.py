@@ -193,6 +193,17 @@ class TestSupport:
         with pytest.raises(InputError):
             support_touches_zero(DriftTransform(1.0), tol=-1.0)
 
+    def test_overflowed_estimate_is_refused(self):
+        # sigma s overflows at the last two schedule points: sigma_hat = inf
+        # and the bound inf - inf = nan, which supports no answer either way
+        lt = DriftTransform(1e305)
+        with np.errstate(over="ignore"):
+            assert math.isnan(estimate_drift(lt).error_bound)
+            with pytest.raises(InputError, match="not finite"):
+                support_touches_zero(lt)
+            with pytest.raises(InputError, match="not finite"):
+                limit_deviation_L(lt, 3, 10.0)
+
 
 class TestLimitDeviation:
     @pytest.mark.parametrize("m", [2, 50])
