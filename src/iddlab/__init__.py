@@ -8,166 +8,24 @@ checks confirm the linear kurtosis growth along the ladder, lambda_r
 bounds quantify the two-way convergence rates, a Laplace-transform
 mirror handles positive laws and their support, and CDF inversion
 compares gaussian against stable approximations of partial sums.
+
+The package surface is the union of the layer modules' __all__ lists;
+a public name is declared once, in the module that defines it.
 """
 
-from .errors import (
-    ConfigError,
-    IddlabError,
-    InputError,
-    MomentError,
-    PositivityError,
-    QuadratureError,
-)
-from .measures import DiscretizedMeasure
-from .cf_core import (
-    CanonicalCF,
-    CompoundPoissonCF,
-    EmpiricalCF,
-    GaussianCF,
-    ProductCF,
-    RootRescaledCF,
-    ScaledCF,
-    StableCF,
-    SumRescaledCF,
-    SymmetricCF,
-    SymmetrizedGammaCF,
-    compound_poisson_canonical,
-    convolve,
-    evaluate,
-    from_samples,
-    limit_gaussian,
-    root_rescale,
-    scale_argument,
-    sum_rescale,
-)
-from .analysis import (
-    DEFAULT_DETECTION_TOL,
-    DEFAULT_T_SCHEDULE,
-    GaussianDecision,
-    GaussianEstimate,
-    KurtosisScaling,
-    MomentSet,
-    estimate_gaussian_coefficient,
-    has_gaussian_component,
-    kurtosis_scaling_check,
-    limit_deviation,
-    moments,
-    remainder_profile,
-)
-from .metrics import (
-    BackwardBound,
-    BoundCheck,
-    LambdaConfig,
-    backward_bound,
-    clt_bound_check,
-    lambda_r,
-)
-from .laplace_core import (
-    DEFAULT_S_SCHEDULE,
-    DEFAULT_SUPPORT_TOL,
-    CanonicalLaplace,
-    DriftEstimate,
-    DriftTransform,
-    GammaSubordinator,
-    LaplaceTransform,
-    PoissonSubordinator,
-    ProductLaplace,
-    RootRescaledLaplace,
-    StableSubordinator,
-    SupportDecision,
-    convolve_L,
-    default_s_grid,
-    estimate_drift,
-    limit_deviation_L,
-    root_rescale_L,
-    support_touches_zero,
-)
-from .inversion import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_SCALE_GRID,
-    TIE_TOLERANCE,
-    ComparisonReport,
-    QuadratureSpec,
-    StableFit,
-    approx_compare,
-    cdf_from_cf,
-    fit_stable,
-    kolmogorov_distance,
-)
+from . import analysis, cf_core, errors, inversion, laplace_core, measures, metrics
+from .errors import *
+from .measures import *
+from .cf_core import *
+from .analysis import *
+from .metrics import *
+from .laplace_core import *
+from .inversion import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IddlabError",
-    "InputError",
-    "ConfigError",
-    "PositivityError",
-    "MomentError",
-    "QuadratureError",
-    "DiscretizedMeasure",
-    "SymmetricCF",
-    "GaussianCF",
-    "StableCF",
-    "SymmetrizedGammaCF",
-    "CompoundPoissonCF",
-    "CanonicalCF",
-    "EmpiricalCF",
-    "ProductCF",
-    "RootRescaledCF",
-    "SumRescaledCF",
-    "ScaledCF",
-    "evaluate",
-    "root_rescale",
-    "sum_rescale",
-    "limit_gaussian",
-    "convolve",
-    "from_samples",
-    "scale_argument",
-    "compound_poisson_canonical",
-    "DEFAULT_T_SCHEDULE",
-    "DEFAULT_DETECTION_TOL",
-    "GaussianEstimate",
-    "GaussianDecision",
-    "MomentSet",
-    "KurtosisScaling",
-    "estimate_gaussian_coefficient",
-    "has_gaussian_component",
-    "limit_deviation",
-    "moments",
-    "kurtosis_scaling_check",
-    "remainder_profile",
-    "LambdaConfig",
-    "BoundCheck",
-    "BackwardBound",
-    "lambda_r",
-    "clt_bound_check",
-    "backward_bound",
-    "LaplaceTransform",
-    "GammaSubordinator",
-    "PoissonSubordinator",
-    "StableSubordinator",
-    "DriftTransform",
-    "CanonicalLaplace",
-    "ProductLaplace",
-    "RootRescaledLaplace",
-    "DriftEstimate",
-    "SupportDecision",
-    "root_rescale_L",
-    "convolve_L",
-    "estimate_drift",
-    "support_touches_zero",
-    "limit_deviation_L",
-    "default_s_grid",
-    "DEFAULT_S_SCHEDULE",
-    "DEFAULT_SUPPORT_TOL",
-    "QuadratureSpec",
-    "StableFit",
-    "ComparisonReport",
-    "cdf_from_cf",
-    "kolmogorov_distance",
-    "fit_stable",
-    "approx_compare",
-    "DEFAULT_ALPHA_GRID",
-    "DEFAULT_SCALE_GRID",
-    "TIE_TOLERANCE",
+    name
+    for module in (errors, measures, cf_core, analysis, metrics, laplace_core, inversion)
+    for name in module.__all__
 ]

@@ -434,6 +434,7 @@ class CanonicalCF(SymmetricCF):
 _EMPIRICAL_CHUNK = 4096
 
 
+@dataclass(frozen=True, eq=False)
 class EmpiricalCF(SymmetricCF):
     """Symmetrized empirical CF of a sample: f(t) = mean(cos(t x_j)).
 
@@ -441,10 +442,10 @@ class EmpiricalCF(SymmetricCF):
     so it is real and even but not necessarily positive.
     """
 
-    __slots__ = ("samples",)
+    samples: np.ndarray
 
-    def __init__(self, samples):
-        arr = np.asarray(samples, dtype=float).reshape(-1).copy()
+    def __post_init__(self):
+        arr = np.asarray(self.samples, dtype=float).reshape(-1).copy()
         if arr.size == 0:
             raise InputError("sample set is empty")
         bad = np.flatnonzero(~np.isfinite(arr))
@@ -452,9 +453,6 @@ class EmpiricalCF(SymmetricCF):
             raise InputError(f"non-finite sample at index {int(bad[0])}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmpiricalCF is immutable")
 
     def _values(self, t):
         flat = t.reshape(-1)

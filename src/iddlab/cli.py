@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -61,8 +62,9 @@ from .errors import (
     PositivityError,
     QuadratureError,
 )
-from .inversion import QuadratureSpec, approx_compare
+from .inversion import TIE_TOLERANCE, QuadratureSpec, approx_compare
 from .laplace_core import (
+    DEFAULT_S_GRID_SIZE,
     DriftTransform,
     GammaSubordinator,
     PoissonSubordinator,
@@ -141,19 +143,24 @@ def render_json(obj, indent: int = 0) -> str:
 # family mini-language
 
 
-_CF_FAMILIES = {
-    "gauss": (("variance",), lambda p: GaussianCF(p["variance"])),
-    "stable": (("alpha", "scale"), lambda p: StableCF(p["alpha"], p["scale"])),
-    "symgamma": (("shape",), lambda p: SymmetrizedGammaCF(p["shape"])),
-    "cpoisson": (("rate", "jump"), lambda p: CompoundPoissonCF(p["rate"], p["jump"])),
-}
+def _families(classes: dict) -> dict:
+    """kind -> (parameter names, class); a family's parameters are its fields."""
+    return {kind: (tuple(f.name for f in fields(cls)), cls) for kind, cls in classes.items()}
 
-_LT_FAMILIES = {
-    "gammasub": (("shape",), lambda p: GammaSubordinator(p["shape"])),
-    "poissonsub": (("rate",), lambda p: PoissonSubordinator(p["rate"])),
-    "stablesub": (("alpha", "scale"), lambda p: StableSubordinator(p["alpha"], p["scale"])),
-    "drift": (("sigma",), lambda p: DriftTransform(p["sigma"])),
-}
+
+_CF_FAMILIES = _families({
+    "gauss": GaussianCF,
+    "stable": StableCF,
+    "symgamma": SymmetrizedGammaCF,
+    "cpoisson": CompoundPoissonCF,
+})
+
+_LT_FAMILIES = _families({
+    "gammasub": GammaSubordinator,
+    "poissonsub": PoissonSubordinator,
+    "stablesub": StableSubordinator,
+    "drift": DriftTransform,
+})
 
 
 def _build_family(kind: str, params: dict, table: dict):
@@ -161,14 +168,14 @@ def _build_family(kind: str, params: dict, table: dict):
         raise InputError(
             f"unknown family {kind!r}; choose from {', '.join(sorted(table))}"
         )
-    names, builder = table[kind]
+    names, cls = table[kind]
     missing = [n for n in names if params.get(n) is None]
     if missing:
         raise InputError(f"family {kind!r} needs --{missing[0].replace('_', '-')}")
     extra = [n for n, v in params.items() if v is not None and n not in names]
     if extra:
         raise InputError(f"parameter {extra[0]!r} does not belong to family {kind!r}")
-    return builder({n: float(params[n]) for n in names})
+    return cls(**{n: params[n] for n in names})
 
 
 def _parse_inline_spec(spec: str, table: dict):
@@ -190,10 +197,7 @@ def _parse_inline_spec(spec: str, table: dict):
             f"unknown family {kind!r} in spec {spec!r}; "
             f"choose from {', '.join(sorted(table))}"
         )
-    names, _ = table[kind]
-    full = {n: params.get(n) for n in names}
-    full.update({k: v for k, v in params.items() if k not in names})
-    return _build_family(kind, full, table)
+    return _build_family(kind, params, table)
 
 
 def read_samples(path: str) -> list:
@@ -365,11 +369,12 @@ _R = ("r", _number, _REQUIRED, None, "metric order, r > 2")
 _TOL = ("tol", _number, DEFAULT_DETECTION_TOL, None, "decision tolerance (default 1e-4)")
 _SCHEDULE = ("schedule", _schedule, DEFAULT_T_SCHEDULE, None, "comma-separated schedule")
 _LAMBDA = (
-    ("t_min", _number, 1e-3, None, "smallest grid t"),
-    ("t_max", _number, 50.0, None, "largest grid t"),
-    ("grid_size", _integer, 4096, None, "grid points"),
-    ("small_t_policy", _text, "taylor-bound", ("taylor-bound", "exclude"), None),
+    ("t_min", _number, LambdaConfig.t_min, None, "smallest grid t"),
+    ("t_max", _number, LambdaConfig.t_max, None, "largest grid t"),
+    ("grid_size", _integer, LambdaConfig.grid_size, None, "grid points"),
+    ("small_t_policy", _text, LambdaConfig.small_t_policy, ("taylor-bound", "exclude"), None),
 )
+
 
 def _lambda_config(cfg: dict) -> LambdaConfig:
     return LambdaConfig(r=cfg["r"], **{key: cfg[key] for key, *_ in _LAMBDA})
@@ -490,34 +495,41 @@ def _cmd_bound_check(args, cfg):
     return config, result, {}, code
 
 
-def _cmd_laplace(args, cfg):
+def _cmd_laplace_drift(args, cfg):
     lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
-    if args.command == "laplace drift":
-        est = estimate_drift(lt, cfg["schedule"])
-        result = {
-            "sigma_hat": est.sigma_hat,
-            "error_bound": est.error_bound,
-            "s_used": est.s_used,
-            "schedule_values": [[s, v] for s, v in zip(est.schedule, est.values)],
-        }
-    elif args.command == "laplace support":
-        decision = support_touches_zero(lt, cfg["tol"], cfg["schedule"])
-        result = {
-            "touches_zero": decision.touches_zero,
-            "sigma_hat": decision.sigma_hat,
-            "error_bound": decision.estimate.error_bound,
-        }
-    else:
-        sigma = cfg["known_sigma"]
-        dev = limit_deviation_L(
-            lt, cfg["m"], cfg["S"], cfg["grid_size"],
-            sigma=sigma, tol=cfg["tol"], s_schedule=cfg["schedule"],
-        )
-        result = {
-            "m": cfg["m"],
-            "deviation": dev,
-            "sigma_source": "provided" if sigma is not None else "estimated",
-        }
+    est = estimate_drift(lt, cfg["schedule"])
+    result = {
+        "sigma_hat": est.sigma_hat,
+        "error_bound": est.error_bound,
+        "s_used": est.s_used,
+        "schedule_values": [[s, v] for s, v in zip(est.schedule, est.values)],
+    }
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+
+
+def _cmd_laplace_support(args, cfg):
+    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+    decision = support_touches_zero(lt, cfg["tol"], cfg["schedule"])
+    result = {
+        "touches_zero": decision.touches_zero,
+        "sigma_hat": decision.sigma_hat,
+        "error_bound": decision.estimate.error_bound,
+    }
+    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+
+
+def _cmd_laplace_limit(args, cfg):
+    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+    sigma = cfg["known_sigma"]
+    dev = limit_deviation_L(
+        lt, cfg["m"], cfg["S"], cfg["grid_size"],
+        sigma=sigma, tol=cfg["tol"], s_schedule=cfg["schedule"],
+    )
+    result = {
+        "m": cfg["m"],
+        "deviation": dev,
+        "sigma_source": "provided" if sigma is not None else "estimated",
+    }
     return {"family": family_desc, **cfg}, result, {}, EXIT_OK
 
 
@@ -527,20 +539,7 @@ def _cmd_approx_compare(args, cfg):
     scales = _parse_grid(cfg["scale_grid"], "log")
     quad = QuadratureSpec(N=cfg["quad_n"], eps_tail=cfg["eps_tail"])
     report = approx_compare(cf, cfg["m"], alphas, scales, quad, cfg["tie_tol"])
-    result = {
-        "family": report.family,
-        "m": report.m,
-        "d_gaussian": report.d_gaussian,
-        "best_alpha": report.best_alpha,
-        "best_scale": report.best_scale,
-        "d_stable": report.d_stable,
-        "verdict": report.verdict,
-        "alpha_grid": list(report.alpha_grid),
-        "scale_grid": list(report.scale_grid),
-        "x_grid": report.x_grid,
-        "quadrature": report.quadrature,
-    }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return {"family": family_desc, **cfg}, asdict(report), {}, EXIT_OK
 
 
 def _cmd_empirical(args, cfg):
@@ -590,13 +589,13 @@ _COMMANDS = {
         ("assert", _switch, False, None, "exit 3 when the inequality fails"),
         *_LAMBDA,
     )),
-    "laplace drift": (_cmd_laplace, "drift estimate sigma_hat", _LT_FAMILIES, (_SCHEDULE,)),
-    "laplace support": (_cmd_laplace, "does the support touch zero", _LT_FAMILIES,
+    "laplace drift": (_cmd_laplace_drift, "drift estimate sigma_hat", _LT_FAMILIES, (_SCHEDULE,)),
+    "laplace support": (_cmd_laplace_support, "does the support touch zero", _LT_FAMILIES,
                         (_TOL, _SCHEDULE)),
-    "laplace limit": (_cmd_laplace, "distance to the limit transform", _LT_FAMILIES, (
+    "laplace limit": (_cmd_laplace_limit, "distance to the limit transform", _LT_FAMILIES, (
         _M,
         ("S", _number, 10.0, None, "deviation grid upper end"),
-        ("grid_size", _integer, 1024, None, "deviation grid points"),
+        ("grid_size", _integer, DEFAULT_S_GRID_SIZE, None, "deviation grid points"),
         _TOL,
         ("known_sigma", _number, None, None,
          "compare against exp(-sigma s) with this known drift"),
@@ -607,9 +606,10 @@ _COMMANDS = {
         _M,
         ("alpha_grid", _text, "1.0:1.95:20", None, "linear alpha grid START:STOP:COUNT"),
         ("scale_grid", _text, "0.25:4.0:21", None, "log-spaced scale grid START:STOP:COUNT"),
-        ("quad_n", _integer, 4096, None, "quadrature nodes"),
-        ("eps_tail", _number, 1e-10, None, "CF tail level that sets the truncation"),
-        ("tie_tol", _number, 1e-4, None, "distance gap called a tie"),
+        ("quad_n", _integer, QuadratureSpec.N, None, "quadrature nodes"),
+        ("eps_tail", _number, QuadratureSpec.eps_tail, None,
+         "CF tail level that sets the truncation"),
+        ("tie_tol", _number, TIE_TOLERANCE, None, "distance gap called a tie"),
     )),
     "empirical": (_cmd_empirical, "summarize a sample file and its empirical CF", None, (
         ("cf_t_max", _number, 10.0, None, "CF grid upper end"),
@@ -688,7 +688,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _UsageError(parser.format_usage())
-        config, result, diagnostics, code = args.handler(args, _merge_config(args.options, args))
+        # an exponent that overflows to -inf is the right limit (phi = 0),
+        # so numpy's overflow warnings carry no news for the user
+        with np.errstate(over="ignore"):
+            config, result, diagnostics, code = args.handler(
+                args, _merge_config(args.options, args)
+            )
         report = {
             "schema": SCHEMA,
             "command": args.command,

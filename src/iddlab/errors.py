@@ -4,6 +4,15 @@ The CLI maps these onto process exit codes: input and configuration
 problems exit 1, numerical failures exit 2.
 """
 
+__all__ = [
+    "IddlabError",
+    "InputError",
+    "ConfigError",
+    "PositivityError",
+    "MomentError",
+    "QuadratureError",
+]
+
 
 class IddlabError(Exception):
     """Base class for all library errors."""

@@ -42,12 +42,10 @@ __all__ = [
     "lambda_r",
     "clt_bound_check",
     "backward_bound",
-    "FORWARD_SLACK",
-    "BACKWARD_SLACK",
 ]
 
-FORWARD_SLACK = 1e-9
-BACKWARD_SLACK = 1e-9
+# relative slack on both rate inequalities, for rounding in lambda_r
+_SLACK = 1e-9
 
 _MAX_DOWN_EXTENSIONS = 3
 _MAX_UP_EXTENSIONS = 1
@@ -186,11 +184,11 @@ def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     if backward:
         lhs = lambda_r(root_rescale(cf, m), z, cfg)
         bound = float(m) ** exponent * lam_base
-        holds = math.isinf(lhs) or lhs >= bound * (1.0 - BACKWARD_SLACK)
+        holds = math.isinf(lhs) or lhs >= bound * (1.0 - _SLACK)
     else:
         lhs = lambda_r(sum_rescale(cf, m), z, cfg)
         bound = float(m) ** -exponent * lam_base
-        holds = lhs <= bound * (1.0 + FORWARD_SLACK)
+        holds = lhs <= bound * (1.0 + _SLACK)
     return lhs, bound, bool(holds), bool(math.isfinite(lam_base))
 
 

@@ -311,6 +311,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"iddlab: unrecognized arguments: {flag} {value}")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["laplace", "support", "--family", "drift", "--sigma", "1e305"], 1),
+            (["detect", "--family", "gauss", "--variance", "1e305"], 1),
+            (["rescale", "--family", "gauss", "--variance", "1e307", "--m", "4"], 0),
+        ],
+        ids=["laplace-support", "detect", "rescale"],
+    )
+    def test_overflowed_exponent_prints_no_warning(self, capsys, argv, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv)
+        assert code == expected
+        assert err == "" or (err.startswith("iddlab: ") and err.count("\n") == 1)
+
 
 class TestDeterminism:
     def test_repeated_runs_identical_result(self, capsys):
