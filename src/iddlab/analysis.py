@@ -63,18 +63,18 @@ DEFAULT_DETECTION_TOL = _DEFAULT_TOL
 
 @dataclass(frozen=True)
 class GaussianEstimate:
-    """Estimated gaussian coefficient with its schedule diagnostics.
-
-    component_variance is twice the coefficient: the variance of the
-    gaussian factor exp(-a t^2).
-    """
+    """Estimated gaussian coefficient with its schedule diagnostics."""
 
     a_hat: float
-    component_variance: float
     error_bound: float
     t_used: float
     schedule: tuple
     values: tuple
+
+    @property
+    def component_variance(self) -> float:
+        """Twice the coefficient: the variance of the gaussian factor exp(-a t^2)."""
+        return 2.0 * self.a_hat
 
     @property
     def monotone_decreasing(self) -> bool:
@@ -116,17 +116,7 @@ def estimate_gaussian_coefficient(
     strictly positive along the schedule (always true away from the
     empirical kind).
     """
-    a_hat, error_bound, t_used, schedule, values = _ladder_estimate(
-        cf, t_schedule, "t_schedule"
-    )
-    return GaussianEstimate(
-        a_hat=a_hat,
-        component_variance=2.0 * a_hat,
-        error_bound=error_bound,
-        t_used=t_used,
-        schedule=schedule,
-        values=values,
-    )
+    return GaussianEstimate(*_ladder_estimate(cf, t_schedule, "t_schedule"))
 
 
 def has_gaussian_component(

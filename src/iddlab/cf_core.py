@@ -30,12 +30,24 @@ unchanged.
 All objects are immutable after construction and safe to share between
 threads.  The exponent-ladder core at the top of this module is shared
 with laplace_core, which reads Laplace transforms the same way.
+
+A kind declares each parameter once, as a dataclass field carrying its
+check:
+
+  scale: float = _param(_check_positive_param)
+
+A check is a function check(name, value) that raises InputError naming
+the parameter, or returns the value normalized (a float for reals, an
+int for orders).  _Transform.__post_init__ runs the checks in field
+order, and the closed-form families describe themselves as their
+class-level _kind plus their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +66,6 @@ __all__ = [
     "RootRescaledCF",
     "SumRescaledCF",
     "ScaledCF",
-    "evaluate",
     "root_rescale",
     "sum_rescale",
     "limit_gaussian",
@@ -97,10 +108,40 @@ def _check_nonneg_param(name: str, value: float) -> float:
     return value
 
 
-def _check_m(m) -> int:
-    if isinstance(m, bool) or int(m) != m or int(m) < 1:
-        raise InputError(f"m must be a positive integer, got {m!r}")
-    return int(m)
+def _check_m(name: str, value) -> int:
+    if isinstance(value, bool) or not (math.isfinite(value) and int(value) == value >= 1):
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_index(upper: float, closed: bool):
+    """The check of an index in (0, upper], or in (0, upper) unless closed."""
+    interval = f"(0, {upper:g}{']' if closed else ')'}"
+
+    def check(name: str, value) -> float:
+        value = float(value)
+        if not (0.0 < value < upper or closed and value == upper):
+            raise InputError(f"{name} must lie in {interval}, got {value!r}")
+        return value
+
+    return check
+
+
+def _check_measure(name: str, value) -> DiscretizedMeasure:
+    if not isinstance(value, DiscretizedMeasure):
+        raise InputError(f"{name} must be a DiscretizedMeasure")
+    return value
+
+
+def _param(check):
+    """A parameter field whose value passes through check(name, value)."""
+    return field(metadata={"check": check})
+
+
+@cache
+def _field_checks(cls) -> tuple:
+    """(name, check) of each checked field of cls, in field order."""
+    return tuple((f.name, f.metadata["check"]) for f in fields(cls) if "check" in f.metadata)
 
 
 def _check_schedule(schedule, name: str) -> np.ndarray:
@@ -177,10 +218,16 @@ class _Transform:
     """An exponent log phi(x) of power p, evaluated on checked arguments.
 
     Kinds implement _log_values on float arrays; _values defaults to its
-    exponential.  Families supply _power and _check_domain.
+    exponential.  Families supply _power and _check_domain, closed-form
+    kinds a _kind for describe().
     """
 
     _power: int
+    _kind: str
+
+    def __post_init__(self):
+        for name, check in _field_checks(type(self)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
 
     @staticmethod
     def _check_domain(x: np.ndarray) -> None:
@@ -207,7 +254,8 @@ class _Transform:
         return float(out) if arr.ndim == 0 else out
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        """The kind and the parameters, in field order."""
+        return {"kind": self._kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
@@ -215,10 +263,7 @@ class _RootRescaled:
     """phi_m(x) = phi(m^(1/p) x)^(1/m), evaluated through the exponent."""
 
     base: _Transform
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_m(self.m))
+    m: int = _param(_check_m)
 
     def _log_values(self, x):
         # m^(1/p) for p = 2 and p = 1; math.sqrt is correctly rounded
@@ -260,6 +305,23 @@ class _Product:
         return {"kind": "product", "factors": [f.describe() for f in self.factors]}
 
 
+def _rescale(law, m, fixed, cls, inverse=()):
+    """law rescaled by the wrapper kind cls at order m, keeping the algebra exact.
+
+    m = 1 and the fixed-point kind come back unchanged, a rescale of the
+    same kind multiplies the orders, and the inverse step of the same
+    order cancels; the empty default of inverse names no inverse kind.
+    """
+    m = _check_m("m", m)
+    if m == 1 or isinstance(law, fixed):
+        return law
+    if isinstance(law, cls):
+        return cls(law.base, law.m * m)
+    if isinstance(law, inverse) and law.m == m:
+        return law.base
+    return cls(law, m)
+
+
 # ---------------------------------------------------------------------------
 # symmetric characteristic functions
 
@@ -293,10 +355,9 @@ class SymmetricCF(_Transform):
 class GaussianCF(SymmetricCF):
     """f(t) = exp(-v t^2 / 2) for a centered gaussian with variance v >= 0."""
 
-    variance: float
+    _kind = "gaussian"
 
-    def __post_init__(self):
-        object.__setattr__(self, "variance", _check_nonneg_param("variance", self.variance))
+    variance: float = _param(_check_nonneg_param)
 
     def _log_values(self, t):
         return -0.5 * self.variance * t * t
@@ -304,23 +365,15 @@ class GaussianCF(SymmetricCF):
     def cumulants(self):
         return self.variance, 0.0
 
-    def describe(self):
-        return {"kind": "gaussian", "variance": self.variance}
-
 
 @dataclass(frozen=True)
 class StableCF(SymmetricCF):
     """f(t) = exp(-|c t|^alpha), symmetric stable with 0 < alpha <= 2."""
 
-    alpha: float
-    scale: float
+    _kind = "stable"
 
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or not 0.0 < a <= 2.0:
-            raise InputError(f"alpha must lie in (0, 2], got {a!r}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "scale", _check_positive_param("scale", self.scale))
+    alpha: float = _param(_check_index(2.0, closed=True))
+    scale: float = _param(_check_positive_param)
 
     def _log_values(self, t):
         return -np.abs(self.scale * t) ** self.alpha
@@ -333,9 +386,6 @@ class StableCF(SymmetricCF):
         # alpha = 2 is the gaussian with variance 2 c^2
         return 2.0 * self.scale * self.scale, 0.0
 
-    def describe(self):
-        return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class SymmetrizedGammaCF(SymmetricCF):
@@ -344,19 +394,15 @@ class SymmetrizedGammaCF(SymmetricCF):
     Shape 1 is the standard Laplace law.
     """
 
-    shape: float
+    _kind = "symgamma"
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _check_positive_param("shape", self.shape))
+    shape: float = _param(_check_positive_param)
 
     def _log_values(self, t):
         return -self.shape * np.log1p(t * t)
 
     def cumulants(self):
         return 2.0 * self.shape, 12.0 * self.shape
-
-    def describe(self):
-        return {"kind": "symgamma", "shape": self.shape}
 
 
 @dataclass(frozen=True)
@@ -367,12 +413,10 @@ class CompoundPoissonCF(SymmetricCF):
     each sign chosen with probability 1/2.
     """
 
-    rate: float
-    jump: float
+    _kind = "cpoisson"
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _check_positive_param("rate", self.rate))
-        object.__setattr__(self, "jump", _check_positive_param("jump", self.jump))
+    rate: float = _param(_check_positive_param)
+    jump: float = _param(_check_positive_param)
 
     def _log_values(self, t):
         return self.rate * (np.cos(self.jump * t) - 1.0)
@@ -380,9 +424,6 @@ class CompoundPoissonCF(SymmetricCF):
     def cumulants(self):
         h2 = self.jump * self.jump
         return self.rate * h2, self.rate * h2 * h2
-
-    def describe(self):
-        return {"kind": "cpoisson", "rate": self.rate, "jump": self.jump}
 
 
 @dataclass(frozen=True)
@@ -397,14 +438,8 @@ class CanonicalCF(SymmetricCF):
     this shape; conversely any (a, theta) here produces a valid CF.
     """
 
-    gaussian_coefficient: float
-    measure: DiscretizedMeasure
-
-    def __post_init__(self):
-        a = _check_nonneg_param("gaussian coefficient", self.gaussian_coefficient)
-        object.__setattr__(self, "gaussian_coefficient", a)
-        if not isinstance(self.measure, DiscretizedMeasure):
-            raise InputError("measure must be a DiscretizedMeasure")
+    gaussian_coefficient: float = _param(_check_nonneg_param)
+    measure: DiscretizedMeasure = _param(_check_measure)
 
     def _log_values(self, t):
         def kernel(tt, x):
@@ -518,10 +553,7 @@ class SumRescaledCF(SymmetricCF):
     """f(t / sqrt(m))^m, the CF of the normalized m-fold sum."""
 
     base: SymmetricCF
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_m(self.m))
+    m: int = _param(_check_m)
 
     def _values(self, t):
         # integer power, well defined even for negative empirical values
@@ -543,10 +575,7 @@ class ScaledCF(SymmetricCF):
     """f(c t): the CF of c times the underlying variable."""
 
     base: SymmetricCF
-    factor: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", _check_positive_param("factor", self.factor))
+    factor: float = _param(_check_positive_param)
 
     def _values(self, t):
         return self.base._values(self.factor * t)
@@ -563,37 +592,18 @@ class ScaledCF(SymmetricCF):
         return {"kind": "scaled", "factor": self.factor, "base": self.base.describe()}
 
 
-def evaluate(cf: SymmetricCF, t):
-    """Evaluate a CF at t (scalar or array)."""
-    return cf.evaluate(t)
-
-
 def root_rescale(cf: SymmetricCF, m) -> SymmetricCF:
     """The m-th root rescale f(sqrt(m) t)^(1/m).
 
     Gaussian CFs are exact fixed points and come back unchanged; nested
     rescales collapse so the semigroup law holds exactly.
     """
-    m = _check_m(m)
-    if m == 1 or isinstance(cf, GaussianCF):
-        return cf
-    if isinstance(cf, RootRescaledCF):
-        return RootRescaledCF(cf.base, cf.m * m)
-    if isinstance(cf, SumRescaledCF) and cf.m == m:
-        return cf.base
-    return RootRescaledCF(cf, m)
+    return _rescale(cf, m, GaussianCF, RootRescaledCF, SumRescaledCF)
 
 
 def sum_rescale(cf: SymmetricCF, m) -> SymmetricCF:
     """The normalized m-fold sum CF f(t / sqrt(m))^m, inverse of root_rescale."""
-    m = _check_m(m)
-    if m == 1 or isinstance(cf, GaussianCF):
-        return cf
-    if isinstance(cf, SumRescaledCF):
-        return SumRescaledCF(cf.base, cf.m * m)
-    if isinstance(cf, RootRescaledCF) and cf.m == m:
-        return cf.base
-    return SumRescaledCF(cf, m)
+    return _rescale(cf, m, GaussianCF, SumRescaledCF, RootRescaledCF)
 
 
 def limit_gaussian(a: float) -> GaussianCF:
@@ -628,8 +638,7 @@ def compound_poisson_canonical(rate: float, jump: float) -> CanonicalCF:
     rate * jump^2 / (2 (1 + jump^2)), which turns the canonical kernel
     into exactly rate * (cos(jump t) - 1).
     """
-    rate = _check_positive_param("rate", rate)
-    jump = _check_positive_param("jump", jump)
-    mass = rate * jump * jump / (2.0 * (1.0 + jump * jump))
-    return CanonicalCF(0.0, DiscretizedMeasure.from_atoms([(jump, mass)]))
+    cp = CompoundPoissonCF(rate, jump)
+    mass = cp.rate * cp.jump * cp.jump / (2.0 * (1.0 + cp.jump * cp.jump))
+    return CanonicalCF(0.0, DiscretizedMeasure.from_atoms([(cp.jump, mass)]))
 

@@ -340,7 +340,7 @@ def approx_compare(
     quadrature; verdicts within tie_tol of each other are called a tie.
     """
     quad = quad or QuadratureSpec()
-    m = _check_m(m)
+    m = _check_m("m", m)
     mu2 = moments(family_cf).mu2
     if mu2 <= 0.0:
         raise InputError("family must have strictly positive variance")

@@ -38,14 +38,17 @@ import numpy as np
 from .cf_core import (
     _DEFAULT_SCHEDULE,
     _DEFAULT_TOL,
-    _check_m,
+    _check_index,
+    _check_measure,
     _check_nonneg_param,
     _check_positive_param,
     _clears,
     _ladder_estimate,
     _limit_sup,
     _measure_fields,
+    _param,
     _Product,
+    _rescale,
     _RootRescaled,
     _Transform,
 )
@@ -96,7 +99,7 @@ class LaplaceTransform(_Transform):
 
     @property
     def drift(self) -> float:
-        """The structurally known drift coefficient sigma."""
+        """The structurally known drift coefficient sigma; pure-jump kinds set 0."""
         raise NotImplementedError
 
 
@@ -104,75 +107,49 @@ class LaplaceTransform(_Transform):
 class GammaSubordinator(LaplaceTransform):
     """L(s) = (1 + s)^(-shape), the gamma subordinator marginal."""
 
-    shape: float
+    _kind = "gammasub"
+    drift = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _check_positive_param("shape", self.shape))
+    shape: float = _param(_check_positive_param)
 
     def _log_values(self, s):
         return -self.shape * np.log1p(s)
-
-    @property
-    def drift(self):
-        return 0.0
-
-    def describe(self):
-        return {"kind": "gammasub", "shape": self.shape}
 
 
 @dataclass(frozen=True)
 class PoissonSubordinator(LaplaceTransform):
     """L(s) = exp(rate * (e^(-s) - 1)), the Poisson law on the integers."""
 
-    rate: float
+    _kind = "poissonsub"
+    drift = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _check_positive_param("rate", self.rate))
+    rate: float = _param(_check_positive_param)
 
     def _log_values(self, s):
         return self.rate * np.expm1(-s)
-
-    @property
-    def drift(self):
-        return 0.0
-
-    def describe(self):
-        return {"kind": "poissonsub", "rate": self.rate}
 
 
 @dataclass(frozen=True)
 class StableSubordinator(LaplaceTransform):
     """L(s) = exp(-(scale * s)^alpha) with 0 < alpha < 1."""
 
-    alpha: float
-    scale: float
+    _kind = "stablesub"
+    drift = 0.0
 
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or not 0.0 < a < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {a!r}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "scale", _check_positive_param("scale", self.scale))
+    alpha: float = _param(_check_index(1.0, closed=False))
+    scale: float = _param(_check_positive_param)
 
     def _log_values(self, s):
         return -((self.scale * s) ** self.alpha)
-
-    @property
-    def drift(self):
-        return 0.0
-
-    def describe(self):
-        return {"kind": "stablesub", "alpha": self.alpha, "scale": self.scale}
 
 
 @dataclass(frozen=True)
 class DriftTransform(LaplaceTransform):
     """L(s) = exp(-sigma s): the law degenerate at sigma >= 0."""
 
-    sigma: float
+    _kind = "drift"
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_nonneg_param("sigma", self.sigma))
+    sigma: float = _param(_check_nonneg_param)
 
     def _log_values(self, s):
         return -self.sigma * s
@@ -181,21 +158,13 @@ class DriftTransform(LaplaceTransform):
     def drift(self):
         return self.sigma
 
-    def describe(self):
-        return {"kind": "drift", "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class CanonicalLaplace(LaplaceTransform):
     """Exponent -sigma s - int (1 - e^(-a s)) / (1 - e^(-a)) dmu(a)."""
 
-    sigma: float
-    measure: DiscretizedMeasure
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _check_nonneg_param("sigma", self.sigma))
-        if not isinstance(self.measure, DiscretizedMeasure):
-            raise InputError("measure must be a DiscretizedMeasure")
+    sigma: float = _param(_check_nonneg_param)
+    measure: DiscretizedMeasure = _param(_check_measure)
 
     def _log_values(self, s):
         def kernel(ss, a):
@@ -234,12 +203,7 @@ class RootRescaledLaplace(_RootRescaled, LaplaceTransform):
 
 def root_rescale_L(lt: LaplaceTransform, m) -> LaplaceTransform:
     """L(m s)^(1/m).  Pure drifts are fixed points; nested rescales collapse."""
-    m = _check_m(m)
-    if m == 1 or isinstance(lt, DriftTransform):
-        return lt
-    if isinstance(lt, RootRescaledLaplace):
-        return RootRescaledLaplace(lt.base, lt.m * m)
-    return RootRescaledLaplace(lt, m)
+    return _rescale(lt, m, DriftTransform, RootRescaledLaplace)
 
 
 def convolve_L(*lts: LaplaceTransform) -> LaplaceTransform:

@@ -108,12 +108,14 @@ def _ratio(cf_u: SymmetricCF, cf_v: SymmetricCF, ts: np.ndarray, r: float) -> np
     # tiny differences between near-one CFs from drowning in cancellation
     # noise, which matters when the grid extends to very small t.  CFs
     # without a log (empirical ones can cross zero) subtract directly.
+    # Equal exponents, -inf where both CFs underflow to 0, differ by 0.
     try:
         lu = cf_u.log_evaluate(ts)
         lv = cf_v.log_evaluate(ts)
     except PositivityError:
         return np.abs(cf_u.evaluate(ts) - cf_v.evaluate(ts)) / ts**r
-    diff = np.exp(np.maximum(lu, lv)) * -np.expm1(-np.abs(lu - lv))
+    gap = np.subtract(lu, lv, out=np.zeros(ts.shape), where=lu != lv)
+    diff = np.exp(np.maximum(lu, lv)) * -np.expm1(-np.abs(gap))
     return diff / ts**r
 
 
@@ -157,14 +159,6 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     return float(np.max(vals))
 
 
-def _effective_config(r: float, config: LambdaConfig | None) -> LambdaConfig:
-    if config is None:
-        return LambdaConfig(r=float(r))
-    if config.r != r:
-        return replace(config, r=float(r))
-    return config
-
-
 def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     """lambda_r of the m-th rescale of cf against m^(-+(r/2-1)) lambda_r(cf).
 
@@ -177,7 +171,7 @@ def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     an infinite base distance makes the bound vacuous, which is flagged
     as not applicable rather than failed.
     """
-    cfg = _effective_config(r, config)
+    cfg = LambdaConfig(r=float(r)) if config is None else replace(config, r=float(r))
     z = GaussianCF(moments(cf).mu2)
     lam_base = lambda_r(cf, z, cfg)
     exponent = r / 2.0 - 1.0

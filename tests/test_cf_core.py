@@ -13,7 +13,10 @@ from iddlab import (
     GaussianCF,
     InputError,
     PositivityError,
+    RootRescaledCF,
+    ScaledCF,
     StableCF,
+    SumRescaledCF,
     SymmetrizedGammaCF,
     compound_poisson_canonical,
     convolve,
@@ -69,6 +72,32 @@ class TestFamilyValues:
             lambda: SymmetrizedGammaCF(0.0),
             lambda: CompoundPoissonCF(-1.0, 1.0),
             lambda: CompoundPoissonCF(1.0, 0.0),
+            lambda: GaussianCF(math.nan),
+            lambda: GaussianCF(math.inf),
+            lambda: StableCF(math.nan, 1.0),
+            lambda: StableCF(math.inf, 1.0),
+            lambda: StableCF(1.0, math.nan),
+            lambda: StableCF(1.0, math.inf),
+            lambda: SymmetrizedGammaCF(math.nan),
+            lambda: SymmetrizedGammaCF(math.inf),
+            lambda: CompoundPoissonCF(math.nan, 1.0),
+            lambda: CompoundPoissonCF(math.inf, 1.0),
+            lambda: CompoundPoissonCF(1.0, math.nan),
+            lambda: CompoundPoissonCF(1.0, math.inf),
+            lambda: CanonicalCF(math.nan, DiscretizedMeasure.from_atoms([(1.0, 0.5)])),
+            lambda: CanonicalCF(math.inf, DiscretizedMeasure.from_atoms([(1.0, 0.5)])),
+            lambda: CanonicalCF(0.5, [(1.0, 0.5)]),
+            lambda: ScaledCF(GaussianCF(1.0), 0.0),
+            lambda: ScaledCF(GaussianCF(1.0), math.nan),
+            lambda: ScaledCF(GaussianCF(1.0), math.inf),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), 0),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), 2.5),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), math.nan),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), math.inf),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), 0),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), 2.5),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), math.nan),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), math.inf),
         ],
     )
     def test_bad_parameters_rejected(self, build):

@@ -317,8 +317,9 @@ class TestExitCodes:
             (["laplace", "support", "--family", "drift", "--sigma", "1e305"], 1),
             (["detect", "--family", "gauss", "--variance", "1e305"], 1),
             (["rescale", "--family", "gauss", "--variance", "1e307", "--m", "4"], 0),
+            (["distance", "--family", "gauss", "--variance", "1e307", "--r", "3"], 0),
         ],
-        ids=["laplace-support", "detect", "rescale"],
+        ids=["laplace-support", "detect", "rescale", "distance"],
     )
     def test_overflowed_exponent_prints_no_warning(self, capsys, argv, expected):
         with warnings.catch_warnings():

@@ -15,6 +15,7 @@ from iddlab import (
     SymmetrizedGammaCF,
     approx_compare,
     cdf_from_cf,
+    convolve,
     fit_stable,
     kolmogorov_distance,
     limit_gaussian,
@@ -128,6 +129,29 @@ class TestCdfFromCf:
         auto = cdf_from_cf(GaussianCF(1.0), 1.0)
         manual = cdf_from_cf(GaussianCF(1.0), 1.0, QuadratureSpec(T=12.0))
         assert manual == pytest.approx(auto, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "cf, closed_form",
+        [
+            (StableCF(1.5, 1.0), lambda mp, t: mp.exp(-(t**1.5))),
+            (sum_rescale(SymmetrizedGammaCF(0.5), 10), lambda mp, t: (1 + t * t / 10) ** -5),
+            (
+                convolve(GaussianCF(1.0), CompoundPoissonCF(2.0, 1.0)),
+                lambda mp, t: mp.exp(-t * t / 2 + 2 * (mp.cos(t) - 1)),
+            ),
+        ],
+        ids=["stable", "symgamma-sum", "gauss-cpoisson"],
+    )
+    def test_against_high_precision_quadrature(self, cf, closed_form):
+        # F(x) = 1/2 + (1/pi) int_0^inf f(t) sin(t x) / t dt from the
+        # closed-form CF at 20 digits, split where the integrand oscillates
+        mp = pytest.importorskip("mpmath")
+        breaks = [0, 2, 5, 10, 20, 40, 80, mp.inf]
+        with mp.workdps(20):
+            for x in (0.3, 1.0, 2.5):
+                integral = mp.quad(lambda t: closed_form(mp, t) * mp.sin(t * x) / t, breaks)
+                oracle = float(0.5 + integral / mp.pi)
+                assert cdf_from_cf(cf, x) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestCdfMatrix:

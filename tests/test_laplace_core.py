@@ -12,6 +12,7 @@ from iddlab import (
     GammaSubordinator,
     InputError,
     PoissonSubordinator,
+    RootRescaledLaplace,
     StableSubordinator,
     convolve_L,
     default_s_grid,
@@ -51,6 +52,23 @@ class TestValues:
             lambda: StableSubordinator(1.0, 1.0),  # alpha must be below 1
             lambda: StableSubordinator(0.5, 0.0),
             lambda: DriftTransform(-0.5),
+            lambda: GammaSubordinator(math.nan),
+            lambda: GammaSubordinator(math.inf),
+            lambda: PoissonSubordinator(math.nan),
+            lambda: PoissonSubordinator(math.inf),
+            lambda: StableSubordinator(math.nan, 1.0),
+            lambda: StableSubordinator(math.inf, 1.0),
+            lambda: StableSubordinator(0.5, math.nan),
+            lambda: StableSubordinator(0.5, math.inf),
+            lambda: DriftTransform(math.nan),
+            lambda: DriftTransform(math.inf),
+            lambda: CanonicalLaplace(math.nan, DiscretizedMeasure.from_atoms([(1.0, 0.5)])),
+            lambda: CanonicalLaplace(math.inf, DiscretizedMeasure.from_atoms([(1.0, 0.5)])),
+            lambda: CanonicalLaplace(0.5, [(1.0, 0.5)]),
+            lambda: RootRescaledLaplace(GammaSubordinator(1.0), 0),
+            lambda: RootRescaledLaplace(GammaSubordinator(1.0), 2.5),
+            lambda: RootRescaledLaplace(GammaSubordinator(1.0), math.nan),
+            lambda: RootRescaledLaplace(GammaSubordinator(1.0), math.inf),
         ],
     )
     def test_bad_parameters_rejected(self, build):

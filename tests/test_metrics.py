@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from iddlab import (
@@ -49,6 +51,14 @@ class TestLambdaR:
     def test_identical_arguments(self):
         cfg = LambdaConfig(r=3.0)
         assert lambda_r(SymmetrizedGammaCF(1.0), SymmetrizedGammaCF(1.0), cfg) == 0.0
+
+    def test_identical_arguments_that_underflow(self):
+        # the exponent overflows to -inf (f = 0) on most of the grid; two
+        # CFs that are both 0 there are at distance 0, not NaN
+        cfg = LambdaConfig(r=3.0)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            assert lambda_r(GaussianCF(1e307), GaussianCF(1e307), cfg) == 0.0
 
     def test_symmetry(self):
         cfg = LambdaConfig(r=3.0)
