@@ -62,7 +62,8 @@ from .errors import (
     PositivityError,
     QuadratureError,
 )
-from .inversion import TIE_TOLERANCE, QuadratureSpec, approx_compare
+from .inversion import _START_BUDGET, TIE_TOLERANCE, QuadratureSpec, approx_compare
+from .inversion import _TOL as _QUAD_TOL
 from .laplace_core import (
     DEFAULT_S_GRID_SIZE,
     DriftTransform,
@@ -606,7 +607,9 @@ _COMMANDS = {
         _M,
         ("alpha_grid", _text, "1.0:1.95:20", None, "linear alpha grid START:STOP:COUNT"),
         ("scale_grid", _text, "0.25:4.0:21", None, "log-spaced scale grid START:STOP:COUNT"),
-        ("quad_n", _integer, QuadratureSpec.N, None, "quadrature nodes"),
+        ("quad_n", _integer, QuadratureSpec.N, None,
+         f"fixed node budget (default: doubled from {_START_BUDGET} until the error "
+         f"estimate is within {_QUAD_TOL:g})"),
         ("eps_tail", _number, QuadratureSpec.eps_tail, None,
          "CF tail level that sets the truncation"),
         ("tie_tol", _number, TIE_TOLERANCE, None, "distance gap called a tie"),

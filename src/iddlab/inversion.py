@@ -12,6 +12,18 @@ uniform on (0, 1] (a quarter of the node budget), uniform in log t on
 [1, T] (the rest).  Slowly decaying CFs that never reach the threshold
 are rejected rather than integrated badly.
 
+Each pass measures its own error.  Every other node of a pass is itself
+a Simpson rule with half the budget, so the gap between the two rules
+costs one small matrix product and no extra sine kernel.  Where the
+error falls like h^p the gap is 2^p - 1 times the finer rule's error:
+p = 4 for a smooth CF and 1 + alpha at a |t|^alpha cusp at t = 0, so for
+every law here but stable ones with alpha < 1, p >= 2 and a third of
+the gap is reported.  It is taken only on the columns that feed a
+reported number (the error of a distance is the sum of its two
+columns' errors).  Without a fixed budget the passes start at 1024
+nodes and double while that estimate exceeds 1e-6, up to a cap past
+which the call is refused.
+
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel, so comparing a target against a whole stable
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,10 +68,15 @@ _T_PROBE.flags.writeable = False
 _CLAMP = 1e-9
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
-# the sine kernel is built at most this many distinct |x| at a time, and
-# coefficient columns this many laws at a time, to bound memory
-_X_CHUNK = 512
+# the sine kernel is built in blocks of rows holding at most this many
+# entries, and coefficient columns this many laws at a time, to bound memory
+_KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
+# without a fixed budget, passes start here and double while the error
+# estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
+_START_BUDGET = 1024
+_TOL = 1e-6
+_MAX_BUDGET = 2**18
 
 TIE_TOLERANCE = 1e-4
 
@@ -66,31 +84,59 @@ DEFAULT_ALPHA_GRID = tuple(np.round(np.linspace(1.0, 1.95, 20), 10))
 DEFAULT_SCALE_GRID = tuple(np.geomspace(0.25, 4.0, 21))
 
 
+def _spec_number(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation and node budget for the inversion integral.
+    """Truncation and node budget of the inversion.
 
     T = None picks the truncation point automatically as the first t
     with |f(t)| < eps_tail (failing if that never happens by t = 1e5);
     laws inverted together share the largest of their points.
+
+    N = None lets the error estimate choose the budget: passes start at
+    1024 nodes and double until the estimate is within 1e-6, and a call
+    that still misses it at 2^18 nodes raises QuadratureError.  An
+    explicit N is a fixed budget: one pass, whose estimate is reported
+    but never refused.
     """
 
     T: float | None = None
-    N: int = 4096
+    N: int | None = None
     eps_tail: float = 1e-10
 
     def __post_init__(self):
         if self.T is not None:
-            t = float(self.T)
+            t = _spec_number("T", self.T)
             if not math.isfinite(t) or t <= 0.0:
                 raise ConfigError(f"T must be finite and positive, got {self.T!r}")
             object.__setattr__(self, "T", t)
-        if int(self.N) < 64:
-            raise ConfigError("node budget N must be at least 64")
-        object.__setattr__(self, "N", int(self.N))
-        e = float(self.eps_tail)
+        if self.N is not None:
+            n = _spec_number("N", self.N)
+            if not (math.isfinite(n) and n.is_integer()):
+                raise ConfigError(f"node budget N must be an integer, got {self.N!r}")
+            if not 64 <= n <= _MAX_BUDGET:
+                raise ConfigError(f"node budget N must lie in [64, {_MAX_BUDGET}], got {self.N!r}")
+            object.__setattr__(self, "N", int(n))
+        e = _spec_number("eps_tail", self.eps_tail)
         if not 0.0 < e < 1.0:
             raise ConfigError(f"eps_tail must lie in (0, 1), got {self.eps_tail!r}")
+        object.__setattr__(self, "eps_tail", e)
+
+
+# cdf_from_cf keeps a fixed budget: for one law a node costs little, and
+# at 4096 nodes its values stay within about 1e-9 of closed forms such as
+# the stable law's near its t = 0 cusp, tighter than the 1e-6 the
+# estimate aims at; reaching that through the estimate would take passes
+# at 1024, 2048 and 4096 nodes for the same answer
+_POINTWISE = QuadratureSpec(N=4096)
 
 
 @dataclass(frozen=True)
@@ -135,54 +181,70 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _even_at_least(n: float, floor: int = 2) -> int:
-    n = max(int(round(n)), floor)
-    return n if n % 2 == 0 else n + 1
+def _quarters(n: float) -> int:
+    """n rounded to a positive multiple of 4, so that every other node
+    of a Simpson rule over n intervals is again a Simpson rule."""
+    return 4 * max(int(round(n / 4)), 1)
 
 
-def _nodes_and_weights(quad: QuadratureSpec, T: float):
-    """Hybrid Simpson nodes on (0, T]; the t = 0 endpoint is node 0."""
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def _nodes_and_weights(N: int, T: float):
+    """Hybrid Simpson nodes on [0, T], the t = 0 endpoint being node 0.
+
+    Returns the nodes, their weights at budget N, and the weights of the
+    rule on every other node (budget N/2), which share both segments'
+    endpoints.  The arrays are read-only and cached: repeated calls on
+    one law, and every pass at the candidates' truncation, reuse them.
+    """
     if T > 1.0:
-        n_lin = _even_at_least(quad.N / 4)
-        n_log = _even_at_least(quad.N - n_lin)
-        t_lin = np.linspace(0.0, 1.0, n_lin + 1)
-        w_lin = _simpson_weights(n_lin, 1.0 / n_lin)
+        n_lin = _quarters(N / 4)
+        n_log = _quarters(N - n_lin)
         u = np.linspace(0.0, math.log(T), n_log + 1)
         t_log = np.exp(u)
-        # d t = t d u, so log-segment weights pick up a factor t
-        w_log = _simpson_weights(n_log, u[1] - u[0]) * t_log
-        # t = 1 ends one segment and starts the next: one node, both weights
-        w_lin[-1] += w_log[0]
-        t = np.concatenate([t_lin, t_log[1:]])
-        w = np.concatenate([w_lin, w_log[1:]])
-    else:
-        n_lin = _even_at_least(quad.N)
-        t = np.linspace(0.0, T, n_lin + 1)
-        w = _simpson_weights(n_lin, T / n_lin)
-    return t, w
+        t = np.concatenate([np.linspace(0.0, 1.0, n_lin + 1), t_log[1:]])
+
+        def weights(step):
+            w_lin = _simpson_weights(n_lin // step, step / n_lin)
+            # d t = t d u, so log-segment weights pick up a factor t
+            w_log = _simpson_weights(n_log // step, step * (u[1] - u[0])) * t_log[::step]
+            # t = 1 ends one segment and starts the next: one node, both weights
+            w_lin[-1] += w_log[0]
+            return np.concatenate([w_lin, w_log[1:]])
+
+        return _frozen(t, weights(1), weights(2))
+    n = _quarters(N)
+    t = np.linspace(0.0, T, n + 1)
+    return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
 
 
-def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec):
-    """CDFs of several laws on one 1-d grid: column j holds F_j(xs).
+def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
+    """CDFs of several laws on one 1-d grid at node budget N.
 
-    All laws share one truncation T (quad.T, else the largest automatic
-    T among them) and one node set.  The sine kernel is built over the
-    distinct |x| only, since F(-x) = 1 - F(x); coefficient columns
-    w f(t) / t are formed a block of laws at a time, never for all laws
-    at once.  Returns the (len(xs), len(cfs)) matrix, T and the number
-    of nodes.
+    Returns the (len(xs), len(cfs)) matrix whose column j holds F_j(xs),
+    the node count, and errors(cols): for each column in cols, a third
+    of the largest gap over the grid to the same column from every other
+    node (see the module docstring).
+
+    The sine kernel is built over the distinct |x| only, since
+    F(-x) = 1 - F(x); coefficient columns w f(t) / t are formed a block
+    of laws at a time, never for all laws at once.  When the kernel is
+    built in one block, errors() reuses its even-node columns.
     """
-    if quad.T is not None:
-        T = quad.T
-    else:
-        T = max(_auto_truncation(cf, quad.eps_tail) for cf in cfs)
-    t, w = _nodes_and_weights(quad, T)
+    t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
+    w0_half, w_half, t_half = w_half[0], w_half[1:], t[1::2]
     ax, row = np.unique(np.abs(xs), return_inverse=True)
+    step = max(_KERNEL_BLOCK // t.size, 1)
+    chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
     half = np.empty((ax.size, len(cfs)))
     coeff = np.empty((t.size, min(len(cfs), _LAW_BLOCK)))
-    for x0 in range(0, ax.size, _X_CHUNK):
-        rows = slice(x0, x0 + _X_CHUNK)
+    for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
         for j0 in range(0, len(cfs), _LAW_BLOCK):
@@ -193,13 +255,61 @@ def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec):
             half[rows, j0 : j0 + len(block)] = kernel @ c
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
-    half /= math.pi
     out = half[row]
+    out /= math.pi
     out *= np.sign(xs)[:, None]
     out += 0.5
     out[(out < 0.0) & (out >= -_CLAMP)] = 0.0
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
-    return out, T, t.size + 1
+
+    def errors(cols: list) -> np.ndarray:
+        c = np.stack([w_half * cfs[j].evaluate(t_half) / t_half for j in cols], axis=1)
+        coarse = np.empty((ax.size, len(cols)))
+        for rows in chunks:
+            k = kernel[:, 1::2] if len(chunks) == 1 else np.sin(np.outer(ax[rows], t_half))
+            coarse[rows] = k @ c
+        coarse += (w0_half * ax)[:, None]
+        return np.max(np.abs(half[:, cols] - coarse), axis=0) / (3.0 * math.pi)
+
+    return out, t.size + 1, errors
+
+
+def _each_column(F: np.ndarray):
+    return F, [(j,) for j in range(F.shape[1])]
+
+
+def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, read=_each_column):
+    """Invert several laws on one grid, at quad's budget or to _TOL.
+
+    All laws share one truncation T (quad.T, else the largest automatic
+    T among them).  read(F) turns the CDF matrix into the caller's answer
+    and the column groups that each reported number rests on; a group's
+    error is the sum of its columns' errors.  A fixed quad.N takes one
+    pass; otherwise passes start at _START_BUDGET and double until the
+    largest group error is within _TOL.  Returns the answer and the
+    quadrature used: T, the budget N and node count of the last pass,
+    eps_tail and the error estimate.
+    """
+    if quad.T is not None:
+        T = quad.T
+    else:
+        T = max(_auto_truncation(cf, quad.eps_tail) for cf in cfs)
+    N = quad.N or _START_BUDGET
+    while True:
+        F, nodes, errors = _simpson_pass(cfs, xs, T, N)
+        answer, groups = read(F)
+        cols = sorted({j for g in groups for j in g})
+        col_error = dict(zip(cols, errors(cols)))
+        error = float(max(sum(col_error[j] for j in g) for g in groups))
+        if quad.N is not None or error <= _TOL:
+            return answer, {"T": T, "N": N, "nodes": nodes, "eps_tail": quad.eps_tail,
+                            "error": error}
+        if 2 * N > _MAX_BUDGET:
+            raise QuadratureError(
+                f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
+                f"at the largest node budget N = {N}"
+            )
+        N *= 2
 
 
 def _sup_gaps(F: np.ndarray) -> np.ndarray:
@@ -208,8 +318,11 @@ def _sup_gaps(F: np.ndarray) -> np.ndarray:
 
 
 def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
-    """CDF of the law with CF f, at scalar or array x."""
-    quad = quad or QuadratureSpec()
+    """CDF of the law with CF f, at scalar or array x.
+
+    Without quad the budget is a fixed 4096 nodes (see _POINTWISE).
+    """
+    quad = quad or _POINTWISE
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InputError("x must be finite")
@@ -275,8 +388,11 @@ def kolmogorov_distance(
     """
     quad = quad or QuadratureSpec()
     xs = _x_values(x_grid, cf_a, cf_b)
-    F = _cdf_matrix([cf_a, cf_b], xs, quad)[0]
-    return float(_sup_gaps(F)[0])
+
+    def read(F):
+        return float(_sup_gaps(F)[0]), [(0, 1)]
+
+    return _cdf_matrix([cf_a, cf_b], xs, quad, read)[0]
 
 
 def _stable_grid(alpha_grid, scale_grid):
@@ -294,12 +410,13 @@ def _stable_grid(alpha_grid, scale_grid):
     return alphas, scales, candidates
 
 
-def _best_fit(gaps: np.ndarray, alphas: list, scales: list) -> StableFit:
+def _best_fit(gaps: np.ndarray, alphas: list, scales: list):
+    """The index of the best candidate, and its fit."""
     # candidates run alpha-major in ascending order and argmin keeps the
     # first minimum, so ties resolve to the smallest alpha, then scale
     i = int(np.argmin(gaps))
     a, c = divmod(i, len(scales))
-    return StableFit(alpha=alphas[a], scale=scales[c], distance=float(gaps[i]))
+    return i, StableFit(alpha=alphas[a], scale=scales[c], distance=float(gaps[i]))
 
 
 def fit_stable(
@@ -314,13 +431,18 @@ def fit_stable(
     All candidates are measured against the target on one shared x
     grid.  Grids are scanned in ascending order with strict improvement
     required, so ties resolve to the smallest alpha, then the smallest
-    scale.
+    scale.  The quadrature error is measured on the target and the best
+    candidate.
     """
     quad = quad or QuadratureSpec()
     alphas, scales, candidates = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
-    F = _cdf_matrix([target, *candidates], xs, quad)[0]
-    return _best_fit(_sup_gaps(F), alphas, scales)
+
+    def read(F):
+        i, fit = _best_fit(_sup_gaps(F), alphas, scales)
+        return fit, [(0, 1 + i)]
+
+    return _cdf_matrix([target, *candidates], xs, quad, read)[0]
 
 
 def approx_compare(
@@ -338,6 +460,8 @@ def approx_compare(
     alpha = 2 are dropped from the grid since the gaussian side already
     covers them.  Both distances use one shared x grid and one shared
     quadrature; verdicts within tie_tol of each other are called a tie.
+    The quadrature error is measured on the sum, the gaussian and the
+    best candidate.
     """
     quad = quad or QuadratureSpec()
     m = _check_m("m", m)
@@ -351,10 +475,15 @@ def approx_compare(
 
     s_m = sum_rescale(family_cf, m)
     xs = _symmetric_grid(_X_SPAN_SCALES * math.sqrt(mu2))
-    F, T, nodes = _cdf_matrix([s_m, GaussianCF(mu2), *candidates], xs, quad)
-    gaps = _sup_gaps(F)
-    d_gauss = float(gaps[0])
-    fit = _best_fit(gaps[1:], alphas, scales)
+
+    def read(F):
+        gaps = _sup_gaps(F)
+        i, fit = _best_fit(gaps[1:], alphas, scales)
+        return (float(gaps[0]), fit), [(0, 1), (0, 2 + i)]
+
+    (d_gauss, fit), quadrature = _cdf_matrix(
+        [s_m, GaussianCF(mu2), *candidates], xs, quad, read
+    )
 
     if abs(d_gauss - fit.distance) <= tie_tol:
         verdict = "tie"
@@ -374,5 +503,5 @@ def approx_compare(
         alpha_grid=tuple(alphas),
         scale_grid=tuple(scales),
         x_grid={"min": float(xs[0]), "max": float(xs[-1]), "size": int(xs.size)},
-        quadrature={"T": T, "N": quad.N, "nodes": nodes, "eps_tail": quad.eps_tail},
+        quadrature=quadrature,
     )

@@ -162,6 +162,28 @@ class TestSubcommands:
         assert report["result"]["verdict"] == "gaussian closer"
         assert report["result"]["d_gaussian"] == 0.0
 
+    def test_approx_compare_budget(self, capsys, tmp_path):
+        argv = ["approx-compare", "--family", "gauss", "--variance", "1", "--m", "2",
+                "--alpha-grid", "1.5:1.5:1", "--scale-grid", "1.0:1.0:1"]
+        report = run_json(capsys, *argv)
+        assert report["config"]["quad_n"] is None
+        assert report["result"]["quadrature"]["N"] == 1024
+        assert report["result"]["quadrature"]["error"] <= 1e-6
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad_n": 64}))
+        report = run_json(capsys, *argv, "--config", str(cfg))
+        assert report["config"]["quad_n"] == 64
+        assert report["result"]["quadrature"]["N"] == 64
+
+    @pytest.mark.parametrize("flag", [["--quad-n", "100.7"], ["--quad-n", "32"],
+                                      ["--quad-n", "nan"]])
+    def test_approx_compare_bad_quadrature_is_one(self, capsys, flag):
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "gauss", "--variance", "1", "--m", "2",
+            *flag,
+        )
+        assert code == 1 and out == "" and err.startswith("iddlab: input error")
+
     def test_empirical_summary(self, capsys, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("# header\n1.0\n-1.0\n\n")

@@ -19,10 +19,12 @@ from iddlab import (
     fit_stable,
     kolmogorov_distance,
     limit_gaussian,
+    moments,
     root_rescale,
     sum_rescale,
 )
-from iddlab.inversion import _cdf_matrix
+from iddlab import inversion
+from iddlab.inversion import _cdf_matrix, _symmetric_grid
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
 KS_LAPLACE_VS_GAUSS2 = 0.062021369217940658
@@ -47,6 +49,33 @@ class TestQuadratureSpec:
     def test_truncation_positive(self):
         with pytest.raises(ConfigError):
             QuadratureSpec(T=-1.0)
+
+    def test_budget_is_chosen_by_default(self):
+        assert QuadratureSpec().N is None
+
+    def test_values_stored_as_numbers(self):
+        quad = QuadratureSpec(N=2048.0, eps_tail="1e-9")
+        assert (quad.N, quad.eps_tail) == (2048, 1e-9)
+        assert type(quad.N) is int and type(quad.eps_tail) is float
+        assert cdf_from_cf(GaussianCF(1.0), 1.0, quad) == pytest.approx(normal_cdf(1.0), abs=1e-9)
+
+    def test_non_integral_budget_rejected(self):
+        with pytest.raises(ConfigError):
+            QuadratureSpec(N=100.7)
+
+    def test_boolean_budget_rejected(self):
+        with pytest.raises(ConfigError):
+            QuadratureSpec(N=True)
+
+    @pytest.mark.parametrize("N", [math.nan, math.inf, 10**400, 2**18 + 4])
+    def test_non_finite_or_huge_budget_rejected(self, N):
+        with pytest.raises(ConfigError):
+            QuadratureSpec(N=N)
+
+    @pytest.mark.parametrize("eps_tail", [math.nan, "tight", True])
+    def test_tail_level_not_a_number_rejected(self, eps_tail):
+        with pytest.raises(ConfigError):
+            QuadratureSpec(eps_tail=eps_tail)
 
 
 class TestCdfFromCf:
@@ -162,19 +191,19 @@ class TestCdfMatrix:
         ]
         quad = QuadratureSpec(T=40.0, N=1024)
         xs = np.linspace(-6.0, 6.0, 41)
-        F, T, nodes = _cdf_matrix(laws, xs, quad)
+        F, q = _cdf_matrix(laws, xs, quad)
         assert F.shape == (xs.size, len(laws))
-        assert (T, nodes) == (40.0, 1025)
+        assert (q["T"], q["nodes"]) == (40.0, 1025)
         for j, cf in enumerate(laws):
             np.testing.assert_allclose(F[:, j], cdf_from_cf(cf, xs, quad), rtol=0, atol=1e-12)
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
         quad = QuadratureSpec()
         slow = StableCF(1.0, 0.25)  # |f| = exp(-t / 4) reaches 1e-10 only past t = 92
-        T_fast = _cdf_matrix([GaussianCF(1.0)], np.array([1.0]), quad)[1]
-        T_slow = _cdf_matrix([slow], np.array([1.0]), quad)[1]
+        T_fast = _cdf_matrix([GaussianCF(1.0)], np.array([1.0]), quad)[1]["T"]
+        T_slow = _cdf_matrix([slow], np.array([1.0]), quad)[1]["T"]
         assert T_fast < 92.0 < T_slow
-        assert _cdf_matrix([GaussianCF(1.0), slow], np.array([1.0]), quad)[1] == T_slow
+        assert _cdf_matrix([GaussianCF(1.0), slow], np.array([1.0]), quad)[1]["T"] == T_slow
 
 
 class TestKolmogorovDistance:
@@ -308,9 +337,93 @@ class TestApproxCompare:
             GaussianCF(1.0), 2, alpha_grid=(1.0, 1.5), scale_grid=(0.25, 1.0), quad=quad,
         )
         # the slowest candidate, exp(-t / 4), sets the shared truncation
-        T = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]
-        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "eps_tail": 1e-10}
+        T = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]["T"]
+        error = report.quadrature["error"]
+        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "eps_tail": 1e-10,
+                                     "error": error}
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):
             approx_compare(limit_gaussian(0.0), 4)
+
+
+class TestErrorEstimate:
+    CASES = [
+        (SymmetrizedGammaCF(0.5), 10),
+        (SymmetrizedGammaCF(0.5), 4),
+        (SymmetrizedGammaCF(1.0), 4),
+        (SymmetrizedGammaCF(2.0), 25),
+        (convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)), 25),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, m", CASES, ids=["symgamma-0.5-m10", "symgamma-0.5-m4", "symgamma-1-m4",
+                                 "symgamma-2-m25", "gauss-cpoisson-m25"]
+    )
+    def test_compare_error_covers_the_gap_to_a_fine_run(self, family, m):
+        report = approx_compare(family, m)
+        q = report.quadrature
+        # one pass at the starting budget
+        assert q["N"] == 1024 and q["error"] <= 1e-6
+        # the three reported columns again, at 16384 nodes and the same truncation
+        laws = [sum_rescale(family, m), GaussianCF(moments(family).mu2),
+                StableCF(report.best_alpha, report.best_scale)]
+        xs = _symmetric_grid(report.x_grid["max"])
+        F = _cdf_matrix(laws, xs, QuadratureSpec(T=q["T"], N=16384))[0]
+        d_gaussian, d_stable = np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
+        assert abs(report.d_gaussian - d_gaussian) <= q["error"]
+        assert abs(report.d_stable - d_stable) <= q["error"]
+
+    @pytest.mark.parametrize("cf", [GaussianCF(1.0), StableCF(1.0, 1.0)], ids=["gauss", "cauchy"])
+    def test_cdf_error_covers_the_gap_to_a_fine_run(self, cf):
+        xs = np.linspace(-6.0, 6.0, 61)
+        F, q = _cdf_matrix([cf], xs, QuadratureSpec())
+        fine = _cdf_matrix([cf], xs, QuadratureSpec(T=q["T"], N=16384))[0]
+        assert q["N"] == 1024 and q["error"] <= 1e-6
+        assert np.max(np.abs(F - fine)) <= q["error"]
+
+    def test_tiny_tolerance_doubles_the_budget(self, monkeypatch):
+        grid = dict(alpha_grid=(1.5,), scale_grid=(1.0,))
+        loose = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
+        monkeypatch.setattr(inversion, "_TOL", 1e-10)
+        tight = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
+        assert loose.quadrature["N"] == 1024 and loose.quadrature["error"] > 1e-10
+        assert tight.quadrature["N"] > 1024
+        assert tight.quadrature["nodes"] == tight.quadrature["N"] + 1
+        assert tight.quadrature["error"] <= 1e-10
+
+    def test_unreachable_tolerance_refused(self, monkeypatch):
+        monkeypatch.setattr(inversion, "_TOL", 1e-13)
+        with pytest.raises(QuadratureError, match="exceeds 1e-13"):
+            cdf_from_cf(SymmetrizedGammaCF(0.5), 1.0, QuadratureSpec(T=1e4))
+
+    def test_fixed_budget_reports_its_error_without_refusing(self):
+        quad = QuadratureSpec(T=1e4, N=64)
+        F, q = _cdf_matrix([SymmetrizedGammaCF(0.5)], np.array([1.0]), quad)
+        assert (q["N"], q["nodes"]) == (64, 65) and q["error"] > 1e-6
+
+    def test_marginal_decay_up_to_x_8_meets_the_tolerance(self):
+        # (1 + t^2)^(-1/2) at T = 1e4: the fixed 4096-node rule was off by
+        # about 1e-4 here; the chosen budget must still answer, within 1e-6
+        cf = SymmetrizedGammaCF(0.5)
+        xs = np.linspace(0.2, 8.0, 24)
+        F, q = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4))
+        assert q["error"] <= 1e-6 and q["N"] <= 2**17
+        fine = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4, N=2**18))[0]
+        assert np.max(np.abs(F - fine)) <= 1e-6
+        coarse = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4, N=4096))[0]
+        assert np.max(np.abs(coarse - fine)) > 1e-5
+
+    def test_former_budget_reproduces_the_fixed_rule(self):
+        # the criterion-9 case as the fixed 4096-node rule computed it
+        fixed = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=4096))
+        assert fixed.d_gaussian == 0.01372438874052917
+        assert fixed.d_stable == 0.0033273201360512483
+        assert (fixed.best_alpha, fixed.best_scale) == (1.85, 0.6597539553864472)
+        assert (fixed.quadrature["N"], fixed.quadrature["nodes"]) == (4096, 4097)
+        adaptive = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        assert adaptive.quadrature["N"] == 1024
+        assert adaptive.d_gaussian == pytest.approx(fixed.d_gaussian, abs=1e-8)
+        assert adaptive.d_stable == pytest.approx(fixed.d_stable, abs=1e-8)
+        assert (adaptive.best_alpha, adaptive.best_scale, adaptive.verdict) == (
+            fixed.best_alpha, fixed.best_scale, fixed.verdict)
