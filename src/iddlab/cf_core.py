@@ -51,7 +51,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InputError, MomentError, PositivityError
+from .errors import ConfigError, InputError, MomentError, PositivityError
 from .measures import DiscretizedMeasure
 
 __all__ = [
@@ -112,6 +112,26 @@ def _check_m(name: str, value) -> int:
     if isinstance(value, bool) or not (math.isfinite(value) and int(value) == value >= 1):
         raise InputError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _spec_number(name: str, value) -> float:
+    """value as a float, for the fields of a config record (QuadratureSpec,
+    LambdaConfig); a bool or a non-number raises ConfigError."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _spec_integer(name: str, value) -> int:
+    """value as an int, for config record fields; like _spec_number, and
+    a non-finite or non-integral value also raises ConfigError."""
+    n = _spec_number(name, value)
+    if not (math.isfinite(n) and n.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(n)
 
 
 def _check_index(upper: float, closed: bool):

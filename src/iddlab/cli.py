@@ -62,7 +62,7 @@ from .errors import (
     PositivityError,
     QuadratureError,
 )
-from .inversion import _START_BUDGET, TIE_TOLERANCE, QuadratureSpec, approx_compare
+from .inversion import _START_BUDGET, QuadratureSpec, approx_compare
 from .inversion import _TOL as _QUAD_TOL
 from .laplace_core import (
     DEFAULT_S_GRID_SIZE,
@@ -254,6 +254,8 @@ def _parse_grid(text: str, spacing: str) -> tuple:
         start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
     except ValueError:
         raise InputError(f"cannot parse grid spec {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise InputError(f"grid spec {text!r} needs a finite start and stop")
     if count < 1:
         raise InputError("grid count must be positive")
     if spacing == "log" and not (start > 0.0 and stop > 0.0):
@@ -373,7 +375,6 @@ _LAMBDA = (
     ("t_min", _number, LambdaConfig.t_min, None, "smallest grid t"),
     ("t_max", _number, LambdaConfig.t_max, None, "largest grid t"),
     ("grid_size", _integer, LambdaConfig.grid_size, None, "grid points"),
-    ("small_t_policy", _text, LambdaConfig.small_t_policy, ("taylor-bound", "exclude"), None),
 )
 
 
@@ -538,8 +539,7 @@ def _cmd_approx_compare(args, cfg):
     cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
     alphas = _parse_grid(cfg["alpha_grid"], "linear")
     scales = _parse_grid(cfg["scale_grid"], "log")
-    quad = QuadratureSpec(N=cfg["quad_n"], eps_tail=cfg["eps_tail"])
-    report = approx_compare(cf, cfg["m"], alphas, scales, quad, cfg["tie_tol"])
+    report = approx_compare(cf, cfg["m"], alphas, scales, QuadratureSpec(N=cfg["quad_n"]))
     return {"family": family_desc, **cfg}, asdict(report), {}, EXIT_OK
 
 
@@ -610,9 +610,6 @@ _COMMANDS = {
         ("quad_n", _integer, QuadratureSpec.N, None,
          f"fixed node budget (default: doubled from {_START_BUDGET} until the error "
          f"estimate is within {_QUAD_TOL:g})"),
-        ("eps_tail", _number, QuadratureSpec.eps_tail, None,
-         "CF tail level that sets the truncation"),
-        ("tie_tol", _number, TIE_TOLERANCE, None, "distance gap called a tie"),
     )),
     "empirical": (_cmd_empirical, "summarize a sample file and its empirical CF", None, (
         ("cf_t_max", _number, 10.0, None, "CF grid upper end"),
@@ -715,6 +712,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (InputError, ConfigError) as exc:
         sys.stderr.write(f"iddlab: input error: {exc}\n")
+        return EXIT_INPUT
+    except MemoryError:
+        # a grid or point count too large to allocate
+        sys.stderr.write("iddlab: input error: not enough memory; request fewer points\n")
         return EXIT_INPUT
     except (PositivityError, MomentError, QuadratureError) as exc:
         sys.stderr.write(f"iddlab: numerical error: {exc}\n")

@@ -6,11 +6,11 @@ integral,
     F(x) = 1/2 + (1/pi) * int_0^inf f(t) sin(t x) / t dt,
 
 whose integrand extends continuously to the value x at t = 0.  The
-integral is truncated at a point T where f has decayed below a tail
-threshold and evaluated by composite Simpson rule on hybrid nodes:
-uniform on (0, 1] (a quarter of the node budget), uniform in log t on
-[1, T] (the rest).  Slowly decaying CFs that never reach the threshold
-are rejected rather than integrated badly.
+integral is truncated at a point T where |f| has decayed below 1e-10
+and evaluated by composite Simpson rule on hybrid nodes: uniform on
+(0, 1] (a quarter of the node budget), uniform in log t on [1, T] (the
+rest).  Slowly decaying CFs that never reach that level are rejected
+rather than integrated badly.
 
 Each pass measures its own error.  Every other node of a pass is itself
 a Simpson rule with half the budget, so the gap between the two rules
@@ -46,6 +46,7 @@ import numpy as np
 
 from .analysis import moments
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, sum_rescale
+from .cf_core import _spec_integer, _spec_number
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
 __all__ = [
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 _T_PROBE_MAX = 1e5
+# the automatic truncation point is the first probe t with |f(t)| below this
+_EPS_TAIL = 1e-10
 # candidate truncation points, shared by every automatic choice of T
 _T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 701)
 _T_PROBE.flags.writeable = False
@@ -84,21 +87,12 @@ DEFAULT_ALPHA_GRID = tuple(np.round(np.linspace(1.0, 1.95, 20), 10))
 DEFAULT_SCALE_GRID = tuple(np.geomspace(0.25, 4.0, 21))
 
 
-def _spec_number(name: str, value) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncation and node budget of the inversion.
 
     T = None picks the truncation point automatically as the first t
-    with |f(t)| < eps_tail (failing if that never happens by t = 1e5);
+    with |f(t)| < 1e-10 (failing if that never happens by t = 1e5);
     laws inverted together share the largest of their points.
 
     N = None lets the error estimate choose the budget: passes start at
@@ -110,7 +104,6 @@ class QuadratureSpec:
 
     T: float | None = None
     N: int | None = None
-    eps_tail: float = 1e-10
 
     def __post_init__(self):
         if self.T is not None:
@@ -119,16 +112,10 @@ class QuadratureSpec:
                 raise ConfigError(f"T must be finite and positive, got {self.T!r}")
             object.__setattr__(self, "T", t)
         if self.N is not None:
-            n = _spec_number("N", self.N)
-            if not (math.isfinite(n) and n.is_integer()):
-                raise ConfigError(f"node budget N must be an integer, got {self.N!r}")
+            n = _spec_integer("node budget N", self.N)
             if not 64 <= n <= _MAX_BUDGET:
                 raise ConfigError(f"node budget N must lie in [64, {_MAX_BUDGET}], got {self.N!r}")
-            object.__setattr__(self, "N", int(n))
-        e = _spec_number("eps_tail", self.eps_tail)
-        if not 0.0 < e < 1.0:
-            raise ConfigError(f"eps_tail must lie in (0, 1), got {self.eps_tail!r}")
-        object.__setattr__(self, "eps_tail", e)
+            object.__setattr__(self, "N", n)
 
 
 # cdf_from_cf keeps a fixed budget: for one law a node costs little, and
@@ -163,12 +150,12 @@ class ComparisonReport:
     quadrature: dict
 
 
-def _auto_truncation(cf: SymmetricCF, eps_tail: float) -> float:
+def _auto_truncation(cf: SymmetricCF) -> float:
     vals = np.abs(cf.evaluate(_T_PROBE))
-    below = np.flatnonzero(vals < eps_tail)
+    below = np.flatnonzero(vals < _EPS_TAIL)
     if below.size == 0:
         raise QuadratureError(
-            f"|f(t)| does not decay below eps_tail = {eps_tail:g} by t = {_T_PROBE_MAX:g}; "
+            f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
             "pass an explicit truncation T"
         )
     return float(_T_PROBE[int(below[0])])
@@ -288,12 +275,9 @@ def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, read=_each_column):
     pass; otherwise passes start at _START_BUDGET and double until the
     largest group error is within _TOL.  Returns the answer and the
     quadrature used: T, the budget N and node count of the last pass,
-    eps_tail and the error estimate.
+    and the error estimate.
     """
-    if quad.T is not None:
-        T = quad.T
-    else:
-        T = max(_auto_truncation(cf, quad.eps_tail) for cf in cfs)
+    T = quad.T or max(_auto_truncation(cf) for cf in cfs)
     N = quad.N or _START_BUDGET
     while True:
         F, nodes, errors = _simpson_pass(cfs, xs, T, N)
@@ -302,8 +286,7 @@ def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, read=_each_column):
         col_error = dict(zip(cols, errors(cols)))
         error = float(max(sum(col_error[j] for j in g) for g in groups))
         if quad.N is not None or error <= _TOL:
-            return answer, {"T": T, "N": N, "nodes": nodes, "eps_tail": quad.eps_tail,
-                            "error": error}
+            return answer, {"T": T, "N": N, "nodes": nodes, "error": error}
         if 2 * N > _MAX_BUDGET:
             raise QuadratureError(
                 f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
@@ -451,7 +434,6 @@ def approx_compare(
     alpha_grid=DEFAULT_ALPHA_GRID,
     scale_grid=DEFAULT_SCALE_GRID,
     quad: QuadratureSpec | None = None,
-    tie_tol: float = TIE_TOLERANCE,
 ) -> ComparisonReport:
     """Gaussian versus best-stable approximation of the m-fold sum.
 
@@ -459,9 +441,9 @@ def approx_compare(
     is also the variance of the normalized sum.  Stable candidates with
     alpha = 2 are dropped from the grid since the gaussian side already
     covers them.  Both distances use one shared x grid and one shared
-    quadrature; verdicts within tie_tol of each other are called a tie.
-    The quadrature error is measured on the sum, the gaussian and the
-    best candidate.
+    quadrature; distances within TIE_TOLERANCE (read at each call) of
+    each other are called a tie.  The quadrature error is measured on
+    the sum, the gaussian and the best candidate.
     """
     quad = quad or QuadratureSpec()
     m = _check_m("m", m)
@@ -485,7 +467,7 @@ def approx_compare(
         [s_m, GaussianCF(mu2), *candidates], xs, quad, read
     )
 
-    if abs(d_gauss - fit.distance) <= tie_tol:
+    if abs(d_gauss - fit.distance) <= TIE_TOLERANCE:
         verdict = "tie"
     elif fit.distance < d_gauss:
         verdict = "stable closer"

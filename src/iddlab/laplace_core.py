@@ -30,7 +30,6 @@ side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ __all__ = [
     "estimate_drift",
     "support_touches_zero",
     "limit_deviation_L",
-    "default_s_grid",
     "DEFAULT_S_SCHEDULE",
     "DEFAULT_SUPPORT_TOL",
 ]
@@ -80,8 +78,6 @@ __all__ = [
 # DEFAULT_DETECTION_TOL) under their Laplace names
 DEFAULT_S_SCHEDULE = _DEFAULT_SCHEDULE
 DEFAULT_SUPPORT_TOL = _DEFAULT_TOL
-DEFAULT_S_MIN = 1e-3
-DEFAULT_S_MAX = 1e3
 DEFAULT_S_GRID_SIZE = 1024
 
 
@@ -255,18 +251,6 @@ def support_touches_zero(
         sigma_hat=est.sigma_hat,
         estimate=est,
     )
-
-
-def default_s_grid(
-    s_max: float = DEFAULT_S_MAX, n: int = DEFAULT_S_GRID_SIZE
-) -> np.ndarray:
-    """Log-spaced evaluation grid on [1e-3, s_max]."""
-    s_max = float(s_max)
-    if not math.isfinite(s_max) or s_max <= DEFAULT_S_MIN:
-        raise InputError("s_max must exceed the smallest grid point 1e-3")
-    if int(n) < 2:
-        raise InputError("grid needs at least 2 points")
-    return np.geomspace(DEFAULT_S_MIN, s_max, int(n))
 
 
 def limit_deviation_L(

@@ -5,11 +5,10 @@
 computed as a supremum over a log-spaced grid.  For CFs with matched
 variance and r < 4 the ratio vanishes at both ends, so a grid sup is
 faithful.  A supremum sitting on a grid boundary signals trouble: the
-grid is extended downward (up to three decades, under the default
-taylor-bound policy) or upward (one decade), and a ratio still growing
-at the boundary after extension reports +inf.  Mismatched variances
-with r = 3 are the canonical infinite case: the ratio behaves like
-t^(2-r) near zero.
+grid is extended downward (up to three decades) or upward (one
+decade), and a ratio still growing at the boundary after extension
+reports +inf.  Mismatched variances with r = 3 are the canonical
+infinite case: the ratio behaves like t^(2-r) near zero.
 
 Two inequalities are checked at matched variance, with Z the gaussian
 law with the variance of the input:
@@ -32,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cf_core import GaussianCF, SymmetricCF, root_rescale, sum_rescale
+from .cf_core import _spec_integer, _spec_number
 from .analysis import moments
 from .errors import ConfigError, PositivityError
 
@@ -53,30 +53,29 @@ _MAX_UP_EXTENSIONS = 1
 
 @dataclass(frozen=True)
 class LambdaConfig:
-    """Grid and policy for evaluating lambda_r.
+    """Order r and the log-spaced grid on which lambda_r is evaluated.
 
-    small_t_policy "taylor-bound" verifies that the supremum does not
-    sit at the small-t boundary, extending the grid downward if it
-    does; "exclude" takes the grid supremum as is.
+    r, t_min and t_max are stored as floats and grid_size as an int; a
+    bool, a non-number, or a non-finite or non-integral value raises
+    ConfigError.  The grid is a starting point: lambda_r extends it
+    where the supremum sits on either end.
     """
 
     r: float
     t_min: float = 1e-3
     t_max: float = 50.0
     grid_size: int = 4096
-    small_t_policy: str = "taylor-bound"
 
     def __post_init__(self):
+        for name in ("r", "t_min", "t_max"):
+            object.__setattr__(self, name, _spec_number(name, getattr(self, name)))
+        object.__setattr__(self, "grid_size", _spec_integer("grid_size", self.grid_size))
         if not math.isfinite(self.r) or self.r <= 2.0:
             raise ConfigError(f"r must exceed 2, got {self.r!r}")
-        if not 0.0 < self.t_min < self.t_max:
-            raise ConfigError("need 0 < t_min < t_max")
-        if not math.isfinite(self.t_max):
-            raise ConfigError("t_max must be finite")
-        if int(self.grid_size) < 16:
+        if not 0.0 < self.t_min < self.t_max < math.inf:
+            raise ConfigError("need 0 < t_min < t_max, with t_max finite")
+        if self.grid_size < 16:
             raise ConfigError("grid_size must be at least 16")
-        if self.small_t_policy not in ("taylor-bound", "exclude"):
-            raise ConfigError(f"unknown small_t_policy {self.small_t_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -143,18 +142,17 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     if int(np.argmax(vals)) == vals.size - 1 and vals[-1] > vals[-2]:
         return math.inf
 
-    if config.small_t_policy == "taylor-bound":
-        # supremum pinned at t_min means the grid missed the small-t
-        # behaviour; push down a decade at a time
-        for _ in range(_MAX_DOWN_EXTENSIONS):
-            if int(np.argmax(vals)) == 0 and vals[0] > vals[1]:
-                ext = np.geomspace(ts[0] / 10.0, ts[0], per_decade)[:-1]
-                ts = np.concatenate([ext, ts])
-                vals = np.concatenate([_ratio(cf_u, cf_v, ext, r), vals])
-            else:
-                break
+    # supremum pinned at t_min means the grid missed the small-t
+    # behaviour; push down a decade at a time
+    for _ in range(_MAX_DOWN_EXTENSIONS):
         if int(np.argmax(vals)) == 0 and vals[0] > vals[1]:
-            return math.inf
+            ext = np.geomspace(ts[0] / 10.0, ts[0], per_decade)[:-1]
+            ts = np.concatenate([ext, ts])
+            vals = np.concatenate([_ratio(cf_u, cf_v, ext, r), vals])
+        else:
+            break
+    if int(np.argmax(vals)) == 0 and vals[0] > vals[1]:
+        return math.inf
 
     return float(np.max(vals))
 

@@ -350,6 +350,51 @@ class TestExitCodes:
         assert code == expected
         assert err == "" or (err.startswith("iddlab: ") and err.count("\n") == 1)
 
+    @pytest.mark.parametrize("flag", ["--scale-grid=1:inf:3", "--alpha-grid=1:nan:3"])
+    def test_non_finite_grid_end_is_one(self, capsys, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "approx-compare", "--family", "gauss", "--variance", "1", "--m", "2",
+                flag,
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("iddlab: input error:") and err.count("\n") == 1
+        assert repr(flag.partition("=")[2]) in err
+
+    @pytest.mark.parametrize(
+        "call, argv",
+        [("lambda_r", ["distance", "--family", "gauss", "--variance", "1", "--r", "3"]),
+         ("approx_compare", ["approx-compare", "--family", "symgamma", "--shape", "1",
+                             "--m", "4"])],
+        ids=["distance", "approx-compare"],
+    )
+    def test_memory_error_is_one(self, capsys, monkeypatch, call, argv):
+        # a stand-in for a grid too large to allocate; a real request that
+        # large may be killed instead of raising on a host that overcommits
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, call, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("iddlab: input error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["distance", "--family", "gauss", "--variance", "1", "--r", "3",
+          "--small-t-policy", "exclude"],
+         ["approx-compare", "--family", "gauss", "--variance", "1", "--m", "2",
+          "--eps-tail", "1e-9"],
+         ["approx-compare", "--family", "gauss", "--variance", "1", "--m", "2",
+          "--tie-tol", "1"]],
+        ids=["small-t-policy", "eps-tail", "tie-tol"],
+    )
+    def test_removed_knobs_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"iddlab: unrecognized arguments: {' '.join(argv[-2:])}")
+
 
 class TestDeterminism:
     def test_repeated_runs_identical_result(self, capsys):

@@ -40,12 +40,6 @@ class TestQuadratureSpec:
         with pytest.raises(ConfigError):
             QuadratureSpec(N=32)
 
-    def test_tail_tolerance_range(self):
-        with pytest.raises(ConfigError):
-            QuadratureSpec(eps_tail=0.0)
-        with pytest.raises(ConfigError):
-            QuadratureSpec(eps_tail=1.5)
-
     def test_truncation_positive(self):
         with pytest.raises(ConfigError):
             QuadratureSpec(T=-1.0)
@@ -54,9 +48,8 @@ class TestQuadratureSpec:
         assert QuadratureSpec().N is None
 
     def test_values_stored_as_numbers(self):
-        quad = QuadratureSpec(N=2048.0, eps_tail="1e-9")
-        assert (quad.N, quad.eps_tail) == (2048, 1e-9)
-        assert type(quad.N) is int and type(quad.eps_tail) is float
+        quad = QuadratureSpec(N=2048.0)
+        assert quad.N == 2048 and type(quad.N) is int
         assert cdf_from_cf(GaussianCF(1.0), 1.0, quad) == pytest.approx(normal_cdf(1.0), abs=1e-9)
 
     def test_non_integral_budget_rejected(self):
@@ -71,11 +64,6 @@ class TestQuadratureSpec:
     def test_non_finite_or_huge_budget_rejected(self, N):
         with pytest.raises(ConfigError):
             QuadratureSpec(N=N)
-
-    @pytest.mark.parametrize("eps_tail", [math.nan, "tight", True])
-    def test_tail_level_not_a_number_rejected(self, eps_tail):
-        with pytest.raises(ConfigError):
-            QuadratureSpec(eps_tail=eps_tail)
 
 
 class TestCdfFromCf:
@@ -138,7 +126,7 @@ class TestCdfFromCf:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     def test_slowly_decaying_cf_rejected(self):
-        # near-degenerate law: the CF never falls below eps_tail, so
+        # near-degenerate law: the CF never falls below 1e-10, so
         # automatic truncation has nothing to anchor on
         with pytest.raises(QuadratureError):
             cdf_from_cf(root_rescale(SymmetrizedGammaCF(1.0), 10**6), 1.0)
@@ -324,10 +312,11 @@ class TestApproxCompare:
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), m)
 
-    def test_tie_within_tolerance(self):
+    def test_tie_within_tolerance(self, monkeypatch):
+        monkeypatch.setattr(inversion, "TIE_TOLERANCE", 1.0)
         report = approx_compare(
             SymmetrizedGammaCF(1.0), 2, alpha_grid=(1.5,), scale_grid=(1.0,),
-            quad=QuadratureSpec(N=1024), tie_tol=1.0,
+            quad=QuadratureSpec(N=1024),
         )
         assert report.verdict == "tie"
 
@@ -339,8 +328,7 @@ class TestApproxCompare:
         # the slowest candidate, exp(-t / 4), sets the shared truncation
         T = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]["T"]
         error = report.quadrature["error"]
-        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "eps_tail": 1e-10,
-                                     "error": error}
+        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "error": error}
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):

@@ -42,9 +42,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LambdaConfig(r=3.0, grid_size=8)
 
-    def test_policy_names(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid_size": 100.5}, {"grid_size": math.inf}, {"grid_size": math.nan},
+         {"grid_size": 10**400}, {"grid_size": [64]}, {"t_min": "a"}, {"t_max": True},
+         {"r": None}],
+        ids=["grid-fraction", "grid-inf", "grid-nan", "grid-overflow", "grid-list",
+             "t-min-text", "t-max-bool", "r-none"],
+    )
+    def test_bad_values_rejected(self, fields):
         with pytest.raises(ConfigError):
-            LambdaConfig(r=3.0, small_t_policy="clamp")
+            LambdaConfig(**{"r": 3.0, **fields})
+
+    def test_values_stored_as_numbers(self):
+        cfg = LambdaConfig(r="3", t_min=1, t_max=50, grid_size="64")
+        assert (cfg.r, cfg.t_min, cfg.t_max, cfg.grid_size) == (3.0, 1.0, 50.0, 64)
+        assert [type(v) for v in (cfg.r, cfg.t_min, cfg.t_max, cfg.grid_size)] == [
+            float, float, float, int
+        ]
 
 
 class TestLambdaR:
@@ -74,15 +89,6 @@ class TestLambdaR:
         # |e^(-t^2/2) - e^(-t^2)| / t^3 ~ t^(-1) near zero
         cfg = LambdaConfig(r=3.0)
         assert math.isinf(lambda_r(GaussianCF(1.0), GaussianCF(2.0), cfg))
-
-    def test_exclude_policy_reports_grid_sup(self):
-        # same divergent pair: without the downward extension the finite
-        # grid supremum is reported as is
-        cfg = LambdaConfig(r=3.0, small_t_policy="exclude")
-        got = lambda_r(GaussianCF(1.0), GaussianCF(2.0), cfg)
-        assert math.isfinite(got)
-        # ratio at t_min dominates: about 0.5 / t_min
-        assert got == pytest.approx(0.5 / 1e-3, rel=1e-2)
 
     def test_scale_homogeneity(self):
         # replacing f(t) by f(ct) multiplies lambda_r by c^r
