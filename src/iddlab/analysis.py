@@ -104,6 +104,8 @@ class KurtosisScaling:
     expected: float
     relative_error: float
     method: str
+    base_moments: MomentSet
+    rescaled_moments: MomentSet
 
 
 def estimate_gaussian_coefficient(
@@ -206,13 +208,10 @@ def kurtosis_scaling_check(
     Reports the relative error against the expected linear growth; when
     the base kurtosis vanishes (gaussian input) the comparison falls
     back to the absolute gap, which must stay below 1e-9 to count as
-    exact.
+    exact.  The moment sets of the law and of its rescale come along.
     """
-    return _kurtosis_scaling(m, moments(cf, method), moments(root_rescale(cf, m), method))
-
-
-def _kurtosis_scaling(m: int, base: MomentSet, rescaled: MomentSet) -> KurtosisScaling:
-    """The scaling report from moment sets already computed."""
+    base = moments(cf, method)
+    rescaled = moments(root_rescale(cf, m), method)
     expected = m * base.kappa
     gap = abs(rescaled.kappa - expected)
     if abs(expected) < 1e-9:
@@ -226,6 +225,8 @@ def _kurtosis_scaling(m: int, base: MomentSet, rescaled: MomentSet) -> KurtosisS
         expected=expected,
         relative_error=float(rel),
         method=base.method,
+        base_moments=base,
+        rescaled_moments=rescaled,
     )
 
 

@@ -109,7 +109,13 @@ def _check_nonneg_param(name: str, value: float) -> float:
 
 
 def _check_m(name: str, value) -> int:
-    if isinstance(value, bool) or not (math.isfinite(value) and int(value) == value >= 1):
+    """value as an int: a number, not a bool, that is integral, at least 1
+    and within float range; anything else raises InputError."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and int(value) == value >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise InputError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -218,9 +224,10 @@ def _limit_sup(rescaled, limit, name: str, x_max: float, grid_size: int) -> floa
     whole supremum.
     """
     x_max = _check_positive_param(name, x_max)
-    if int(grid_size) < 2:
+    grid_size = _check_m("grid_size", grid_size)
+    if grid_size < 2:
         raise InputError("grid_size must be at least 2")
-    grid = np.geomspace(min(1e-3, x_max / 2.0), x_max, int(grid_size))
+    grid = np.geomspace(min(1e-3, x_max / 2.0), x_max, grid_size)
     return float(np.max(np.abs(rescaled.evaluate(grid) - limit.evaluate(grid))))
 
 

@@ -1,7 +1,13 @@
 """Command line front end.
 
-Each subcommand is a thin adapter over one library operation and emits
-a single JSON report:
+Each subcommand is a thin adapter over one library operation.  main
+builds the command's law: an empirical CF from the --input sample file,
+or the --family of the command's family table with any --convolve parts
+combined by that table's product.  A handler maps (law, cfg), cfg being
+the merged knobs, to (result, diagnostics) through public library calls;
+main adds the config block, {"family": law.describe(), **cfg} (for
+empirical {"input": path, **cfg}), and the exit code.  Each run emits a
+single JSON report:
 
     {"schema": "iddlab-report/1", "command": ..., "config": ...,
      "result": ..., "diagnostics": ..., "meta": ...}
@@ -39,8 +45,8 @@ from . import __version__
 from .analysis import (
     DEFAULT_DETECTION_TOL,
     DEFAULT_T_SCHEDULE,
-    _kurtosis_scaling,
     has_gaussian_component,
+    kurtosis_scaling_check,
     moments,
     remainder_profile,
 )
@@ -223,19 +229,22 @@ def read_samples(path: str) -> list:
     return values
 
 
-def _law_from_args(args, families: dict, combine) -> tuple:
-    """Base family (or sample file) plus any --convolve components."""
+def _law_from_args(args):
+    """An empirical CF of --input, or --family with its --convolve parts."""
+    families = args.families
     if getattr(args, "input", None):
         base = from_samples(read_samples(args.input))
+    elif families is None:
+        raise InputError("--input is required")
     elif args.family:
         params = {n: getattr(args, n) for names, _ in families.values() for n in names}
         base = _build_family(args.family, params, families)
     else:
         hint = " (or --input for sample data)" if hasattr(args, "input") else ""
         raise InputError(f"specify --family{hint}")
-    parts = [base] + [_parse_inline_spec(spec, families) for spec in args.convolve or []]
-    law = combine(*parts) if len(parts) > 1 else base
-    return law, law.describe()
+    parts = [_parse_inline_spec(spec, families) for spec in getattr(args, "convolve", None) or ()]
+    product = convolve if families is _CF_FAMILIES else convolve_L
+    return product(base, *parts) if parts else base
 
 
 def _parse_floats(text: str) -> tuple:
@@ -389,16 +398,15 @@ def _linspace(start: float, stop: float, points: int, flags: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each takes the merged knobs and returns
-# (config, result, diagnostics, exit_code)
+# subcommand handlers; each maps the command's law and merged knobs to
+# (result, diagnostics)
 
 
 def _profile_grid(t_used: float) -> np.ndarray:
     return np.geomspace(0.1, t_used, 101)
 
 
-def _cmd_detect(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+def _cmd_detect(cf, cfg):
     decision = has_gaussian_component(cf, cfg["tol"], cfg["schedule"])
     est = decision.estimate
     a_used = est.a_hat if decision.has_component else 0.0
@@ -417,11 +425,10 @@ def _cmd_detect(args, cfg):
         "decision_margin": est.a_hat - cfg["tol"] - est.error_bound,
         "a_used_for_profile": a_used,
     }
-    return {"family": family_desc, **cfg}, result, diagnostics, EXIT_OK
+    return result, diagnostics
 
 
-def _cmd_rescale(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+def _cmd_rescale(cf, cfg):
     m, transform = cfg["m"], cfg["transform"]
     rescaled = (root_rescale if transform == "root" else sum_rescale)(cf, m)
     grid = _linspace(-cfg["t_max"], cfg["t_max"], cfg["points"], "--t-max and --points")
@@ -441,17 +448,14 @@ def _cmd_rescale(args, cfg):
             "deviation": deviation,
             "is_fixed_point": bool(deviation < 1e-12),
         }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
-def _cmd_kurtosis(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
-    m, method = cfg["m"], cfg["method"]
-    base = moments(cf, method)
-    resc = moments(root_rescale(cf, m), method)
-    check = _kurtosis_scaling(m, base, resc)
+def _cmd_kurtosis(cf, cfg):
+    check = kurtosis_scaling_check(cf, cfg["m"], cfg["method"])
+    base, resc = check.base_moments, check.rescaled_moments
     result = {
-        "m": m,
+        "m": check.m,
         "kappa_1": check.kappa_1,
         "kappa_m": check.kappa_m,
         "expected_m_times_kappa_1": check.expected,
@@ -459,29 +463,21 @@ def _cmd_kurtosis(args, cfg):
         "base_moments": {"mu2": base.mu2, "mu4": base.mu4, "kappa": base.kappa},
         "rescaled_moments": {"mu2": resc.mu2, "mu4": resc.mu4, "kappa": resc.kappa},
     }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
-def _cmd_distance(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+def _cmd_distance(cf, cfg):
     if cfg["vs"]:
         other = _parse_inline_spec(cfg["vs"], _CF_FAMILIES)
     else:
         other = GaussianCF(moments(cf).mu2)
+    cfg["vs"] = other.describe()
     value = lambda_r(cf, other, _lambda_config(cfg))
-    config = {"family": family_desc, **cfg, "vs": other.describe()}
-    result = {"r": cfg["r"], "lambda_r": value}
-    return config, result, {"finite": math.isfinite(value)}, EXIT_OK
+    return {"r": cfg["r"], "lambda_r": value}, {"finite": math.isfinite(value)}
 
 
-def _cmd_bound_check(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+def _cmd_bound_check(cf, cfg):
     m, r = cfg["m"], cfg["r"]
-    direction = "backward" if cfg["backward"] else "forward"
-    config = {
-        "family": family_desc, "m": m, "r": r, "direction": direction,
-        "assert": cfg["assert"], **{key: cfg[key] for key, *_ in _LAMBDA},
-    }
     lam_cfg = _lambda_config(cfg)
     if cfg["backward"]:
         chk = backward_bound(cf, m, r, lam_cfg)
@@ -490,15 +486,13 @@ def _cmd_bound_check(args, cfg):
         chk = clt_bound_check(cf, m, r, lam_cfg)
         bound = {"rhs": chk.rhs}
     result = {
-        "direction": direction, "m": m, "r": r, "lhs": chk.lhs, **bound,
-        "holds": chk.holds, "applicable": chk.applicable,
+        "direction": "backward" if cfg["backward"] else "forward", "m": m, "r": r,
+        "lhs": chk.lhs, **bound, "holds": chk.holds, "applicable": chk.applicable,
     }
-    code = EXIT_ASSERT if (cfg["assert"] and not chk.holds) else EXIT_OK
-    return config, result, {}, code
+    return result, {}
 
 
-def _cmd_laplace_drift(args, cfg):
-    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+def _cmd_laplace_drift(lt, cfg):
     est = estimate_drift(lt, cfg["schedule"])
     result = {
         "sigma_hat": est.sigma_hat,
@@ -506,22 +500,20 @@ def _cmd_laplace_drift(args, cfg):
         "s_used": est.s_used,
         "schedule_values": [[s, v] for s, v in zip(est.schedule, est.values)],
     }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
-def _cmd_laplace_support(args, cfg):
-    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+def _cmd_laplace_support(lt, cfg):
     decision = support_touches_zero(lt, cfg["tol"], cfg["schedule"])
     result = {
         "touches_zero": decision.touches_zero,
         "sigma_hat": decision.sigma_hat,
         "error_bound": decision.estimate.error_bound,
     }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
-def _cmd_laplace_limit(args, cfg):
-    lt, family_desc = _law_from_args(args, _LT_FAMILIES, convolve_L)
+def _cmd_laplace_limit(lt, cfg):
     sigma = cfg["known_sigma"]
     dev = limit_deviation_L(
         lt, cfg["m"], cfg["S"], cfg["grid_size"],
@@ -532,33 +524,27 @@ def _cmd_laplace_limit(args, cfg):
         "deviation": dev,
         "sigma_source": "provided" if sigma is not None else "estimated",
     }
-    return {"family": family_desc, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
-def _cmd_approx_compare(args, cfg):
-    cf, family_desc = _law_from_args(args, _CF_FAMILIES, convolve)
+def _cmd_approx_compare(cf, cfg):
     alphas = _parse_grid(cfg["alpha_grid"], "linear")
     scales = _parse_grid(cfg["scale_grid"], "log")
     report = approx_compare(cf, cfg["m"], alphas, scales, QuadratureSpec(N=cfg["quad_n"]))
-    return {"family": family_desc, **cfg}, asdict(report), {}, EXIT_OK
+    return asdict(report), {}
 
 
-def _cmd_empirical(args, cfg):
-    if not args.input:
-        raise InputError("--input is required")
-    samples = read_samples(args.input)
-    cf = from_samples(samples)
-    arr = np.asarray(samples, dtype=float)
+def _cmd_empirical(cf, cfg):
     grid = _linspace(0.0, cfg["cf_t_max"], cfg["cf_points"], "--cf-t-max and --cf-points")
     vals = cf.evaluate(grid)
     result = {
-        "n": int(arr.size),
-        "mean": float(np.mean(arr)),
-        "variance": float(np.var(arr)),
+        "n": int(cf.samples.size),
+        "mean": float(np.mean(cf.samples)),
+        "variance": float(np.var(cf.samples)),
         "cf_t": [float(t) for t in grid],
         "cf_values": [float(v) for v in vals],
     }
-    return {"input": args.input, **cfg}, result, {}, EXIT_OK
+    return result, {}
 
 
 # name -> (handler, help, families, knobs); a two-word name is an action
@@ -666,7 +652,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON file with numeric defaults")
         p.add_argument("--output", help="write the report here instead of stdout")
         # the command's own defaults override the name its group parser set
-        p.set_defaults(handler=handler, command=name, options=options)
+        p.set_defaults(handler=handler, command=name, options=options, families=families)
     return parser
 
 
@@ -688,16 +674,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _UsageError(parser.format_usage())
+        cfg = _merge_config(args.options, args)
         # an exponent that overflows to -inf is the right limit (phi = 0),
         # so numpy's overflow warnings carry no news for the user
         with np.errstate(over="ignore"):
-            config, result, diagnostics, code = args.handler(
-                args, _merge_config(args.options, args)
-            )
+            law = _law_from_args(args)
+            result, diagnostics = args.handler(law, cfg)
+        source = {"input": args.input} if args.families is None else {"family": law.describe()}
         report = {
             "schema": SCHEMA,
             "command": args.command,
-            "config": config,
+            "config": {**source, **cfg},
             "result": result,
             "diagnostics": diagnostics,
             "meta": {
@@ -723,7 +710,7 @@ def main(argv=None) -> int:
     except IddlabError as exc:
         sys.stderr.write(f"iddlab: error: {exc}\n")
         return EXIT_NUMERIC
-    return code
+    return EXIT_ASSERT if cfg.get("assert") and not result["holds"] else EXIT_OK
 
 
 if __name__ == "__main__":

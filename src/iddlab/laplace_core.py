@@ -93,18 +93,12 @@ class LaplaceTransform(_Transform):
         if np.any(s <= 0.0):
             raise InputError("s must be strictly positive")
 
-    @property
-    def drift(self) -> float:
-        """The structurally known drift coefficient sigma; pure-jump kinds set 0."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GammaSubordinator(LaplaceTransform):
     """L(s) = (1 + s)^(-shape), the gamma subordinator marginal."""
 
     _kind = "gammasub"
-    drift = 0.0
 
     shape: float = _param(_check_positive_param)
 
@@ -117,7 +111,6 @@ class PoissonSubordinator(LaplaceTransform):
     """L(s) = exp(rate * (e^(-s) - 1)), the Poisson law on the integers."""
 
     _kind = "poissonsub"
-    drift = 0.0
 
     rate: float = _param(_check_positive_param)
 
@@ -130,7 +123,6 @@ class StableSubordinator(LaplaceTransform):
     """L(s) = exp(-(scale * s)^alpha) with 0 < alpha < 1."""
 
     _kind = "stablesub"
-    drift = 0.0
 
     alpha: float = _param(_check_index(1.0, closed=False))
     scale: float = _param(_check_positive_param)
@@ -150,10 +142,6 @@ class DriftTransform(LaplaceTransform):
     def _log_values(self, s):
         return -self.sigma * s
 
-    @property
-    def drift(self):
-        return self.sigma
-
 
 @dataclass(frozen=True)
 class CanonicalLaplace(LaplaceTransform):
@@ -169,10 +157,6 @@ class CanonicalLaplace(LaplaceTransform):
         jump_part = self.measure.integrate_outer(kernel, s)
         return -self.sigma * s - jump_part
 
-    @property
-    def drift(self):
-        return self.sigma
-
     def describe(self):
         return {"kind": "canonical", "sigma": self.sigma, **_measure_fields(self.measure)}
 
@@ -183,18 +167,10 @@ class ProductLaplace(_Product, LaplaceTransform):
 
     _family = LaplaceTransform
 
-    @property
-    def drift(self):
-        return sum(f.drift for f in self.factors)
-
 
 @dataclass(frozen=True)
 class RootRescaledLaplace(_RootRescaled, LaplaceTransform):
     """L_m(s) = L(m s)^(1/m); drift is invariant under this map."""
-
-    @property
-    def drift(self):
-        return self.base.drift
 
 
 def root_rescale_L(lt: LaplaceTransform, m) -> LaplaceTransform:

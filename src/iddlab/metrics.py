@@ -5,10 +5,11 @@
 computed as a supremum over a log-spaced grid.  For CFs with matched
 variance and r < 4 the ratio vanishes at both ends, so a grid sup is
 faithful.  A supremum sitting on a grid boundary signals trouble: the
-grid is extended downward (up to three decades) or upward (one
-decade), and a ratio still growing at the boundary after extension
-reports +inf.  Mismatched variances with r = 3 are the canonical
-infinite case: the ratio behaves like t^(2-r) near zero.
+grid is extended a decade at a time at that end.  Upward this always
+ends, since |f_U - f_V| <= 2 bounds the ratio by 2 / t^r; a ratio still
+growing at t_min after three decades downward reports +inf.  Mismatched
+variances with r = 3 are the canonical infinite case: the ratio behaves
+like t^(2-r) near zero.
 
 Two inequalities are checked at matched variance, with Z the gaussian
 law with the variance of the input:
@@ -48,7 +49,6 @@ __all__ = [
 _SLACK = 1e-9
 
 _MAX_DOWN_EXTENSIONS = 3
-_MAX_UP_EXTENSIONS = 1
 
 
 @dataclass(frozen=True)
@@ -131,30 +131,24 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     ts = np.geomspace(config.t_min, config.t_max, config.grid_size)
     vals = _ratio(cf_u, cf_v, ts, r)
 
-    # growing toward large t: extend one decade, then call it divergent
-    for _ in range(_MAX_UP_EXTENSIONS):
-        if int(np.argmax(vals)) == vals.size - 1 and vals[-1] > vals[-2]:
+    # extend the end holding a still-growing supremum a decade at a
+    # time; only the bottom end can diverge (see the module docstring)
+    extended_down = 0
+    while True:
+        i = int(np.argmax(vals))
+        if i == vals.size - 1 and vals[-1] > vals[-2]:
             ext = np.geomspace(ts[-1], 10.0 * ts[-1], per_decade)[1:]
             ts = np.concatenate([ts, ext])
             vals = np.concatenate([vals, _ratio(cf_u, cf_v, ext, r)])
-        else:
-            break
-    if int(np.argmax(vals)) == vals.size - 1 and vals[-1] > vals[-2]:
-        return math.inf
-
-    # supremum pinned at t_min means the grid missed the small-t
-    # behaviour; push down a decade at a time
-    for _ in range(_MAX_DOWN_EXTENSIONS):
-        if int(np.argmax(vals)) == 0 and vals[0] > vals[1]:
+        elif i == 0 and vals[0] > vals[1]:
+            if extended_down == _MAX_DOWN_EXTENSIONS:
+                return math.inf
+            extended_down += 1
             ext = np.geomspace(ts[0] / 10.0, ts[0], per_decade)[:-1]
             ts = np.concatenate([ext, ts])
             vals = np.concatenate([_ratio(cf_u, cf_v, ext, r), vals])
         else:
-            break
-    if int(np.argmax(vals)) == 0 and vals[0] > vals[1]:
-        return math.inf
-
-    return float(np.max(vals))
+            return float(vals[i])
 
 
 def _rate_bound(cf, m, r, config, backward: bool) -> tuple:

@@ -119,6 +119,11 @@ class TestLimitDeviation:
         with pytest.raises(InputError):
             limit_deviation(GaussianCF(1.0), 2, -1.0)
 
+    @pytest.mark.parametrize("grid_size", [2.7, math.nan, math.inf, True, "64", None])
+    def test_grid_size_validation(self, grid_size):
+        with pytest.raises(InputError):
+            limit_deviation(GaussianCF(1.0), 2, 5.0, grid_size=grid_size)
+
 
 class TestMoments:
     @pytest.mark.parametrize(

@@ -98,6 +98,12 @@ class TestFamilyValues:
             lambda: SumRescaledCF(StableCF(1.5, 1.0), 2.5),
             lambda: SumRescaledCF(StableCF(1.5, 1.0), math.nan),
             lambda: SumRescaledCF(StableCF(1.5, 1.0), math.inf),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), "3"),
+            lambda: RootRescaledCF(StableCF(1.5, 1.0), 10**400),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), None),
+            lambda: SumRescaledCF(StableCF(1.5, 1.0), [2]),
+            lambda: root_rescale(StableCF(1.5, 1.0), "3"),
+            lambda: sum_rescale(GaussianCF(1.0), 10**400),
         ],
     )
     def test_bad_parameters_rejected(self, build):

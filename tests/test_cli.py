@@ -107,6 +107,14 @@ class TestSubcommands:
         assert report["config"]["vs"] == {"kind": "gaussian", "variance": 2.0}
         assert report["result"]["lambda_r"] == pytest.approx(0.174158, abs=1e-4)
 
+    def test_distance_on_a_short_grid_is_finite(self, capsys):
+        report = run_json(
+            capsys, "distance", "--family", "symgamma", "--shape", "1", "--r", "3",
+            "--t-max", "0.01",
+        )
+        assert report["result"]["lambda_r"] == pytest.approx(0.174158, abs=1e-4)
+        assert report["diagnostics"]["finite"] is True
+
     def test_distance_infinite_value_serialized(self, capsys):
         report = run_json(
             capsys, "distance", "--family", "gauss", "--variance", "1",

@@ -76,6 +76,14 @@ class TestCdfFromCf:
         expect = [normal_cdf(x) for x in xs]
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
+    def test_narrow_gaussian_against_erf(self):
+        # f falls below 1e-10 before t = 1, so the nodes are uniform on [0, T]
+        cf = GaussianCF(100.0)
+        assert inversion._auto_truncation(cf) < 1.0
+        xs = np.arange(-40.0, 45.0, 5.0)
+        expect = [normal_cdf(x, 100.0) for x in xs]
+        np.testing.assert_allclose(cdf_from_cf(cf, xs), expect, rtol=0.0, atol=1e-12)
+
     def test_cauchy_against_arctan(self):
         got = cdf_from_cf(StableCF(1.0, 1.0), 1.0)
         assert got == pytest.approx(0.75, abs=1e-6)
@@ -307,7 +315,7 @@ class TestApproxCompare:
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), 0)
 
-    @pytest.mark.parametrize("m", [2.5, True])
+    @pytest.mark.parametrize("m", [2.5, True, "3", None, [2], pytest.param(10**400, id="10**400")])
     def test_non_integer_m_rejected(self, m):
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), m)

@@ -68,6 +68,8 @@ class TestValues:
             lambda: RootRescaledLaplace(GammaSubordinator(1.0), 2.5),
             lambda: RootRescaledLaplace(GammaSubordinator(1.0), math.nan),
             lambda: RootRescaledLaplace(GammaSubordinator(1.0), math.inf),
+            lambda: RootRescaledLaplace(GammaSubordinator(1.0), "3"),
+            lambda: root_rescale_L(GammaSubordinator(1.0), 10**400),
         ],
     )
     def test_bad_parameters_rejected(self, build):

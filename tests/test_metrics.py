@@ -85,6 +85,13 @@ class TestLambdaR:
         got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
         assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
 
+    def test_short_grid_extends_up_to_the_supremum(self):
+        # the ratio still grows at t_max = 0.01; the supremum sits near t = 1,
+        # two decades further up
+        cfg = LambdaConfig(r=3.0, t_min=1e-4, t_max=0.01)
+        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
+        assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
+
     def test_mismatched_variance_diverges(self):
         # |e^(-t^2/2) - e^(-t^2)| / t^3 ~ t^(-1) near zero
         cfg = LambdaConfig(r=3.0)
