@@ -446,7 +446,9 @@ class CompoundPoissonCF(SymmetricCF):
     jump: float = _param(_check_positive_param)
 
     def _log_values(self, t):
-        return self.rate * (np.cos(self.jump * t) - 1.0)
+        # rate * (cos(jump t) - 1), in a form that does not cancel at small t
+        s = np.sin(0.5 * self.jump * t)
+        return -2.0 * self.rate * s * s
 
     def cumulants(self):
         h2 = self.jump * self.jump
@@ -663,7 +665,8 @@ def compound_poisson_canonical(rate: float, jump: float) -> CanonicalCF:
 
     The spectral measure carries a single atom at x = jump with mass
     rate * jump^2 / (2 (1 + jump^2)), which turns the canonical kernel
-    into exactly rate * (cos(jump t) - 1).
+    into exactly -2 rate sin(jump t / 2)^2, the exponent of
+    CompoundPoissonCF.
     """
     cp = CompoundPoissonCF(rate, jump)
     mass = cp.rate * cp.jump * cp.jump / (2.0 * (1.0 + cp.jump * cp.jump))

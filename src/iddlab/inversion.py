@@ -27,7 +27,11 @@ which the call is refused.
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel, so comparing a target against a whole stable
-grid costs one kernel and a few matrix products.
+grid costs one kernel and a few matrix products.  The core fixes one
+column layout: the target first, then the rivals it is compared with
+one by one (the gaussian in approx_compare, the second law in
+kolmogorov_distance), then the stable candidates, of which only the
+closest counts.
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -261,43 +265,46 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     return out, t.size + 1, errors
 
 
-def _each_column(F: np.ndarray):
-    return F, [(j,) for j in range(F.shape[1])]
+def _sup_gaps(F: np.ndarray) -> np.ndarray:
+    """max over x of |F_j(x) - F_0(x)|, for each column j >= 1."""
+    return np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
 
 
-def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, read=_each_column):
+def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, rivals: int = 0):
     """Invert several laws on one grid, at quad's budget or to _TOL.
 
+    Column layout: column 0 is the target; each of the next ``rivals``
+    columns is compared with it; of the remaining candidate columns only
+    the one closest to the target (first smallest sup gap) counts.  The
+    reported numbers rest on the column groups (0,), (0, rival) for each
+    rival and (0, closest candidate), and a group's error is the sum of
+    its columns' errors.
+
     All laws share one truncation T (quad.T, else the largest automatic
-    T among them).  read(F) turns the CDF matrix into the caller's answer
-    and the column groups that each reported number rests on; a group's
-    error is the sum of its columns' errors.  A fixed quad.N takes one
-    pass; otherwise passes start at _START_BUDGET and double until the
-    largest group error is within _TOL.  Returns the answer and the
-    quadrature used: T, the budget N and node count of the last pass,
-    and the error estimate.
+    T among them).  A fixed quad.N takes one pass; otherwise passes start
+    at _START_BUDGET and double until the largest group error is within
+    _TOL.  Returns the CDF matrix F, whose column j holds F_j(xs), and
+    the quadrature used: T, the budget N and node count of the last
+    pass, and the error estimate.
     """
     T = quad.T or max(_auto_truncation(cf) for cf in cfs)
     N = quad.N or _START_BUDGET
     while True:
         F, nodes, errors = _simpson_pass(cfs, xs, T, N)
-        answer, groups = read(F)
+        groups = [(0,)] + [(0, j) for j in range(1, 1 + rivals)]
+        if len(cfs) > 1 + rivals:
+            groups.append((0, 1 + rivals + int(np.argmin(_sup_gaps(F)[rivals:]))))
         cols = sorted({j for g in groups for j in g})
         col_error = dict(zip(cols, errors(cols)))
         error = float(max(sum(col_error[j] for j in g) for g in groups))
         if quad.N is not None or error <= _TOL:
-            return answer, {"T": T, "N": N, "nodes": nodes, "error": error}
+            return F, {"T": T, "N": N, "nodes": nodes, "error": error}
         if 2 * N > _MAX_BUDGET:
             raise QuadratureError(
                 f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
                 f"at the largest node budget N = {N}"
             )
         N *= 2
-
-
-def _sup_gaps(F: np.ndarray) -> np.ndarray:
-    """max over x of |F_j(x) - F_0(x)|, for each column j >= 1."""
-    return np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
 
 
 def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
@@ -307,9 +314,7 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
     """
     quad = quad or _POINTWISE
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("x must be finite")
-    vals = _cdf_matrix([cf], arr.reshape(-1), quad)[0][:, 0]
+    vals = _cdf_matrix([cf], _x_values(arr), quad)[0][:, 0]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
@@ -353,7 +358,7 @@ def _x_values(x_grid, *cfs: SymmetricCF) -> np.ndarray:
         return _symmetric_grid(radius)
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     if xs.size == 0 or not np.all(np.isfinite(xs)):
-        raise InputError("x_grid must be nonempty and finite")
+        raise InputError("x must be nonempty and finite")
     return xs
 
 
@@ -371,11 +376,8 @@ def kolmogorov_distance(
     """
     quad = quad or QuadratureSpec()
     xs = _x_values(x_grid, cf_a, cf_b)
-
-    def read(F):
-        return float(_sup_gaps(F)[0]), [(0, 1)]
-
-    return _cdf_matrix([cf_a, cf_b], xs, quad, read)[0]
+    F = _cdf_matrix([cf_a, cf_b], xs, quad, rivals=1)[0]
+    return float(_sup_gaps(F)[0])
 
 
 def _stable_grid(alpha_grid, scale_grid):
@@ -383,23 +385,18 @@ def _stable_grid(alpha_grid, scale_grid):
     scales = sorted(float(c) for c in scale_grid)
     if not alphas or not scales:
         raise InputError("alpha_grid and scale_grid must be nonempty")
-    for a in alphas:
-        if not 0.0 < a <= 2.0:
-            raise InputError(f"alpha grid entry {a!r} outside (0, 2]")
-    for c in scales:
-        if not (math.isfinite(c) and c > 0.0):
-            raise InputError(f"scale grid entry {c!r} must be positive")
+    # StableCF's field checks reject every alpha outside (0, 2] and every
+    # scale that is not finite and positive, NaN included
     candidates = [StableCF(alpha=a, scale=c) for a in alphas for c in scales]
     return alphas, scales, candidates
 
 
-def _best_fit(gaps: np.ndarray, alphas: list, scales: list):
-    """The index of the best candidate, and its fit."""
+def _best_fit(gaps: np.ndarray, alphas: list, scales: list) -> StableFit:
     # candidates run alpha-major in ascending order and argmin keeps the
     # first minimum, so ties resolve to the smallest alpha, then scale
     i = int(np.argmin(gaps))
     a, c = divmod(i, len(scales))
-    return i, StableFit(alpha=alphas[a], scale=scales[c], distance=float(gaps[i]))
+    return StableFit(alpha=alphas[a], scale=scales[c], distance=float(gaps[i]))
 
 
 def fit_stable(
@@ -420,12 +417,8 @@ def fit_stable(
     quad = quad or QuadratureSpec()
     alphas, scales, candidates = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
-
-    def read(F):
-        i, fit = _best_fit(_sup_gaps(F), alphas, scales)
-        return fit, [(0, 1 + i)]
-
-    return _cdf_matrix([target, *candidates], xs, quad, read)[0]
+    F = _cdf_matrix([target, *candidates], xs, quad)[0]
+    return _best_fit(_sup_gaps(F), alphas, scales)
 
 
 def approx_compare(
@@ -456,16 +449,12 @@ def approx_compare(
     alphas, scales, candidates = _stable_grid(alphas, scale_grid)
 
     s_m = sum_rescale(family_cf, m)
-    xs = _symmetric_grid(_X_SPAN_SCALES * math.sqrt(mu2))
-
-    def read(F):
-        gaps = _sup_gaps(F)
-        i, fit = _best_fit(gaps[1:], alphas, scales)
-        return (float(gaps[0]), fit), [(0, 1), (0, 2 + i)]
-
-    (d_gauss, fit), quadrature = _cdf_matrix(
-        [s_m, GaussianCF(mu2), *candidates], xs, quad, read
-    )
+    # rescaling keeps the variance, so the grid reaches 8 sqrt(mu2)
+    xs = _x_values(None, s_m)
+    F, quadrature = _cdf_matrix([s_m, GaussianCF(mu2), *candidates], xs, quad, rivals=1)
+    gaps = _sup_gaps(F)
+    d_gauss = float(gaps[0])
+    fit = _best_fit(gaps[1:], alphas, scales)
 
     if abs(d_gauss - fit.distance) <= TIE_TOLERANCE:
         verdict = "tie"

@@ -27,7 +27,7 @@ away from the gaussian unless it already is one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,8 +125,11 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     the same values and only the positive half is evaluated.
     """
     r = config.r
-    per_decade = max(
-        int(round(config.grid_size / math.log10(config.t_max / config.t_min))), 8
+    # an extension decade holds the starting grid's density, capped at
+    # grid_size points so that a short starting span stays cheap
+    per_decade = min(
+        max(int(round(config.grid_size / math.log10(config.t_max / config.t_min))), 8),
+        config.grid_size,
     )
     ts = np.geomspace(config.t_min, config.t_max, config.grid_size)
     vals = _ratio(cf_u, cf_v, ts, r)
@@ -161,9 +164,12 @@ def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     against the lower bound m^(r/2-1) lambda_r(cf, Z), where an infinite
     left side always holds.  Returns (lhs, bound, holds, applicable);
     an infinite base distance makes the bound vacuous, which is flagged
-    as not applicable rather than failed.
+    as not applicable rather than failed.  A config whose r differs from
+    r raises ConfigError.
     """
-    cfg = LambdaConfig(r=float(r)) if config is None else replace(config, r=float(r))
+    cfg = config or LambdaConfig(r=float(r))
+    if cfg.r != float(r):
+        raise ConfigError(f"config.r = {cfg.r:g} differs from r = {float(r):g}")
     z = GaussianCF(moments(cf).mu2)
     lam_base = lambda_r(cf, z, cfg)
     exponent = r / 2.0 - 1.0

@@ -336,6 +336,28 @@ class TestCumulants:
         assert k2 == pytest.approx(2.0 + 2.0)
         assert k4 == pytest.approx(12.0 + 2.0)
 
+    def test_canonical_atom_matches_compound_poisson(self):
+        got = compound_poisson_canonical(3.0, 0.7).cumulants()
+        expect = CompoundPoissonCF(3.0, 0.7).cumulants()
+        np.testing.assert_allclose(got, expect, rtol=1e-14)
+
+    def test_canonical_density_matches_its_exponent(self):
+        # log f(t) = -kappa2 t^2 / 2 + kappa4 t^4 / 24 + O(t^6): read both
+        # cumulants off the exponent at small t
+        grid = np.linspace(0.5, 2.0, 64)
+        measure = DiscretizedMeasure((), (), grid, np.linspace(0.1, 0.3, 64))
+        cf = CanonicalCF(0.25, measure)
+        k2, k4 = cf.cumulants()
+
+        def quadratic(t):
+            return -2.0 * float(cf.log_evaluate(t)) / t**2
+
+        assert k2 == pytest.approx(quadratic(1e-3), rel=1e-6)
+        assert k4 == pytest.approx(12.0 * (k2 - quadratic(1e-2)) / 1e-4, rel=1e-4)
+
+    def test_stable_alpha_two_is_gaussian(self):
+        assert StableCF(2.0, 0.5).cumulants() == GaussianCF(0.5).cumulants() == (0.5, 0.0)
+
     def test_root_rescale_scales_kappa4(self):
         k2, k4 = root_rescale(SymmetrizedGammaCF(1.0), 5).cumulants()
         assert k2 == pytest.approx(2.0)

@@ -275,6 +275,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect", "--input", str(path))
         assert code == 2
 
+    def test_quadrature_error_is_two(self, capsys):
+        # a fixed-jump compound Poisson CF never decays: no truncation point
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "cpoisson", "--rate", "2",
+            "--jump", "1", "--m", "2",
+        )
+        assert code == 2 and out == "" and err.startswith("iddlab: numerical error:")
+
     def test_failed_assertion_is_three(self, capsys, monkeypatch):
         failing = BoundCheck(lhs=1.0, rhs=0.5, holds=False, m=4, r=3.0)
         monkeypatch.setattr(cli, "clt_bound_check", lambda *a, **k: failing)

@@ -128,6 +128,11 @@ class TestCdfFromCf:
             cdf_from_cf(cf, -xs, quad) + cdf_from_cf(cf, xs, quad), 1.0, atol=1e-8
         )
 
+    @pytest.mark.parametrize("x", [[], [1.0, math.nan], math.inf], ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_x_rejected(self, x):
+        with pytest.raises(InputError, match="x must be nonempty and finite"):
+            cdf_from_cf(GaussianCF(1.0), x)
+
     def test_values_stay_probabilities(self):
         xs = np.linspace(-50.0, 50.0, 101)
         vals = cdf_from_cf(GaussianCF(0.25), xs)
@@ -193,6 +198,22 @@ class TestCdfMatrix:
         for j, cf in enumerate(laws):
             np.testing.assert_allclose(F[:, j], cdf_from_cf(cf, xs, quad), rtol=0, atol=1e-12)
 
+    def test_error_rests_on_target_rivals_and_closest_candidate(self):
+        # column 0 is the target and the next `rivals` columns are each
+        # compared with it; of the other columns only the closest counts
+        quad = QuadratureSpec(T=40.0, N=256)
+        xs = np.linspace(-6.0, 6.0, 41)
+        target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
+        rough, near = StableCF(1.2, 3.0), StableCF(1.7, 0.9)
+        laws = [target, rough, GaussianCF(2.0), near, StableCF(1.0, 1.0)]
+        e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in laws]
+        assert max(e) == e[1]
+        F, q = _cdf_matrix(laws, xs, quad)
+        assert int(np.argmin(np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0))) == 2
+        assert q["error"] == pytest.approx(e[0] + e[3], rel=1e-9)
+        q = _cdf_matrix(laws, xs, quad, rivals=1)[1]
+        assert q["error"] == pytest.approx(e[0] + e[1], rel=1e-9)
+
     def test_shared_truncation_is_the_largest_automatic_one(self):
         quad = QuadratureSpec()
         slow = StableCF(1.0, 0.25)  # |f| = exp(-t / 4) reaches 1e-10 only past t = 92
@@ -257,6 +278,14 @@ class TestFitStable:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             fit_stable(GaussianCF(1.0), alpha_grid=(), scale_grid=(1.0,))
+
+    @pytest.mark.parametrize("alphas, scales", [
+        ((1.5, math.nan), (1.0,)), ((0.0,), (1.0,)), ((2.5,), (1.0,)),
+        ((1.5,), (-1.0,)), ((1.5,), (math.nan,)), ((1.5,), (math.inf,)),
+    ])
+    def test_bad_grid_entry_rejected(self, alphas, scales):
+        with pytest.raises(InputError):
+            fit_stable(GaussianCF(1.0), alpha_grid=alphas, scale_grid=scales)
 
     def test_ties_resolve_to_smallest_alpha_then_scale(self):
         # every symmetric CDF is 1/2 at x = 0, so all candidates tie there

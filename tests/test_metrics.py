@@ -12,9 +12,12 @@ from iddlab import (
     SymmetrizedGammaCF,
     backward_bound,
     clt_bound_check,
+    from_samples,
     lambda_r,
+    metrics,
     root_rescale,
     scale_argument,
+    sum_rescale,
 )
 
 # independent dense-grid values (10^6 points, generated by
@@ -24,6 +27,7 @@ L3_SYMGAMMA1_VS_GAUSS2 = 0.17415790956942745
 L3_SUM_M4 = 0.050359112497820296
 L3_ROOT_M4 = 0.49905494626277519
 L3_ROOT_M16 = 1.1797666376287312
+L3_CPOISSON2_SUM_M4 = 0.0089210186287373271
 
 
 class TestConfig:
@@ -92,6 +96,41 @@ class TestLambdaR:
         got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
         assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
 
+    def test_short_grid_near_zero_on_compound_poisson(self):
+        # rate * (cos(jump t) - 1) would lose its digits near t = 1e-4, and
+        # that noise divided by t^3 would outgrow the true ratio here; the
+        # supremum sits near t = 0.7, above this grid
+        cf = sum_rescale(CompoundPoissonCF(2.0, 1.0), 4)
+        cfg = LambdaConfig(r=3.0, t_min=1e-4, t_max=0.01)
+        got = lambda_r(cf, GaussianCF(2.0), cfg)
+        assert got == pytest.approx(L3_CPOISSON2_SUM_M4, abs=1e-6)
+
+    def test_extension_of_a_short_span_is_capped(self, monkeypatch):
+        # 16 points over 4e-4 decades: an extension decade at the
+        # starting density would hold about 3.7e4 points; it holds at
+        # most grid_size
+        sizes = []
+        ratio = metrics._ratio
+
+        def recording(cf_u, cf_v, ts, r):
+            sizes.append(ts.size)
+            return ratio(cf_u, cf_v, ts, r)
+
+        monkeypatch.setattr(metrics, "_ratio", recording)
+        cfg = LambdaConfig(r=3.0, t_min=1.0, t_max=1.001, grid_size=16)
+        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
+        assert len(sizes) > 1 and max(sizes) <= 16
+        # 16 points a decade still find the supremum to within 1%
+        assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, rel=1e-2)
+
+    def test_cf_that_crosses_zero_is_subtracted_directly(self):
+        # cos(t) has no logarithm past pi / 2, so the ratio falls back to
+        # |f_U - f_V| / t^r
+        ts = np.linspace(0.5, 3.0, 11)
+        got = metrics._ratio(from_samples([-1.0, 1.0]), GaussianCF(1.0), ts, 3.0)
+        expect = np.abs(np.cos(ts) - np.exp(-0.5 * ts * ts)) / ts**3
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
     def test_mismatched_variance_diverges(self):
         # |e^(-t^2/2) - e^(-t^2)| / t^3 ~ t^(-1) near zero
         cfg = LambdaConfig(r=3.0)
@@ -141,6 +180,13 @@ class TestForwardBound:
     def test_rhs_strictly_decreasing_in_m(self):
         rhs = [clt_bound_check(SymmetrizedGammaCF(1.0), m, 3.0).rhs for m in (2, 4, 8)]
         assert rhs[0] > rhs[1] > rhs[2]
+
+    @pytest.mark.parametrize("check", [clt_bound_check, backward_bound])
+    def test_config_of_another_order_rejected(self, check):
+        cf = SymmetrizedGammaCF(1.0)
+        with pytest.raises(ConfigError, match="differs from r"):
+            check(cf, 4, 3.0, LambdaConfig(r=3.5))
+        assert check(cf, 4, 3.0, LambdaConfig(r=3.0)) == check(cf, 4, 3.0)
 
     def test_divergent_base_not_applicable(self):
         # r = 4.5: the matched-moment cancellation is only O(t^4), so
