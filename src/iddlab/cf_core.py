@@ -360,7 +360,7 @@ class SymmetricCF(_Transform):
 
     @staticmethod
     def _check_domain(t):
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise InputError("t must be finite")
 
     def cumulants(self) -> tuple[float, float]:

@@ -33,6 +33,16 @@ one by one (the gaussian in approx_compare, the second law in
 kolmogorov_distance), then the stable candidates, of which only the
 closest counts.
 
+Two rules keep that core off slow floating-point paths without moving
+any result.  The shared truncation probes in full only the laws that
+can raise it: with k the largest first index below 1e-10 found so far,
+a law whose |f| is already below that level at probe point k has its
+own first index at or before k, so one evaluation there rules it out.
+And coefficients w f(t) / t below the smallest normal float are set to
+0 before the sine-kernel product: every multiply by a subnormal takes a
+slow path in the processor, and such a term lies far below the rounding
+of any CDF value.
+
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
 stable law to a target CF, and approx_compare, which asks whether the
@@ -73,6 +83,8 @@ _EPS_TAIL = 1e-10
 _T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 701)
 _T_PROBE.flags.writeable = False
 _CLAMP = 1e-9
+# coefficients below the smallest normal float are flushed to 0
+_TINY = np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
@@ -154,15 +166,27 @@ class ComparisonReport:
     quadrature: dict
 
 
-def _auto_truncation(cf: SymmetricCF) -> float:
-    vals = np.abs(cf.evaluate(_T_PROBE))
-    below = np.flatnonzero(vals < _EPS_TAIL)
-    if below.size == 0:
-        raise QuadratureError(
-            f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
-            "pass an explicit truncation T"
-        )
-    return float(_T_PROBE[int(below[0])])
+def _auto_truncation(*cfs: SymmetricCF) -> float:
+    """The largest over cfs of the first probe t with |f(t)| < _EPS_TAIL.
+
+    Only a law that can raise it is probed in full: one whose |f| is
+    already below the level at k, the largest first index found so far,
+    has its own first index at or before k, monotone or not, so a single
+    evaluation there rules it out.  A law that never decays is probed in
+    full and refused.
+    """
+    k = -1
+    for cf in cfs:
+        if k >= 0 and abs(cf.evaluate(_T_PROBE[k : k + 1])[0]) < _EPS_TAIL:
+            continue
+        below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
+        if below.size == 0:
+            raise QuadratureError(
+                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
+                "pass an explicit truncation T"
+            )
+        k = max(k, int(below[0]))
+    return float(_T_PROBE[k])
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -214,6 +238,20 @@ def _nodes_and_weights(N: int, T: float):
     return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
 
 
+def _coefficients(cfs, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (len(t), len(cfs)) columns w f_j(t) / t, subnormal entries set to 0.
+
+    Every multiply by a subnormal takes a slow microcode path in the
+    matrix product, and a term below the smallest normal float is far
+    below the rounding of any CDF sum, so the flush changes no result.
+    """
+    c = np.empty((t.size, len(cfs)))
+    for j, cf in enumerate(cfs):
+        c[:, j] = w * cf.evaluate(t) / t
+    c[np.abs(c) < _TINY] = 0.0
+    return c
+
+
 def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     """CDFs of several laws on one 1-d grid at node budget N.
 
@@ -234,16 +272,12 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     step = max(_KERNEL_BLOCK // t.size, 1)
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
     half = np.empty((ax.size, len(cfs)))
-    coeff = np.empty((t.size, min(len(cfs), _LAW_BLOCK)))
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
         for j0 in range(0, len(cfs), _LAW_BLOCK):
             block = cfs[j0 : j0 + _LAW_BLOCK]
-            c = coeff[:, : len(block)]
-            for j, cf in enumerate(block):
-                c[:, j] = w * cf.evaluate(t) / t
-            half[rows, j0 : j0 + len(block)] = kernel @ c
+            half[rows, j0 : j0 + len(block)] = kernel @ _coefficients(block, t, w)
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -254,7 +288,7 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
 
     def errors(cols: list) -> np.ndarray:
-        c = np.stack([w_half * cfs[j].evaluate(t_half) / t_half for j in cols], axis=1)
+        c = _coefficients([cfs[j] for j in cols], t_half, w_half)
         coarse = np.empty((ax.size, len(cols)))
         for rows in chunks:
             k = kernel[:, 1::2] if len(chunks) == 1 else np.sin(np.outer(ax[rows], t_half))
@@ -265,9 +299,10 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     return out, t.size + 1, errors
 
 
-def _sup_gaps(F: np.ndarray) -> np.ndarray:
-    """max over x of |F_j(x) - F_0(x)|, for each column j >= 1."""
-    return np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
+def _sup_gaps(F: np.ndarray, first: int = 1) -> np.ndarray:
+    """max over x of |F_j(x) - F_0(x)|, for each column j >= first."""
+    gaps = F[:, first:] - F[:, :1]
+    return np.max(np.abs(gaps, out=gaps), axis=0)
 
 
 def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, rivals: int = 0):
@@ -287,13 +322,13 @@ def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, rivals: int = 0):
     the quadrature used: T, the budget N and node count of the last
     pass, and the error estimate.
     """
-    T = quad.T or max(_auto_truncation(cf) for cf in cfs)
+    T = quad.T or _auto_truncation(*cfs)
     N = quad.N or _START_BUDGET
     while True:
         F, nodes, errors = _simpson_pass(cfs, xs, T, N)
         groups = [(0,)] + [(0, j) for j in range(1, 1 + rivals)]
         if len(cfs) > 1 + rivals:
-            groups.append((0, 1 + rivals + int(np.argmin(_sup_gaps(F)[rivals:]))))
+            groups.append((0, 1 + rivals + int(np.argmin(_sup_gaps(F, 1 + rivals)))))
         cols = sorted({j for g in groups for j in g})
         col_error = dict(zip(cols, errors(cols)))
         error = float(max(sum(col_error[j] for j in g) for g in groups))
@@ -433,7 +468,8 @@ def approx_compare(
     The gaussian competitor carries the family's exact variance, which
     is also the variance of the normalized sum.  Stable candidates with
     alpha = 2 are dropped from the grid since the gaussian side already
-    covers them.  Both distances use one shared x grid and one shared
+    covers them; every other alpha outside (0, 2) raises InputError.
+    Both distances use one shared x grid and one shared
     quadrature; distances within TIE_TOLERANCE (read at each call) of
     each other are called a tie.  The quadrature error is measured on
     the sum, the gaussian and the best candidate.
@@ -443,7 +479,7 @@ def approx_compare(
     mu2 = moments(family_cf).mu2
     if mu2 <= 0.0:
         raise InputError("family must have strictly positive variance")
-    alphas = [a for a in alpha_grid if float(a) < 2.0]
+    alphas = [a for a in alpha_grid if float(a) != 2.0]
     if not alphas:
         raise InputError("alpha grid is empty after removing alpha = 2")
     alphas, scales, candidates = _stable_grid(alphas, scale_grid)

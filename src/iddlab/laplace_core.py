@@ -88,9 +88,9 @@ class LaplaceTransform(_Transform):
 
     @staticmethod
     def _check_domain(s):
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise InputError("s must be finite")
-        if np.any(s <= 0.0):
+        if (s <= 0.0).any():
             raise InputError("s must be strictly positive")
 
 

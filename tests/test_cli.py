@@ -366,6 +366,15 @@ class TestExitCodes:
         assert code == expected
         assert err == "" or (err.startswith("iddlab: ") and err.count("\n") == 1)
 
+    def test_alpha_grid_past_two_is_one(self, capsys):
+        # 1.5:2.5:3 holds 2.5: alpha = 2 is dropped, alpha = 2.5 refused
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "symgamma", "--shape", "1", "--m", "2",
+            "--alpha-grid", "1.5:2.5:3", "--scale-grid", "1:1:1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("iddlab: input error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--scale-grid=1:inf:3", "--alpha-grid=1:nan:3"])
     def test_non_finite_grid_end_is_one(self, capsys, flag):
         with warnings.catch_warnings():

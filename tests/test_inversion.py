@@ -6,12 +6,14 @@ import pytest
 from iddlab import (
     CompoundPoissonCF,
     ConfigError,
+    EmpiricalCF,
     GaussianCF,
     InputError,
     MomentError,
     QuadratureError,
     QuadratureSpec,
     StableCF,
+    SymmetricCF,
     SymmetrizedGammaCF,
     approx_compare,
     cdf_from_cf,
@@ -24,7 +26,7 @@ from iddlab import (
     sum_rescale,
 )
 from iddlab import inversion
-from iddlab.inversion import _cdf_matrix, _symmetric_grid
+from iddlab.inversion import _cdf_matrix, _coefficients, _nodes_and_weights, _symmetric_grid
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
 KS_LAPLACE_VS_GAUSS2 = 0.062021369217940658
@@ -223,6 +225,79 @@ class TestCdfMatrix:
         assert _cdf_matrix([GaussianCF(1.0), slow], np.array([1.0]), quad)[1]["T"] == T_slow
 
 
+def _first_below(cf):
+    """Index of the first probe t with |f(t)| < 1e-10, by a full probe."""
+    return int(np.flatnonzero(np.abs(cf.evaluate(inversion._T_PROBE)) < 1e-10)[0])
+
+
+class TestSharedTruncation:
+    MIXED = [
+        convolve(GaussianCF(1.0), CompoundPoissonCF(2.0, 1.0)),
+        convolve(GaussianCF(0.5), EmpiricalCF(np.array([0.3, -1.0, 2.5, 1.7]))),
+        StableCF(1.0, 0.5),
+        StableCF(1.9, 2.0),
+    ]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_equals_the_largest_per_law_truncation(self, order):
+        laws = self.MIXED[::order]
+        shared = inversion._auto_truncation(*laws)
+        assert shared == inversion._T_PROBE[max(_first_below(cf) for cf in laws)]
+        assert shared == max(inversion._auto_truncation(cf) for cf in laws)
+
+    def test_never_decaying_law_after_the_dominant_one_refused(self):
+        # the stable law sets the truncation first; the lattice law's |f|
+        # is above 1e-10 there, so it is probed in full and refused
+        with pytest.raises(QuadratureError, match="does not decay"):
+            inversion._auto_truncation(StableCF(1.0, 0.25), CompoundPoissonCF(2.0, 1.0))
+
+    def test_only_laws_raising_the_truncation_are_probed_in_full(self, monkeypatch):
+        family = SymmetrizedGammaCF(0.5)
+        laws = [sum_rescale(family, 10), GaussianCF(moments(family).mu2)] + [
+            StableCF(a, c)
+            for a in inversion.DEFAULT_ALPHA_GRID
+            for c in inversion.DEFAULT_SCALE_GRID
+        ]
+        # the laws whose first index exceeds every earlier one's
+        records, k = 0, -1
+        for i in map(_first_below, laws):
+            if i > k:
+                records, k = records + 1, i
+        probes = []
+        evaluate = SymmetricCF.evaluate
+
+        def counting(cf, t):
+            if np.size(t) == inversion._T_PROBE.size:
+                probes.append(cf)
+            return evaluate(cf, t)
+
+        monkeypatch.setattr(SymmetricCF, "evaluate", counting)
+        report = approx_compare(family, 10)
+        assert report.quadrature["T"] == inversion._T_PROBE[k]
+        assert len(probes) == records == 2
+        assert probes == [laws[0], StableCF(1.0, 0.25)]
+
+
+class TestCoefficientFlush:
+    T = 93.32543007969915  # the criterion-9 truncation
+    LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0), StableCF(1.0, 0.25),
+            StableCF(1.95, 4.0)]
+
+    def test_no_subnormal_coefficient(self):
+        t, w, w_half = _nodes_and_weights(1024, self.T)
+        for tt, ww in ((t[1:], w[1:]), (t[2::2], w_half[1:])):
+            c = _coefficients(self.LAWS, tt, ww)
+            assert not np.any((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
+
+    def test_flushed_product_is_bit_identical(self):
+        t, w, _ = _nodes_and_weights(1024, self.T)
+        t, w = t[1:], w[1:]
+        raw = np.stack([w * cf.evaluate(t) / t for cf in self.LAWS], axis=1)
+        assert np.any((raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny))
+        kernel = np.sin(np.outer(np.abs(_symmetric_grid(8.0)), t))
+        assert np.array_equal(kernel @ _coefficients(self.LAWS, t, w), kernel @ raw)
+
+
 class TestKolmogorovDistance:
     def test_identical_cfs(self):
         assert kolmogorov_distance(GaussianCF(1.0), GaussianCF(1.0)) < 1e-9
@@ -335,6 +410,21 @@ class TestApproxCompare:
             quad=QuadratureSpec(N=1024),
         )
         assert 2.0 not in report.alpha_grid
+
+    @pytest.mark.parametrize("alpha", [math.nan, 2.5, 7.0])
+    def test_alpha_outside_the_stable_range_rejected(self, alpha):
+        # only alpha = 2 is dropped; every other bad entry is refused
+        with pytest.raises(InputError):
+            approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=(1.5, 2.0, alpha),
+                           scale_grid=(1.0,), quad=QuadratureSpec(N=1024))
+
+    def test_explicit_truncation_answers_where_automatic_refuses(self):
+        grid = dict(alpha_grid=(0.05, 1.5), scale_grid=(1.0,))
+        report = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid,
+                                quad=QuadratureSpec(T=50.0, N=1024))
+        assert report.quadrature["T"] == 50.0
+        with pytest.raises(QuadratureError):
+            approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
 
     def test_heavy_tail_family_rejected(self):
         with pytest.raises(MomentError):
