@@ -189,14 +189,20 @@ def moments(cf: SymmetricCF, method: str = "closed-form") -> MomentSet:
     MomentError for heavy-tailed laws (stable with alpha < 2).
     """
     if method == "closed-form":
-        k2, k4 = cf.cumulants()
-        mu2 = k2
-        mu4 = k4 + 3.0 * k2 * k2
+        mu2, k4 = cf.cumulants()
+        mu4 = k4 + 3.0 * mu2 * mu2
     elif method == "finite-difference":
         mu2, mu4 = _fd_moments(cf)
+        k4 = mu4 - 3.0 * mu2 * mu2
     else:
         raise InputError(f"unknown moments method {method!r}")
-    kappa = mu4 / (mu2 * mu2) - 3.0 if mu2 > 0.0 else 0.0
+    if mu2 > 0.0 and not np.finfo(float).tiny <= mu2 * mu2 < math.inf:
+        # 3 mu2^2 in mu4 leaves the normal range with mu2^2: use the cumulant
+        kappa = k4 / mu2 / mu2
+    else:
+        kappa = mu4 / (mu2 * mu2) - 3.0 if mu2 > 0.0 else 0.0
+    if not math.isfinite(kappa):
+        raise MomentError(f"excess kurtosis of a law with variance {mu2!r} is not representable")
     return MomentSet(mu2=float(mu2), mu4=float(mu4), kappa=float(kappa), method=method)
 
 

@@ -28,20 +28,14 @@ Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel, so comparing a target against a whole stable
 grid costs one kernel and a few matrix products.  The core fixes one
-column layout: the target first, then the rivals it is compared with
-one by one (the gaussian in approx_compare, the second law in
-kolmogorov_distance), then the stable candidates, of which only the
-closest counts.
-
-Two rules keep that core off slow floating-point paths without moving
-any result.  The shared truncation probes in full only the laws that
-can raise it: with k the largest first index below 1e-10 found so far,
-a law whose |f| is already below that level at probe point k has its
-own first index at or before k, so one evaluation there rules it out.
-And coefficients w f(t) / t below the smallest normal float are set to
-0 before the sine-kernel product: every multiply by a subnormal takes a
-slow path in the processor, and such a term lies far below the rounding
-of any CDF value.
+column layout: the target, then each law compared with it (the gaussian
+in approx_compare, the second law in kolmogorov_distance), then the
+stable candidates alpha-major, of which only the closest counts.  Each
+alpha is one unit-scale law read at c t for every scale c.  The least
+alpha at the least scale sets the truncation: where its (c t)^alpha
+first exceeds -log 1e-10, c t > 1, so every larger alpha or scale is
+below that level there too.  Subnormal coefficients are flushed before
+the sine-kernel product (see _coefficients).
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -167,18 +161,9 @@ class ComparisonReport:
 
 
 def _auto_truncation(*cfs: SymmetricCF) -> float:
-    """The largest over cfs of the first probe t with |f(t)| < _EPS_TAIL.
-
-    Only a law that can raise it is probed in full: one whose |f| is
-    already below the level at k, the largest first index found so far,
-    has its own first index at or before k, monotone or not, so a single
-    evaluation there rules it out.  A law that never decays is probed in
-    full and refused.
-    """
+    """Largest over cfs of the first probe t with |f(t)| < _EPS_TAIL; refuses a law never below."""
     k = -1
     for cf in cfs:
-        if k >= 0 and abs(cf.evaluate(_T_PROBE[k : k + 1])[0]) < _EPS_TAIL:
-            continue
         below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
         if below.size == 0:
             raise QuadratureError(
@@ -238,31 +223,42 @@ def _nodes_and_weights(N: int, T: float):
     return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
 
 
-def _coefficients(cfs, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The (len(t), len(cfs)) columns w f_j(t) / t, subnormal entries set to 0.
+def _coefficients(runs, cols, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Columns cols (ascending) of the runs' layout as w f(t) / t, subnormal entries set to 0.
 
-    Every multiply by a subnormal takes a slow microcode path in the
-    matrix product, and a term below the smallest normal float is far
-    below the rounding of any CDF sum, so the flush changes no result.
+    A candidate column is bit for bit StableCF(alpha, c).evaluate(t), as
+    c t = 1 (t c); _values skips evaluate's finiteness check, since t c
+    overflows only where f is 0.  Every multiply by a subnormal takes a
+    slow microcode path in the matrix product, and a term below the
+    smallest normal float is far below the rounding of any CDF sum, so
+    the flush changes no result.
     """
-    c = np.empty((t.size, len(cfs)))
-    for j, cf in enumerate(cfs):
-        c[:, j] = w * cf.evaluate(t) / t
+    parts, j = [], 0
+    for cf, s in runs:
+        n = 1 if s is None else s.size
+        pick = [k - j for k in cols if j <= k < j + n]
+        if pick:
+            parts.append(cf.evaluate(t)[:, None] if s is None
+                         else cf._values(np.multiply.outer(t, s[pick])))
+        j += n
+    c = np.concatenate(parts, axis=1)
+    c *= w[:, None]
+    c /= t[:, None]
     c[np.abs(c) < _TINY] = 0.0
     return c
 
 
-def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
-    """CDFs of several laws on one 1-d grid at node budget N.
+def _simpson_pass(runs, xs: np.ndarray, T: float, N: int):
+    """CDFs of the layout's columns on one 1-d grid at node budget N.
 
-    Returns the (len(xs), len(cfs)) matrix whose column j holds F_j(xs),
-    the node count, and errors(cols): for each column in cols, a third
-    of the largest gap over the grid to the same column from every other
-    node (see the module docstring).
+    Returns the matrix whose column j holds F_j(xs), the node count, and
+    errors(cols): for each column in cols, a third of the largest gap
+    over the grid to the same column from every other node (see the
+    module docstring).
 
     The sine kernel is built over the distinct |x| only, since
     F(-x) = 1 - F(x); coefficient columns w f(t) / t are formed a block
-    of laws at a time, never for all laws at once.  When the kernel is
+    of columns at a time, never for all at once.  When the kernel is
     built in one block, errors() reuses its even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
@@ -271,13 +267,14 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     ax, row = np.unique(np.abs(xs), return_inverse=True)
     step = max(_KERNEL_BLOCK // t.size, 1)
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
-    half = np.empty((ax.size, len(cfs)))
+    width = sum(1 if c is None else c.size for _, c in runs)
+    half = np.empty((ax.size, width))
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        for j0 in range(0, len(cfs), _LAW_BLOCK):
-            block = cfs[j0 : j0 + _LAW_BLOCK]
-            half[rows, j0 : j0 + len(block)] = kernel @ _coefficients(block, t, w)
+        for j0 in range(0, width, _LAW_BLOCK):
+            j1 = min(j0 + _LAW_BLOCK, width)
+            half[rows, j0:j1] = kernel @ _coefficients(runs, range(j0, j1), t, w)
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -288,7 +285,7 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
 
     def errors(cols: list) -> np.ndarray:
-        c = _coefficients([cfs[j] for j in cols], t_half, w_half)
+        c = _coefficients(runs, cols, t_half, w_half)
         coarse = np.empty((ax.size, len(cols)))
         for rows in chunks:
             k = kernel[:, 1::2] if len(chunks) == 1 else np.sin(np.outer(ax[rows], t_half))
@@ -299,41 +296,39 @@ def _simpson_pass(cfs, xs: np.ndarray, T: float, N: int):
     return out, t.size + 1, errors
 
 
-def _sup_gaps(F: np.ndarray, first: int = 1) -> np.ndarray:
-    """max over x of |F_j(x) - F_0(x)|, for each column j >= first."""
-    gaps = F[:, first:] - F[:, :1]
-    return np.max(np.abs(gaps, out=gaps), axis=0)
+def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
+    """Invert laws and stable candidates on one grid, at quad's budget or to _TOL.
 
+    Column layout: column 0 is the target and each other law is compared
+    with it; then come the candidates of grid = (alphas, scales), both
+    sorted, as runs (StableCF(alpha, 1), scales) after each law's run
+    (law, None).  Only the closest candidate (first smallest sup gap)
+    counts: the reported numbers rest on the column groups (0,), (0, j)
+    for each other law j and (0, closest), a group's error being the sum
+    of its columns' errors.
 
-def _cdf_matrix(cfs, xs: np.ndarray, quad: QuadratureSpec, rivals: int = 0):
-    """Invert several laws on one grid, at quad's budget or to _TOL.
-
-    Column layout: column 0 is the target; each of the next ``rivals``
-    columns is compared with it; of the remaining candidate columns only
-    the one closest to the target (first smallest sup gap) counts.  The
-    reported numbers rest on the column groups (0,), (0, rival) for each
-    rival and (0, closest candidate), and a group's error is the sum of
-    its columns' errors.
-
-    All laws share one truncation T (quad.T, else the largest automatic
-    T among them).  A fixed quad.N takes one pass; otherwise passes start
-    at _START_BUDGET and double until the largest group error is within
-    _TOL.  Returns the CDF matrix F, whose column j holds F_j(xs), and
-    the quadrature used: T, the budget N and node count of the last
-    pass, and the error estimate.
+    All columns share one truncation T: quad.T, else the largest
+    automatic T of the laws and of min(alphas) at min(scales).  A fixed
+    quad.N takes one pass; otherwise passes start at _START_BUDGET and
+    double until the largest group error is within _TOL.  Returns F
+    (column j holds F_j(xs)), the quadrature (T, budget N and node count
+    of the last pass, error estimate) and each column's gap to column 0.
     """
-    T = quad.T or _auto_truncation(*cfs)
+    alphas, scales = grid
+    runs = [(cf, None) for cf in laws] + [(StableCF(a, 1.0), np.array(scales)) for a in alphas]
+    T = quad.T or _auto_truncation(*laws, *[StableCF(a, scales[0]) for a in alphas[:1]])
     N = quad.N or _START_BUDGET
     while True:
-        F, nodes, errors = _simpson_pass(cfs, xs, T, N)
-        groups = [(0,)] + [(0, j) for j in range(1, 1 + rivals)]
-        if len(cfs) > 1 + rivals:
-            groups.append((0, 1 + rivals + int(np.argmin(_sup_gaps(F, 1 + rivals)))))
+        F, nodes, errors = _simpson_pass(runs, xs, T, N)
+        gaps = np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
+        groups = [(0,)] + [(0, j) for j in range(1, len(laws))]
+        if alphas:
+            groups.append((0, len(laws) + int(np.argmin(gaps[len(laws) - 1 :]))))
         cols = sorted({j for g in groups for j in g})
         col_error = dict(zip(cols, errors(cols)))
         error = float(max(sum(col_error[j] for j in g) for g in groups))
         if quad.N is not None or error <= _TOL:
-            return F, {"T": T, "N": N, "nodes": nodes, "error": error}
+            return F, {"T": T, "N": N, "nodes": nodes, "error": error}, gaps
         if 2 * N > _MAX_BUDGET:
             raise QuadratureError(
                 f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
@@ -410,20 +405,21 @@ def kolmogorov_distance(
     the wider law.
     """
     quad = quad or QuadratureSpec()
-    xs = _x_values(x_grid, cf_a, cf_b)
-    F = _cdf_matrix([cf_a, cf_b], xs, quad, rivals=1)[0]
-    return float(_sup_gaps(F)[0])
+    return float(_cdf_matrix([cf_a, cf_b], _x_values(x_grid, cf_a, cf_b), quad)[2][0])
 
 
 def _stable_grid(alpha_grid, scale_grid):
-    alphas = sorted(float(a) for a in alpha_grid)
-    scales = sorted(float(c) for c in scale_grid)
-    if not alphas or not scales:
-        raise InputError("alpha_grid and scale_grid must be nonempty")
-    # StableCF's field checks reject every alpha outside (0, 2] and every
-    # scale that is not finite and positive, NaN included
-    candidates = [StableCF(alpha=a, scale=c) for a in alphas for c in scales]
-    return alphas, scales, candidates
+    """Both candidate grids, parsed once into sorted floats (NaN fails the range checks)."""
+    try:
+        alphas = sorted(float(a) for a in alpha_grid)
+        scales = sorted(float(c) for c in scale_grid)
+    except (TypeError, ValueError, OverflowError):
+        alphas = scales = []
+    bad = [a for a in alphas if not 0.0 < a <= 2.0] + [c for c in scales if not 0.0 < c < math.inf]
+    if bad or not alphas or not scales:
+        raise InputError("alpha_grid and scale_grid must hold numbers, alpha in (0, 2] and scale"
+                         f" in (0, inf), got {alpha_grid!r} and {scale_grid!r}")
+    return alphas, scales
 
 
 def _best_fit(gaps: np.ndarray, alphas: list, scales: list) -> StableFit:
@@ -450,10 +446,9 @@ def fit_stable(
     candidate.
     """
     quad = quad or QuadratureSpec()
-    alphas, scales, candidates = _stable_grid(alpha_grid, scale_grid)
+    alphas, scales = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
-    F = _cdf_matrix([target, *candidates], xs, quad)[0]
-    return _best_fit(_sup_gaps(F), alphas, scales)
+    return _best_fit(_cdf_matrix([target], xs, quad, (alphas, scales))[2], alphas, scales)
 
 
 def approx_compare(
@@ -479,16 +474,15 @@ def approx_compare(
     mu2 = moments(family_cf).mu2
     if mu2 <= 0.0:
         raise InputError("family must have strictly positive variance")
-    alphas = [a for a in alpha_grid if float(a) != 2.0]
+    alphas, scales = _stable_grid(alpha_grid, scale_grid)
+    alphas = [a for a in alphas if a != 2.0]
     if not alphas:
         raise InputError("alpha grid is empty after removing alpha = 2")
-    alphas, scales, candidates = _stable_grid(alphas, scale_grid)
 
     s_m = sum_rescale(family_cf, m)
     # rescaling keeps the variance, so the grid reaches 8 sqrt(mu2)
     xs = _x_values(None, s_m)
-    F, quadrature = _cdf_matrix([s_m, GaussianCF(mu2), *candidates], xs, quad, rivals=1)
-    gaps = _sup_gaps(F)
+    _, quadrature, gaps = _cdf_matrix([s_m, GaussianCF(mu2)], xs, quad, (alphas, scales))
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 

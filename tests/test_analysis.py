@@ -148,6 +148,17 @@ class TestMoments:
         with pytest.raises(MomentError):
             moments(StableCF(1.5, 1.0), "finite-difference")
 
+    @pytest.mark.parametrize("variance", [1e-300, 1e300])
+    def test_gaussian_kurtosis_outside_the_normal_range_of_mu2_squared(self, variance):
+        ms = moments(GaussianCF(variance))
+        assert (ms.mu2, ms.kappa) == (variance, 0.0)
+
+    def test_tiny_shape_kurtosis(self):
+        # kappa = 3 / g, representable at g = 1e-300 and not at 1e-310
+        assert moments(SymmetrizedGammaCF(1e-300)).kappa == pytest.approx(3e300, rel=1e-12)
+        with pytest.raises(MomentError):
+            moments(SymmetrizedGammaCF(1e-310))
+
     @pytest.mark.parametrize("cf", CATALOG)
     def test_finite_difference_matches_closed_form(self, cf):
         exact = moments(cf)

@@ -356,8 +356,13 @@ class TestExitCodes:
             (["detect", "--family", "gauss", "--variance", "1e305"], 1),
             (["rescale", "--family", "gauss", "--variance", "1e307", "--m", "4"], 0),
             (["distance", "--family", "gauss", "--variance", "1e307", "--r", "3"], 0),
+            # the variance squared underflows in the excess kurtosis
+            (["approx-compare", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 2),
+            (["kurtosis", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 0),
+            (["distance", "--family", "gauss", "--variance", "1e-300", "--r", "3"], 0),
         ],
-        ids=["laplace-support", "detect", "rescale", "distance"],
+        ids=["laplace-support", "detect", "rescale", "distance", "approx-compare-tiny",
+             "kurtosis-tiny", "distance-tiny"],
     )
     def test_overflowed_exponent_prints_no_warning(self, capsys, argv, expected):
         with warnings.catch_warnings():

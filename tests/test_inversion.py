@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iddlab import (
     CompoundPoissonCF,
@@ -25,7 +27,7 @@ from iddlab import (
     root_rescale,
     sum_rescale,
 )
-from iddlab import inversion
+from iddlab import cf_core, inversion
 from iddlab.inversion import _cdf_matrix, _coefficients, _nodes_and_weights, _symmetric_grid
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
@@ -188,33 +190,35 @@ class TestCdfFromCf:
 
 class TestCdfMatrix:
     def test_batched_columns_match_single_law(self):
-        # more laws than one coefficient block, at one explicit truncation
-        laws = [GaussianCF(1.0), SymmetrizedGammaCF(1.0)] + [
-            StableCF(a, c) for a in (1.0, 1.3, 1.6, 1.9) for c in np.geomspace(0.5, 2.0, 10)
-        ]
+        # more columns than one coefficient block, at one explicit truncation
+        alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
+        laws = [GaussianCF(1.0), SymmetrizedGammaCF(1.0)]
         quad = QuadratureSpec(T=40.0, N=1024)
         xs = np.linspace(-6.0, 6.0, 41)
-        F, q = _cdf_matrix(laws, xs, quad)
+        F, q, _ = _cdf_matrix(laws, xs, quad, (alphas, scales))
+        laws += [StableCF(a, c) for a in alphas for c in scales]
         assert F.shape == (xs.size, len(laws))
         assert (q["T"], q["nodes"]) == (40.0, 1025)
         for j, cf in enumerate(laws):
             np.testing.assert_allclose(F[:, j], cdf_from_cf(cf, xs, quad), rtol=0, atol=1e-12)
 
     def test_error_rests_on_target_rivals_and_closest_candidate(self):
-        # column 0 is the target and the next `rivals` columns are each
-        # compared with it; of the other columns only the closest counts
+        # column 0 is the target and every other law is compared with it;
+        # of the candidate columns only the closest counts
         quad = QuadratureSpec(T=40.0, N=256)
         xs = np.linspace(-6.0, 6.0, 41)
         target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
         rough, near = StableCF(1.2, 3.0), StableCF(1.7, 0.9)
-        laws = [target, rough, GaussianCF(2.0), near, StableCF(1.0, 1.0)]
-        e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in laws]
-        assert max(e) == e[1]
-        F, q = _cdf_matrix(laws, xs, quad)
-        assert int(np.argmin(np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0))) == 2
-        assert q["error"] == pytest.approx(e[0] + e[3], rel=1e-9)
-        q = _cdf_matrix(laws, xs, quad, rivals=1)[1]
-        assert q["error"] == pytest.approx(e[0] + e[1], rel=1e-9)
+        grid = ((1.0, 1.2, 1.7), (0.9, 3.0))
+        candidates = [StableCF(a, c) for a in grid[0] for c in grid[1]]
+        e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in [target, *candidates]]
+        assert max(e) == e[1 + candidates.index(rough)]
+        F, q, gaps = _cdf_matrix([target], xs, quad, grid)
+        assert np.array_equal(gaps, np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0))
+        assert candidates[int(np.argmin(gaps))] == near
+        assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
+        q = _cdf_matrix([target, rough], xs, quad, grid)[1]
+        assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
         quad = QuadratureSpec()
@@ -253,16 +257,14 @@ class TestSharedTruncation:
 
     def test_only_laws_raising_the_truncation_are_probed_in_full(self, monkeypatch):
         family = SymmetrizedGammaCF(0.5)
-        laws = [sum_rescale(family, 10), GaussianCF(moments(family).mu2)] + [
+        laws = [sum_rescale(family, 10), GaussianCF(moments(family).mu2)]
+        candidates = [
             StableCF(a, c)
             for a in inversion.DEFAULT_ALPHA_GRID
             for c in inversion.DEFAULT_SCALE_GRID
         ]
-        # the laws whose first index exceeds every earlier one's
-        records, k = 0, -1
-        for i in map(_first_below, laws):
-            if i > k:
-                records, k = records + 1, i
+        # probed one by one, every law and candidate
+        k = max(map(_first_below, laws + candidates))
         probes = []
         evaluate = SymmetricCF.evaluate
 
@@ -274,28 +276,98 @@ class TestSharedTruncation:
         monkeypatch.setattr(SymmetricCF, "evaluate", counting)
         report = approx_compare(family, 10)
         assert report.quadrature["T"] == inversion._T_PROBE[k]
-        assert len(probes) == records == 2
-        assert probes == [laws[0], StableCF(1.0, 0.25)]
+        assert probes == [*laws, StableCF(1.0, 0.25)]
+
+    @pytest.mark.parametrize("alphas, scales", [
+        (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID),
+        ((0.3, 0.5, 0.8), (0.5, 1.0, 4.0)),
+        ((1.0, 1.5, 2.0), (0.1, 1.0, 10.0)),
+    ], ids=["default", "alpha-below-1", "alpha-2"])
+    def test_grid_truncation_is_the_largest_per_candidate_one(self, alphas, scales):
+        # the law decays before the first probe point, so the grid sets T
+        narrow = GaussianCF(1e6)
+        T = _cdf_matrix([narrow], np.array([0.0]), QuadratureSpec(N=64), (alphas, scales))[1]["T"]
+        assert T == max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
+
+    def test_grid_too_slow_to_decay_refused_like_its_slowest_candidate(self):
+        alphas, scales = (1.0, 1.5), (1e-6, 1.0)
+        with pytest.raises(QuadratureError) as by_grid:
+            _cdf_matrix([GaussianCF(1e6)], np.array([0.0]), QuadratureSpec(N=64),
+                        (alphas, scales))
+        with pytest.raises(QuadratureError) as one_by_one:
+            max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
+        assert str(by_grid.value) == str(one_by_one.value)
+
+    def test_default_grid_builds_one_candidate_object_per_alpha(self, monkeypatch):
+        built = []
+        init = cf_core._Transform.__post_init__
+
+        def counting(cf):
+            if type(cf) is StableCF:
+                built.append(cf)
+            init(cf)
+
+        monkeypatch.setattr(cf_core._Transform, "__post_init__", counting)
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        alphas, scales = inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID
+        assert len(built) <= len(alphas) + len(scales)
+
+
+def _runs(laws, grid):
+    """The runs _cdf_matrix lays out: each law, then one unit-scale law per alpha."""
+    alphas, scales = grid
+    return [(cf, None) for cf in laws] + [(StableCF(a, 1.0), np.array(scales)) for a in alphas]
 
 
 class TestCoefficientFlush:
     T = 93.32543007969915  # the criterion-9 truncation
-    LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0), StableCF(1.0, 0.25),
-            StableCF(1.95, 4.0)]
+    LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
+    GRID = ((1.0, 1.95), (0.25, 4.0))
+    RUNS = _runs(LAWS, GRID)
+    COLUMNS = LAWS + [StableCF(1.0, 0.25), StableCF(1.0, 4.0), StableCF(1.95, 0.25),
+                      StableCF(1.95, 4.0)]
 
     def test_no_subnormal_coefficient(self):
         t, w, w_half = _nodes_and_weights(1024, self.T)
         for tt, ww in ((t[1:], w[1:]), (t[2::2], w_half[1:])):
-            c = _coefficients(self.LAWS, tt, ww)
+            c = _coefficients(self.RUNS, range(len(self.COLUMNS)), tt, ww)
             assert not np.any((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
 
     def test_flushed_product_is_bit_identical(self):
         t, w, _ = _nodes_and_weights(1024, self.T)
         t, w = t[1:], w[1:]
-        raw = np.stack([w * cf.evaluate(t) / t for cf in self.LAWS], axis=1)
+        raw = np.stack([w * cf.evaluate(t) / t for cf in self.COLUMNS], axis=1)
         assert np.any((raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny))
         kernel = np.sin(np.outer(np.abs(_symmetric_grid(8.0)), t))
-        assert np.array_equal(kernel @ _coefficients(self.LAWS, t, w), kernel @ raw)
+        c = _coefficients(self.RUNS, range(len(self.COLUMNS)), t, w)
+        assert np.array_equal(kernel @ c, kernel @ raw)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestCandidateBlock:
+    LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
+
+    @given(
+        alphas=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                                  st.floats(0.0, 2.0, exclude_min=True)),
+                        min_size=1, max_size=3),
+        scales=st.lists(_log_uniform(1e-3, 1e3), min_size=1, max_size=4),
+        picks=st.sets(st.integers(0, 13), min_size=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_per_candidate_objects(self, alphas, scales, picks):
+        # any ascending selection of layout columns, laws and candidates mixed
+        t, w, _ = _nodes_and_weights(256, 93.3)
+        t, w = t[1:], w[1:]
+        columns = self.LAWS + [StableCF(a, c) for a in alphas for c in scales]
+        cols = sorted(k for k in picks if k < len(columns)) or [len(columns) - 1]
+        raw = np.stack([w * columns[k].evaluate(t) / t for k in cols], axis=1)
+        raw[np.abs(raw) < np.finfo(float).tiny] = 0.0
+        block = _coefficients(_runs(self.LAWS, (alphas, scales)), cols, t, w)
+        assert np.array_equal(block, raw)
 
 
 class TestKolmogorovDistance:
@@ -357,6 +429,7 @@ class TestFitStable:
     @pytest.mark.parametrize("alphas, scales", [
         ((1.5, math.nan), (1.0,)), ((0.0,), (1.0,)), ((2.5,), (1.0,)),
         ((1.5,), (-1.0,)), ((1.5,), (math.nan,)), ((1.5,), (math.inf,)),
+        (("x",), (1.0,)), (None, (1.0,)), (1.5, (1.0,)), ((1.5,), (1.0, "y")),
     ])
     def test_bad_grid_entry_rejected(self, alphas, scales):
         with pytest.raises(InputError):
@@ -417,6 +490,14 @@ class TestApproxCompare:
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=(1.5, 2.0, alpha),
                            scale_grid=(1.0,), quad=QuadratureSpec(N=1024))
+
+    @pytest.mark.parametrize("alphas, scales", [
+        (("x", 2.0), (1.0,)), (None, (1.0,)), (1.5, (1.0,)), ((1.5,), (1.0, "y")),
+        ((10**400,), (1.0,)),
+    ])
+    def test_malformed_grid_rejected(self, alphas, scales):
+        with pytest.raises(InputError):
+            approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=alphas, scale_grid=scales)
 
     def test_explicit_truncation_answers_where_automatic_refuses(self):
         grid = dict(alpha_grid=(0.05, 1.5), scale_grid=(1.0,))
@@ -492,7 +573,7 @@ class TestErrorEstimate:
     @pytest.mark.parametrize("cf", [GaussianCF(1.0), StableCF(1.0, 1.0)], ids=["gauss", "cauchy"])
     def test_cdf_error_covers_the_gap_to_a_fine_run(self, cf):
         xs = np.linspace(-6.0, 6.0, 61)
-        F, q = _cdf_matrix([cf], xs, QuadratureSpec())
+        F, q, _ = _cdf_matrix([cf], xs, QuadratureSpec())
         fine = _cdf_matrix([cf], xs, QuadratureSpec(T=q["T"], N=16384))[0]
         assert q["N"] == 1024 and q["error"] <= 1e-6
         assert np.max(np.abs(F - fine)) <= q["error"]
@@ -514,7 +595,7 @@ class TestErrorEstimate:
 
     def test_fixed_budget_reports_its_error_without_refusing(self):
         quad = QuadratureSpec(T=1e4, N=64)
-        F, q = _cdf_matrix([SymmetrizedGammaCF(0.5)], np.array([1.0]), quad)
+        F, q, _ = _cdf_matrix([SymmetrizedGammaCF(0.5)], np.array([1.0]), quad)
         assert (q["N"], q["nodes"]) == (64, 65) and q["error"] > 1e-6
 
     def test_marginal_decay_up_to_x_8_meets_the_tolerance(self):
@@ -522,7 +603,7 @@ class TestErrorEstimate:
         # about 1e-4 here; the chosen budget must still answer, within 1e-6
         cf = SymmetrizedGammaCF(0.5)
         xs = np.linspace(0.2, 8.0, 24)
-        F, q = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4))
+        F, q, _ = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4))
         assert q["error"] <= 1e-6 and q["N"] <= 2**17
         fine = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4, N=2**18))[0]
         assert np.max(np.abs(F - fine)) <= 1e-6

@@ -63,6 +63,9 @@ CASES = {
                                   "--convolve", "drift:sigma=2", "--m", "100", "--S", "10",
                                   "--known-sigma", "2"],
     "empirical-input": ["empirical", "--input", SAMPLE_FILE, "--cf-points", "11"],
+    "approx-compare-wide-grid": ["approx-compare", "--family", "symgamma", "--shape", "1",
+                                 "--m", "4", "--alpha-grid", "0.5:2.0:7",
+                                 "--scale-grid", "0.3:3:5"],
 }
 
 
