@@ -35,7 +35,17 @@ alpha is one unit-scale law read at c t for every scale c.  The least
 alpha at the least scale sets the truncation: where its (c t)^alpha
 first exceeds -log 1e-10, c t > 1, so every larger alpha or scale is
 below that level there too.  Subnormal coefficients are flushed before
-the sine-kernel product (see _coefficients).
+the sine-kernel product (see _weighted).
+
+The candidates' coefficient columns w f(t) / t depend on nothing but
+the grid, the truncation T, the node budget N and how many laws precede
+them, so the last such block is kept and the next call with the same
+key skips the 420 CF evaluations; the laws, and the one half-node
+column of the error estimate, are built on every call.  Only blocks of
+at most 2^19 entries are kept: the default grid at 1024 nodes (3.4 MB),
+not at 2048 nodes or more.  The block is kept in the same 32-column
+sets as the sine-kernel products use, because the bits of a BLAS
+product depend on which columns share it.
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -85,6 +95,10 @@ _X_SPAN_SCALES = 8.0
 # entries, and coefficient columns this many laws at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
+# the last pass's candidate coefficient blocks are kept for the next call
+# when they hold at most this many entries in all; _kept is (key, blocks)
+_KEEP_ENTRIES = 2**19
+_kept = None
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
 _START_BUDGET = 1024
@@ -223,43 +237,85 @@ def _nodes_and_weights(N: int, T: float):
     return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
 
 
-def _coefficients(runs, cols, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Columns cols (ascending) of the runs' layout as w f(t) / t, subnormal entries set to 0.
+def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """c's rows times w / t in place, subnormal entries set to 0.
 
-    A candidate column is bit for bit StableCF(alpha, c).evaluate(t), as
-    c t = 1 (t c); _values skips evaluate's finiteness check, since t c
-    overflows only where f is 0.  Every multiply by a subnormal takes a
-    slow microcode path in the matrix product, and a term below the
-    smallest normal float is far below the rounding of any CDF sum, so
-    the flush changes no result.
+    Every multiply by a subnormal takes a slow microcode path in the
+    matrix product, and a term below the smallest normal float is far
+    below the rounding of any CDF sum, so the flush changes no result.
     """
-    parts, j = [], 0
-    for cf, s in runs:
-        n = 1 if s is None else s.size
-        pick = [k - j for k in cols if j <= k < j + n]
-        if pick:
-            parts.append(cf.evaluate(t)[:, None] if s is None
-                         else cf._values(np.multiply.outer(t, s[pick])))
-        j += n
-    c = np.concatenate(parts, axis=1)
     c *= w[:, None]
     c /= t[:, None]
     c[np.abs(c) < _TINY] = 0.0
     return c
 
 
-def _simpson_pass(runs, xs: np.ndarray, T: float, N: int):
+def _law_columns(laws, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One column w f(t) / t per law."""
+    return _weighted(np.stack([cf.evaluate(t) for cf in laws], axis=1), t, w)
+
+
+def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Candidates c0 .. c1 - 1 of the alpha-major grid as columns w f(t) / t.
+
+    Each alpha is StableCF(alpha, 1) read at c t, bit for bit
+    StableCF(alpha, c).evaluate(t) as c t = 1 (t c); _values skips
+    evaluate's finiteness check, since t c overflows only where f is 0.
+    """
+    k, s = len(scales), np.array(scales)
+    parts = []
+    for i in range(c0 // k, (c1 - 1) // k + 1):
+        # alpha i holds candidates k i .. k i + k - 1
+        run = s[max(c0 - k * i, 0):c1 - k * i]
+        parts.append(StableCF(alphas[i], 1.0)._values(np.multiply.outer(t, run)))
+    return _weighted(np.concatenate(parts, axis=1), t, w)
+
+
+def _candidate_blocks(alphas: tuple, scales: tuple, first: int, N: int, T: float):
+    """block(b): block b of a pass's candidate columns, split where its products split.
+
+    In a layout whose first `first` columns are laws (fewer than
+    _LAW_BLOCK), block 0 holds the _LAW_BLOCK - first leading candidates
+    and every later block the next _LAW_BLOCK.  The blocks of the last
+    key (alphas, scales, first, N, T) stay in one slot, read-only,
+    unless they hold more than _KEEP_ENTRIES entries in all; a bigger
+    set is built one block per call of block(b) and not kept.  A miss
+    empties the slot before building.
+    """
+    global _kept
+    key, kept = (alphas, scales, first, N, T), _kept
+    if kept is not None and kept[0] == key:
+        return kept[1].__getitem__
+    # the old blocks go before the new ones are built, this frame's reference too
+    kept = _kept = None
+    t, w, _ = _nodes_and_weights(N, T)
+    t, w = t[1:], w[1:]
+    n = len(alphas) * len(scales)
+    edges = [0, *range(_LAW_BLOCK - first, n, _LAW_BLOCK), n]
+
+    def block(b):
+        return _stable_columns(alphas, scales, edges[b], edges[b + 1], t, w)
+
+    if n * t.size > _KEEP_ENTRIES:
+        return block
+    kept = _kept = (key, _frozen(*[block(b) for b in range(len(edges) - 1)]))
+    return kept[1].__getitem__
+
+
+def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     """CDFs of the layout's columns on one 1-d grid at node budget N.
 
     Returns the matrix whose column j holds F_j(xs), the node count, and
-    errors(cols): for each column in cols, a third of the largest gap
-    over the grid to the same column from every other node (see the
-    module docstring).
+    errors(closest): a third of the largest gap over the grid to the
+    same column from every other node (see the module docstring), for
+    each law column and then candidate column `closest` unless it is
+    None.
 
     The sine kernel is built over the distinct |x| only, since
-    F(-x) = 1 - F(x); coefficient columns w f(t) / t are formed a block
-    of columns at a time, never for all at once.  When the kernel is
-    built in one block, errors() reuses its even-node columns.
+    F(-x) = 1 - F(x), and multiplies the coefficient columns w f(t) / t
+    _LAW_BLOCK at a time: the laws with candidate block 0, then the
+    later candidate blocks of _candidate_blocks.  When the kernel is built
+    in one block, errors() keeps a copy of its even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -267,14 +323,21 @@ def _simpson_pass(runs, xs: np.ndarray, T: float, N: int):
     ax, row = np.unique(np.abs(xs), return_inverse=True)
     step = max(_KERNEL_BLOCK // t.size, 1)
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
-    width = sum(1 if c is None else c.size for _, c in runs)
+    alphas, scales = grid
+    first, width = len(laws), len(laws) + len(alphas) * len(scales)
+    # before the pass allocates, so that a miss builds where the last block was
+    block = _candidate_blocks(alphas, scales, first, N, T) if alphas else None
+    head = _law_columns(laws, t, w)
     half = np.empty((ax.size, width))
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        for j0 in range(0, width, _LAW_BLOCK):
-            j1 = min(j0 + _LAW_BLOCK, width)
-            half[rows, j0:j1] = kernel @ _coefficients(runs, range(j0, j1), t, w)
+        half[rows, :_LAW_BLOCK] = kernel @ (
+            head if block is None else np.concatenate([head, block(0)], axis=1))
+        for b, j0 in enumerate(range(_LAW_BLOCK, width, _LAW_BLOCK), 1):
+            half[rows, j0:j0 + _LAW_BLOCK] = kernel @ block(b)
+    even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
+    del kernel
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -284,16 +347,30 @@ def _simpson_pass(runs, xs: np.ndarray, T: float, N: int):
     out[(out < 0.0) & (out >= -_CLAMP)] = 0.0
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
 
-    def errors(cols: list) -> np.ndarray:
-        c = _coefficients(runs, cols, t_half, w_half)
+    def errors(closest) -> np.ndarray:
+        cols = [*range(first)]
+        c = _law_columns(laws, t_half, w_half)
+        if closest is not None:
+            cols.append(closest)
+            j = closest - first
+            c = np.concatenate([c, _stable_columns(alphas, scales, j, j + 1, t_half, w_half)],
+                               axis=1)
         coarse = np.empty((ax.size, len(cols)))
         for rows in chunks:
-            k = kernel[:, 1::2] if len(chunks) == 1 else np.sin(np.outer(ax[rows], t_half))
-            coarse[rows] = k @ c
+            coarse[rows] = (even if even is not None else np.sin(np.outer(ax[rows], t_half))) @ c
         coarse += (w0_half * ax)[:, None]
         return np.max(np.abs(half[:, cols] - coarse), axis=0) / (3.0 * math.pi)
 
     return out, t.size + 1, errors
+
+
+def _sup_gaps(F: np.ndarray) -> np.ndarray:
+    """Each column's largest gap to column 0, _LAW_BLOCK columns at a time."""
+    gaps = np.empty(F.shape[1] - 1)
+    for j0 in range(1, F.shape[1], _LAW_BLOCK):
+        d = F[:, j0:j0 + _LAW_BLOCK] - F[:, :1]
+        gaps[j0 - 1:j0 - 1 + d.shape[1]] = np.abs(d, out=d).max(axis=0)
+    return gaps
 
 
 def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
@@ -301,11 +378,10 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
 
     Column layout: column 0 is the target and each other law is compared
     with it; then come the candidates of grid = (alphas, scales), both
-    sorted, as runs (StableCF(alpha, 1), scales) after each law's run
-    (law, None).  Only the closest candidate (first smallest sup gap)
-    counts: the reported numbers rest on the column groups (0,), (0, j)
-    for each other law j and (0, closest), a group's error being the sum
-    of its columns' errors.
+    sorted, alpha-major.  Only the closest candidate (first smallest sup
+    gap) counts: the reported numbers rest on the column groups (0,),
+    (0, j) for each other law j and (0, closest), a group's error being
+    the sum of its columns' errors.
 
     All columns share one truncation T: quad.T, else the largest
     automatic T of the laws and of min(alphas) at min(scales).  A fixed
@@ -313,20 +389,28 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
     double until the largest group error is within _TOL.  Returns F
     (column j holds F_j(xs)), the quadrature (T, budget N and node count
     of the last pass, error estimate) and each column's gap to column 0.
+
+    The laws are evaluated on every pass.  The candidates' coefficient
+    columns depend only on the key (alphas, scales, len(laws), N, T),
+    and the last key's are kept (see _candidate_blocks): up to
+    _KEEP_ENTRIES entries, which holds the default 420-candidate grid at
+    1024 nodes (3.4 MB) and nothing at 2048 nodes or more.  They are
+    kept in the 32-column sets of the layout's product blocks because
+    the bits of a BLAS product depend on which columns share it: other
+    sets would change results by about 3e-14.
     """
-    alphas, scales = grid
-    runs = [(cf, None) for cf in laws] + [(StableCF(a, 1.0), np.array(scales)) for a in alphas]
+    alphas, scales = tuple(grid[0]), tuple(grid[1])
     T = quad.T or _auto_truncation(*laws, *[StableCF(a, scales[0]) for a in alphas[:1]])
     N = quad.N or _START_BUDGET
+    first = len(laws)
     while True:
-        F, nodes, errors = _simpson_pass(runs, xs, T, N)
-        gaps = np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
-        groups = [(0,)] + [(0, j) for j in range(1, len(laws))]
-        if alphas:
-            groups.append((0, len(laws) + int(np.argmin(gaps[len(laws) - 1 :]))))
-        cols = sorted({j for g in groups for j in g})
-        col_error = dict(zip(cols, errors(cols)))
-        error = float(max(sum(col_error[j] for j in g) for g in groups))
+        F, nodes, errors = _simpson_pass(laws, (alphas, scales), xs, T, N)
+        gaps = _sup_gaps(F)
+        closest = first + int(np.argmin(gaps[first - 1:])) if alphas else None
+        # every group is column 0 alone or with one other column, and
+        # errors() gives column 0's error first
+        e = errors(closest)
+        error = float(e[0] + np.max(e[1:], initial=0.0))
         if quad.N is not None or error <= _TOL:
             return F, {"T": T, "N": N, "nodes": nodes, "error": error}, gaps
         if 2 * N > _MAX_BUDGET:

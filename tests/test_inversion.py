@@ -28,7 +28,13 @@ from iddlab import (
     sum_rescale,
 )
 from iddlab import cf_core, inversion
-from iddlab.inversion import _cdf_matrix, _coefficients, _nodes_and_weights, _symmetric_grid
+from iddlab.inversion import (
+    _cdf_matrix,
+    _law_columns,
+    _nodes_and_weights,
+    _stable_columns,
+    _symmetric_grid,
+)
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
 KS_LAPLACE_VS_GAUSS2 = 0.062021369217940658
@@ -313,24 +319,24 @@ class TestSharedTruncation:
         assert len(built) <= len(alphas) + len(scales)
 
 
-def _runs(laws, grid):
-    """The runs _cdf_matrix lays out: each law, then one unit-scale law per alpha."""
-    alphas, scales = grid
-    return [(cf, None) for cf in laws] + [(StableCF(a, 1.0), np.array(scales)) for a in alphas]
+def _layout(laws, grid, t, w):
+    """Every coefficient column _cdf_matrix lays out: each law, then the candidates alpha-major."""
+    n = len(grid[0]) * len(grid[1])
+    return np.concatenate([_law_columns(laws, t, w), _stable_columns(*grid, 0, n, t, w)], axis=1)
 
 
 class TestCoefficientFlush:
     T = 93.32543007969915  # the criterion-9 truncation
     LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
     GRID = ((1.0, 1.95), (0.25, 4.0))
-    RUNS = _runs(LAWS, GRID)
     COLUMNS = LAWS + [StableCF(1.0, 0.25), StableCF(1.0, 4.0), StableCF(1.95, 0.25),
                       StableCF(1.95, 4.0)]
 
     def test_no_subnormal_coefficient(self):
         t, w, w_half = _nodes_and_weights(1024, self.T)
         for tt, ww in ((t[1:], w[1:]), (t[2::2], w_half[1:])):
-            c = _coefficients(self.RUNS, range(len(self.COLUMNS)), tt, ww)
+            c = _layout(self.LAWS, self.GRID, tt, ww)
+            assert c.shape[1] == len(self.COLUMNS)
             assert not np.any((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
 
     def test_flushed_product_is_bit_identical(self):
@@ -339,7 +345,7 @@ class TestCoefficientFlush:
         raw = np.stack([w * cf.evaluate(t) / t for cf in self.COLUMNS], axis=1)
         assert np.any((raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny))
         kernel = np.sin(np.outer(np.abs(_symmetric_grid(8.0)), t))
-        c = _coefficients(self.RUNS, range(len(self.COLUMNS)), t, w)
+        c = _layout(self.LAWS, self.GRID, t, w)
         assert np.array_equal(kernel @ c, kernel @ raw)
 
 
@@ -355,19 +361,98 @@ class TestCandidateBlock:
                                   st.floats(0.0, 2.0, exclude_min=True)),
                         min_size=1, max_size=3),
         scales=st.lists(_log_uniform(1e-3, 1e3), min_size=1, max_size=4),
-        picks=st.sets(st.integers(0, 13), min_size=1),
+        ends=st.tuples(st.integers(0, 11), st.integers(1, 12)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_columns_match_per_candidate_objects(self, alphas, scales, picks):
-        # any ascending selection of layout columns, laws and candidates mixed
+    def test_columns_match_per_candidate_objects(self, alphas, scales, ends):
+        # laws, and any run of consecutive candidates, one alpha or several
         t, w, _ = _nodes_and_weights(256, 93.3)
         t, w = t[1:], w[1:]
-        columns = self.LAWS + [StableCF(a, c) for a in alphas for c in scales]
-        cols = sorted(k for k in picks if k < len(columns)) or [len(columns) - 1]
-        raw = np.stack([w * columns[k].evaluate(t) / t for k in cols], axis=1)
-        raw[np.abs(raw) < np.finfo(float).tiny] = 0.0
-        block = _coefficients(_runs(self.LAWS, (alphas, scales)), cols, t, w)
-        assert np.array_equal(block, raw)
+        candidates = [StableCF(a, c) for a in alphas for c in scales]
+        c1 = min(max(ends), len(candidates))
+        c0 = min(ends[0], c1 - 1)
+        for cfs, block in [
+            (self.LAWS, _law_columns(self.LAWS, t, w)),
+            (candidates[c0:c1], _stable_columns(alphas, scales, c0, c1, t, w)),
+        ]:
+            raw = np.stack([w * cf.evaluate(t) / t for cf in cfs], axis=1)
+            raw[np.abs(raw) < np.finfo(float).tiny] = 0.0
+            assert np.array_equal(block, raw)
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """Run with no kept candidate blocks; the slot is restored afterwards."""
+    monkeypatch.setattr(inversion, "_kept", None)
+
+
+class TestKeptCandidateBlocks:
+    TARGET = sum_rescale(SymmetrizedGammaCF(1.0), 4)
+    XS = np.linspace(-6.0, 6.0, 25)
+    # 40 candidates fill more than one product block, so the split
+    # depends on the number of laws
+    GRIDS = [((1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))),
+             ((1.1, 1.5), tuple(np.geomspace(0.3, 3.0, 20))),
+             ((1.2, 1.7), (0.8, 1.25))]
+
+    def test_second_target_at_the_same_truncation_reuses_the_block(self, empty_slot, monkeypatch):
+        runs = []
+        values = StableCF._values
+
+        def counting(cf, t):
+            if np.ndim(t) == 2:
+                runs.append(np.shape(t))
+            return values(cf, t)
+
+        monkeypatch.setattr(StableCF, "_values", counting)
+        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        assert len(runs) > len(inversion.DEFAULT_ALPHA_GRID)
+        runs.clear()
+        second = approx_compare(SymmetrizedGammaCF(1.0), 4)
+        assert second.quadrature["T"] == first.quadrature["T"]
+        assert (first.quadrature["N"], second.quadrature["N"]) == (1024, 1024)
+        # only the error estimate's half-node column of the closest candidate
+        assert runs == [(512, 1)]
+
+    def test_kept_blocks_are_read_only_and_split_like_the_products(self, empty_slot):
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        key, blocks = inversion._kept
+        assert key[2:4] == (2, 1024)
+        assert [b.shape for b in blocks] == [(1024, 30)] + [(1024, 32)] * 12 + [(1024, 6)]
+        assert not any(b.flags.writeable for b in blocks)
+        with pytest.raises(ValueError):
+            blocks[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(quad=QuadratureSpec(N=8192)),
+        dict(alpha_grid=np.linspace(1.0, 1.95, 60), scale_grid=np.geomspace(0.25, 4.0, 60)),
+    ], ids=["8192-nodes", "60x60-grid"])
+    def test_large_blocks_are_not_kept(self, empty_slot, kwargs):
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        assert inversion._kept is not None
+        approx_compare(SymmetrizedGammaCF(0.5), 10, **kwargs)
+        assert inversion._kept is None
+
+    @given(calls=st.lists(st.tuples(st.sampled_from(range(len(GRIDS))), st.sampled_from([1, 2]),
+                                    st.sampled_from([64, 128, 256]),
+                                    st.sampled_from([40.0, 93.3])),
+                          min_size=2, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_matches_one_with_an_empty_slot(self, calls):
+        laws = [self.TARGET, GaussianCF(2.0)]
+        try:
+            inversion._kept = None
+            for g, k, N, T in calls:
+                def call():
+                    return _cdf_matrix(laws[:k], self.XS, QuadratureSpec(T=T, N=N), self.GRIDS[g])
+                F, q, gaps = call()
+                kept, inversion._kept = inversion._kept, None
+                F_ref, q_ref, gaps_ref = call()
+                inversion._kept = kept
+                assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref)
+                assert q == q_ref
+        finally:
+            inversion._kept = None
 
 
 class TestKolmogorovDistance:
