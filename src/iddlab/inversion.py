@@ -47,6 +47,20 @@ nodes or more.  Kept or built, the sine-kernel products hold the same
 columns (the laws with the leading candidates, then 32 at a time),
 because the bits of a BLAS product depend on which columns share it.
 
+The candidates' CDF columns past the first product depend only on the
+distinct |x|, the grid, N, T and the number of laws in front, which
+sets where the products split; they are kept read-only under that key
+in two slots, least recently used out, so a call repeating its x grid
+(every m of one family: rescaling keeps the variance) builds the sine
+kernel, runs the first product alone and copies the rest.  A hit leaves
+the coefficient slot as it is, slicing it when it matches and building
+the first product's candidates otherwise.  Nothing is kept when the
+kernel takes more than one block or the columns exceed 2^17 entries
+(the default grid at 201 distinct |x| holds 78k).  The sine kernel
+(1.6 MB per x grid) is not kept: it is about 40% of a hit's time, but
+keeping it raised the peak memory of a run of repeated calls by about
+a tenth.
+
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
 stable law to a target CF, and approx_compare, which asks whether the
@@ -99,6 +113,12 @@ _LAW_BLOCK = 32
 # when it holds at most this many entries; _kept is (key, matrix)
 _KEEP_ENTRIES = 2**19
 _kept = None
+# the CDF columns past a pass's first product, kept per x grid for the
+# next call when the kernel is one block and they hold at most this many
+# entries; _kept_cdfs maps a key to its columns, least recently used first
+_KEEP_CDF_ENTRIES = 2**17
+_KEEP_CDF_SLOTS = 2
+_kept_cdfs = {}
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
 _START_BUDGET = 1024
@@ -178,7 +198,9 @@ def _auto_truncation(*cfs: SymmetricCF) -> float:
     """Largest over cfs of the first probe t with |f(t)| < _EPS_TAIL; refuses a law never below."""
     k = -1
     for cf in cfs:
-        below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
+        # an overflowed exponent means f = 0 there
+        with np.errstate(over="ignore"):
+            below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
         if below.size == 0:
             raise QuadratureError(
                 f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
@@ -311,8 +333,9 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     F(-x) = 1 - F(x), and multiplies the coefficient columns w f(t) / t
     _LAW_BLOCK at a time: the laws with the leading candidates, then the
     next _LAW_BLOCK candidates, sliced from the kept matrix or else
-    built per product.  When the kernel is built in one block, errors()
-    keeps a copy of its even-node columns.
+    built per product; on a hit in _kept_cdfs only the first product
+    runs.  When the kernel is built in one block, errors() keeps a copy
+    of its even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -322,9 +345,19 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
     alphas, scales = grid
     first, n = len(laws), len(alphas) * len(scales)
-    # before the pass allocates, so that a miss builds where the last matrix
-    # was; a call without candidates leaves the slot alone
-    kept = _kept_candidates(alphas, scales, N, T) if n else np.empty((t.size, 0))
+    key = (ax.tobytes(), alphas, scales, N, T, first)
+    keep = len(chunks) == 1 and 0 < ax.size * (first + n - _LAW_BLOCK) <= _KEEP_CDF_ENTRIES
+    cdfs = _kept_cdfs.pop(key, None) if keep else None
+    if cdfs is not None:
+        # a hit runs the first product only, and leaves the coefficient slot alone
+        kept = _kept[1] if _kept is not None and _kept[0] == (alphas, scales, N, T) else None
+    else:
+        # eviction and the coefficient slot come before the pass allocates,
+        # so that a miss builds where the old entries were; a call without
+        # candidates leaves the slot alone
+        while keep and len(_kept_cdfs) >= _KEEP_CDF_SLOTS:
+            del _kept_cdfs[next(iter(_kept_cdfs))]
+        kept = _kept_candidates(alphas, scales, N, T) if n else np.empty((t.size, 0))
 
     def candidates(c0, c1):
         c1 = min(c1, n)
@@ -332,14 +365,19 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
 
     head = _law_columns(laws, t, w)
     half = np.empty((ax.size, first + n))
+    stop = first + n if cdfs is None else _LAW_BLOCK
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        for j0 in range(0, first + n, _LAW_BLOCK):
+        for j0 in range(0, stop, _LAW_BLOCK):
             c = candidates(max(j0 - first, 0), j0 + _LAW_BLOCK - first)
             half[rows, j0:j0 + _LAW_BLOCK] = kernel @ (np.hstack([head, c]) if j0 == 0 else c)
     even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
     del kernel
+    if cdfs is not None:
+        half[:, _LAW_BLOCK:] = cdfs
+    if keep:
+        _kept_cdfs[key] = cdfs if cdfs is not None else _frozen(half[:, _LAW_BLOCK:].copy())[0]
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -438,7 +476,8 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     except MomentError:
         pass
     probe = np.geomspace(1e-8, _T_PROBE_MAX, 1301)
-    vals = cf.evaluate(probe)
+    with np.errstate(over="ignore"):
+        vals = cf.evaluate(probe)
     below = np.flatnonzero(vals < 0.5)
     if below.size == 0:
         raise InputError(

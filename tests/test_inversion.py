@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,19 @@ def _first_below(cf):
     return int(np.flatnonzero(np.abs(cf.evaluate(inversion._T_PROBE)) < 1e-10)[0])
 
 
+class TestOverflowedProbes:
+    @pytest.mark.parametrize("call", [
+        lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)),
+        lambda: kolmogorov_distance(GaussianCF(1e300), GaussianCF(2e300), QuadratureSpec(N=1024)),
+        lambda: fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)),
+    ], ids=["approx_compare", "kolmogorov_distance", "fit_stable"])
+    def test_overflowed_exponent_in_a_probe_warns_nothing(self, call):
+        # an exponent past the float range means f = 0 at that probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
+
+
 class TestSharedTruncation:
     MIXED = [
         convolve(GaussianCF(1.0), CompoundPoissonCF(2.0, 1.0)),
@@ -380,15 +394,31 @@ class TestCandidateBlock:
             assert np.array_equal(block, raw)
 
 
+def _counting_values(monkeypatch):
+    """The shapes of the 2-d StableCF._values runs from here on."""
+    runs = []
+    values = StableCF._values
+
+    def counting(cf, t):
+        if np.ndim(t) == 2:
+            runs.append(np.shape(t))
+        return values(cf, t)
+
+    monkeypatch.setattr(StableCF, "_values", counting)
+    return runs
+
+
 @pytest.fixture
 def empty_slot(monkeypatch):
-    """Run with no kept candidate matrix; the slot is restored afterwards."""
+    """Run with no kept candidate matrix and no kept CDF columns; the slots
+    are restored afterwards."""
     monkeypatch.setattr(inversion, "_kept", None)
+    monkeypatch.setattr(inversion, "_kept_cdfs", {})
 
 
 class TestKeptCandidateBlocks:
     TARGET = sum_rescale(SymmetrizedGammaCF(1.0), 4)
-    XS = np.linspace(-6.0, 6.0, 25)
+    XS = [np.linspace(-6.0, 6.0, 25), np.linspace(-3.0, 7.5, 36)]
     # 40 candidates fill more than one product, so where the products
     # split the kept matrix depends on the number of laws
     GRIDS = [((1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))),
@@ -396,15 +426,7 @@ class TestKeptCandidateBlocks:
              ((1.2, 1.7), (0.8, 1.25))]
 
     def test_second_target_at_the_same_truncation_reuses_the_block(self, empty_slot, monkeypatch):
-        runs = []
-        values = StableCF._values
-
-        def counting(cf, t):
-            if np.ndim(t) == 2:
-                runs.append(np.shape(t))
-            return values(cf, t)
-
-        monkeypatch.setattr(StableCF, "_values", counting)
+        runs = _counting_values(monkeypatch)
         first = approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert len(runs) > len(inversion.DEFAULT_ALPHA_GRID)
         runs.clear()
@@ -416,15 +438,7 @@ class TestKeptCandidateBlocks:
 
     def test_fit_and_compare_share_the_kept_matrix(self, empty_slot, monkeypatch):
         fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10))
-        runs = []
-        values = StableCF._values
-
-        def counting(cf, t):
-            if np.ndim(t) == 2:
-                runs.append(np.shape(t))
-            return values(cf, t)
-
-        monkeypatch.setattr(StableCF, "_values", counting)
+        runs = _counting_values(monkeypatch)
         approx_compare(SymmetrizedGammaCF(0.5), 10)
         # only the error estimate's half-node column of the closest candidate
         assert runs == [(512, 1)]
@@ -468,26 +482,109 @@ class TestKeptCandidateBlocks:
         approx_compare(SymmetrizedGammaCF(0.5), 10, **kwargs)
         assert inversion._kept is None
 
-    @given(calls=st.lists(st.tuples(st.sampled_from(range(len(GRIDS))), st.sampled_from([1, 2, 3]),
-                                    st.sampled_from([64, 128, 256]),
-                                    st.sampled_from([40.0, 93.3])),
-                          min_size=2, max_size=6))
+    @pytest.mark.parametrize("field, value", [(0, 1), (1, 1), (2, 1), (3, 256), (4, 93.3)],
+                             ids=["grid", "x-grid", "law-count", "N", "T"])
+    def test_each_key_field_separates_kept_cdfs(self, empty_slot, field, value):
+        laws = [self.TARGET, GaussianCF(2.0)]
+
+        def call(g, x, k, N, T):
+            return _cdf_matrix(laws[:k], self.XS[x], QuadratureSpec(T=T, N=N), self.GRIDS[g])
+
+        base = (0, 0, 2, 128, 40.0)
+        variant = base[:field] + (value,) + base[field + 1:]
+        call(*base)
+        F, q, gaps = call(*variant)
+        assert len(inversion._kept_cdfs) == 2
+        inversion._kept, inversion._kept_cdfs = None, {}
+        F_ref, q_ref, gaps_ref = call(*variant)
+        assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
+
+    @given(pool=st.lists(st.tuples(st.sampled_from(range(len(GRIDS))), st.sampled_from([0, 1]),
+                                   st.sampled_from([1, 2, 3]), st.sampled_from([64, 128, 256]),
+                                   st.sampled_from([40.0, 93.3])),
+                         min_size=1, max_size=3),
+           order=st.lists(st.integers(0, 2), min_size=2, max_size=8))
     @settings(max_examples=40, deadline=None)
-    def test_every_call_matches_one_with_an_empty_slot(self, calls):
+    def test_every_call_matches_one_with_an_empty_slot(self, pool, order):
+        # calls repeat from a small pool, so that both slots hit and evict
         laws = [self.TARGET, GaussianCF(2.0), StableCF(1.5, 1.0)]
+        saved = inversion._kept, inversion._kept_cdfs
         try:
-            inversion._kept = None
-            for g, k, N, T in calls:
+            inversion._kept, inversion._kept_cdfs = None, {}
+            for i in order:
+                g, x, k, N, T = pool[i % len(pool)]
+
                 def call():
-                    return _cdf_matrix(laws[:k], self.XS, QuadratureSpec(T=T, N=N), self.GRIDS[g])
+                    return _cdf_matrix(laws[:k], self.XS[x], QuadratureSpec(T=T, N=N),
+                                       self.GRIDS[g])
                 F, q, gaps = call()
-                kept, inversion._kept = inversion._kept, None
+                slots = inversion._kept, inversion._kept_cdfs
+                inversion._kept, inversion._kept_cdfs = None, {}
                 F_ref, q_ref, gaps_ref = call()
-                inversion._kept = kept
+                inversion._kept, inversion._kept_cdfs = slots
                 assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref)
                 assert q == q_ref
         finally:
-            inversion._kept = None
+            inversion._kept, inversion._kept_cdfs = saved
+
+
+class TestKeptCdfColumns:
+    def test_repeated_call_builds_only_the_error_column(self, empty_slot, monkeypatch):
+        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        runs = _counting_values(monkeypatch)
+        second = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        assert repr(second) == repr(first)
+        # the first product slices the kept matrix; only the error
+        # estimate's half-node column of the closest candidate is built
+        assert runs == [(512, 1)]
+
+    def test_hit_after_a_truncation_change_builds_only_the_first_product(self, empty_slot,
+                                                                         monkeypatch):
+        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        other = approx_compare(SymmetrizedGammaCF(0.5), 4)
+        assert other.quadrature["T"] == pytest.approx(645.65, abs=0.01)
+        kept = inversion._kept
+        runs = _counting_values(monkeypatch)
+        assert repr(approx_compare(SymmetrizedGammaCF(0.5), 10)) == repr(first)
+        # the 30 candidates beside the two laws: 21 scales of the first
+        # alpha and 9 of the second, then the error column; the coefficient
+        # matrix of the other truncation stays
+        assert runs == [(1024, 21), (1024, 9), (512, 1)]
+        assert inversion._kept is kept
+
+    def test_two_read_only_entries_least_recently_used_out(self, empty_slot):
+        def last_key(shape):
+            approx_compare(SymmetrizedGammaCF(shape), 4)
+            return list(inversion._kept_cdfs)[-1]
+
+        a, b = last_key(0.5), last_key(1.0)
+        # a hit moves its entry last, so the next miss evicts b
+        assert last_key(0.5) == a and list(inversion._kept_cdfs) == [b, a]
+        c = last_key(2.0)
+        assert list(inversion._kept_cdfs) == [a, c]
+        for key, cdfs in inversion._kept_cdfs.items():
+            assert key[1:] == (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID,
+                               1024, key[4], 2)
+            assert cdfs.shape == (201, 420 + 2 - 32)
+            assert not cdfs.flags.writeable
+            with pytest.raises(ValueError):
+                cdfs[0, 0] = 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: approx_compare(SymmetrizedGammaCF(0.5), 10,
+                               alpha_grid=np.linspace(1.0, 1.95, 60),
+                               scale_grid=np.geomspace(0.25, 4.0, 60)),
+        lambda: fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10),
+                           x_grid=np.linspace(-8.0, 8.0, 5001)),
+        # 2100 distinct |x| need two kernel blocks at 1024 nodes, though
+        # their 2100 x 9 columns are within the entry bound
+        lambda: _cdf_matrix([sum_rescale(SymmetrizedGammaCF(0.5), 10)],
+                            np.linspace(0.0, 8.0, 2100), QuadratureSpec(N=1024),
+                            ((1.2, 1.5), tuple(np.geomspace(0.5, 2.0, 20)))),
+    ], ids=["60x60-grid", "5001-point-x-grid", "two-kernel-blocks"])
+    def test_large_or_chunked_passes_are_not_kept(self, empty_slot, call):
+        call()
+        assert inversion._kept_cdfs == {}
 
 
 class TestKolmogorovDistance:
@@ -661,6 +758,24 @@ class TestApproxCompare:
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):
             approx_compare(limit_gaussian(0.0), 4)
+
+    def test_gaussian_distance_against_the_density_oracle(self):
+        # sum_rescale(symgamma 0.5, 10) is symgamma 5 scaled by 1/sqrt(10),
+        # with density sqrt(10) p(sqrt(10) y), p(x) = |x|^nu K_nu(|x|) /
+        # (sqrt(pi) Gamma(5) 2^nu), nu = 4.5; F by quadrature of that
+        # density, no Fourier integral, around the arg-max x = 0.68
+        mp = pytest.importorskip("mpmath")
+        report = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        with mp.workdps(20):
+            nu, r = mp.mpf(4.5), mp.sqrt(10)
+            norm = mp.sqrt(mp.pi) * mp.gamma(5) * 2**nu
+
+            def density(y):
+                return r * (r * y) ** nu * mp.besselk(nu, r * y) / norm
+
+            d = max(abs(0.5 + mp.quad(density, [0, x]) - mp.ncdf(x))
+                    for x in (mp.mpf("0.64"), mp.mpf("0.68"), mp.mpf("0.72")))
+        assert abs(float(d) - report.d_gaussian) <= report.quadrature["error"]
 
 
 class TestErrorEstimate:
