@@ -43,23 +43,22 @@ one read-only matrix keyed by (alphas, scales, N, T), which fit_stable
 and approx_compare share; the laws, and the one half-node column of the
 error estimate, are built on every call.  Only matrices of at most 2^19
 entries are kept: the default grid at 1024 nodes (3.4 MB), not at 2048
-nodes or more.  Kept or built, the sine-kernel products hold the same
-columns (the laws with the leading candidates, then 32 at a time),
-because the bits of a BLAS product depend on which columns share it.
+nodes or more.
 
-The candidates' CDF columns past the first product depend only on the
-distinct |x|, the grid, N, T and the number of laws in front, which
-sets where the products split; they are kept read-only under that key
-in two slots, least recently used out, so a call repeating its x grid
-(every m of one family: rescaling keeps the variance) builds the sine
-kernel, runs the first product alone and copies the rest.  A hit leaves
-the coefficient slot as it is, slicing it when it matches and building
-the first product's candidates otherwise.  Nothing is kept when the
-kernel takes more than one block or the columns exceed 2^17 entries
-(the default grid at 201 distinct |x| holds 78k).  The sine kernel
-(1.6 MB per x grid) is not kept: it is about 40% of a hit's time, but
-keeping it raised the peak memory of a run of repeated calls by about
-a tenth.
+The laws never share a sine-kernel product with candidates: they take
+one product of their own, and the candidates follow 32 at a time from
+the first, kept or built alike.  The bits of a BLAS product depend on
+its width, so this layout makes each candidate CDF column a function of
+the distinct |x|, the grid, N and T alone, whatever the number of laws.
+Those columns are kept read-only under the key (distinct |x|, alphas,
+scales, N, T) in two slots, least recently used out.  A call repeating
+its x grid (every m of one family: rescaling keeps the variance) builds
+the sine kernel, runs the laws' product and copies the rest; it reads
+no coefficient matrix.  Nothing is kept when the columns exceed 2^17
+entries (the default grid at 201 distinct |x| holds 84k).  The sine
+kernel (1.6 MB per x grid) is not kept: it is about 40% of a hit's
+time, but keeping it raised the peak memory of a run of repeated calls
+by about a tenth.
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -106,16 +105,17 @@ _TINY = np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
-# entries, and coefficient columns this many laws at a time, to bound memory
+# entries, and multiplies the candidates' coefficient columns this many
+# at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
 # the last pass's candidate coefficient matrix is kept for the next call
 # when it holds at most this many entries; _kept is (key, matrix)
 _KEEP_ENTRIES = 2**19
 _kept = None
-# the CDF columns past a pass's first product, kept per x grid for the
-# next call when the kernel is one block and they hold at most this many
-# entries; _kept_cdfs maps a key to its columns, least recently used first
+# a pass's candidate CDF columns, kept per x grid for the next call when
+# they hold at most this many entries; _kept_cdfs maps a key to its
+# columns, least recently used first
 _KEEP_CDF_ENTRIES = 2**17
 _KEEP_CDF_SLOTS = 2
 _kept_cdfs = {}
@@ -142,8 +142,8 @@ class QuadratureSpec:
     N = None lets the error estimate choose the budget: passes start at
     1024 nodes and double until the estimate is within 1e-6, and a call
     that still misses it at 2^18 nodes raises QuadratureError.  An
-    explicit N is a fixed budget: one pass, whose estimate is reported
-    but never refused.
+    explicit N is a fixed budget: one pass, whose estimate is reported,
+    and refused when it is 1 or more.
     """
 
     T: float | None = None
@@ -330,12 +330,11 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     None.
 
     The sine kernel is built over the distinct |x| only, since
-    F(-x) = 1 - F(x), and multiplies the coefficient columns w f(t) / t
-    _LAW_BLOCK at a time: the laws with the leading candidates, then the
-    next _LAW_BLOCK candidates, sliced from the kept matrix or else
-    built per product; on a hit in _kept_cdfs only the first product
-    runs.  When the kernel is built in one block, errors() keeps a copy
-    of its even-node columns.
+    F(-x) = 1 - F(x), and multiplies the laws' coefficient columns
+    w f(t) / t in one product, then the candidates' _LAW_BLOCK at a
+    time, sliced from the kept matrix or else built per product; on a
+    hit in _kept_cdfs only the laws' product runs.  When the kernel is
+    built in one block, errors() keeps a copy of its even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -345,39 +344,31 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
     alphas, scales = grid
     first, n = len(laws), len(alphas) * len(scales)
-    key = (ax.tobytes(), alphas, scales, N, T, first)
-    keep = len(chunks) == 1 and 0 < ax.size * (first + n - _LAW_BLOCK) <= _KEEP_CDF_ENTRIES
+    key = (ax.tobytes(), alphas, scales, N, T)
+    keep = 0 < ax.size * n <= _KEEP_CDF_ENTRIES
     cdfs = _kept_cdfs.pop(key, None) if keep else None
-    if cdfs is not None:
-        # a hit runs the first product only, and leaves the coefficient slot alone
-        kept = _kept[1] if _kept is not None and _kept[0] == (alphas, scales, N, T) else None
-    else:
+    if cdfs is None and n:
         # eviction and the coefficient slot come before the pass allocates,
-        # so that a miss builds where the old entries were; a call without
-        # candidates leaves the slot alone
+        # so that a miss builds where the old entries were
         while keep and len(_kept_cdfs) >= _KEEP_CDF_SLOTS:
             del _kept_cdfs[next(iter(_kept_cdfs))]
-        kept = _kept_candidates(alphas, scales, N, T) if n else np.empty((t.size, 0))
-
-    def candidates(c0, c1):
-        c1 = min(c1, n)
-        return _stable_columns(alphas, scales, c0, c1, t, w) if kept is None else kept[:, c0:c1]
-
+        kept = _kept_candidates(alphas, scales, N, T)
     head = _law_columns(laws, t, w)
     half = np.empty((ax.size, first + n))
-    stop = first + n if cdfs is None else _LAW_BLOCK
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        for j0 in range(0, stop, _LAW_BLOCK):
-            c = candidates(max(j0 - first, 0), j0 + _LAW_BLOCK - first)
-            half[rows, j0:j0 + _LAW_BLOCK] = kernel @ (np.hstack([head, c]) if j0 == 0 else c)
+        half[rows, :first] = kernel @ head
+        for c0 in range(0, n if cdfs is None else 0, _LAW_BLOCK):
+            c1 = min(c0 + _LAW_BLOCK, n)
+            c = _stable_columns(alphas, scales, c0, c1, t, w) if kept is None else kept[:, c0:c1]
+            half[rows, first + c0:first + c1] = kernel @ c
     even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
     del kernel
     if cdfs is not None:
-        half[:, _LAW_BLOCK:] = cdfs
+        half[:, first:] = cdfs
     if keep:
-        _kept_cdfs[key] = cdfs if cdfs is not None else _frozen(half[:, _LAW_BLOCK:].copy())[0]
+        _kept_cdfs[key] = cdfs if cdfs is not None else _frozen(half[:, first:].copy())[0]
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -425,13 +416,15 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
 
     All columns share one truncation T: quad.T, else the largest
     automatic T of the laws and of min(alphas) at min(scales).  A fixed
-    quad.N takes one pass; otherwise passes start at _START_BUDGET and
-    double until the largest group error is within _TOL.  Returns F
-    (column j holds F_j(xs)), the quadrature (T, budget N and node count
-    of the last pass, error estimate) and each column's gap to column 0.
+    quad.N takes one pass, refused if its error estimate is 1 or more;
+    otherwise passes start at _START_BUDGET and double until the largest
+    group error is within _TOL.  Returns F (column j holds F_j(xs)), the
+    quadrature (T, budget N and node count of the last pass, error
+    estimate) and each column's gap to column 0.
 
     The laws are evaluated on every pass; the candidates' columns come
-    from the kept matrix when it holds them (see the module docstring).
+    from the kept CDF columns or the kept matrix when they hold them
+    (see the module docstring).
     """
     alphas, scales = tuple(grid[0]), tuple(grid[1])
     T = quad.T or _auto_truncation(*laws, *[StableCF(a, scales[0]) for a in alphas[:1]])
@@ -445,6 +438,10 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
         # errors() gives column 0's error first
         e = errors(closest)
         error = float(e[0] + np.max(e[1:], initial=0.0))
+        if quad.N is not None and not error < 1.0:
+            # every reported number, a CDF value or a distance, lies in [0, 1]
+            raise QuadratureError(f"estimated quadrature error {error:.3g} is not below 1 "
+                                  f"at the fixed node budget N = {N}")
         if quad.N is not None or error <= _TOL:
             return F, {"T": T, "N": N, "nodes": nodes, "error": error}, gaps
         if 2 * N > _MAX_BUDGET:

@@ -360,6 +360,10 @@ class TestExitCodes:
             (["approx-compare", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 2),
             (["kurtosis", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 0),
             (["distance", "--family", "gauss", "--variance", "1e-300", "--r", "3"], 0),
+            # the x grid reaches 8e150 against T = 93.3: the fixed budget's
+            # error estimate is about 1e147, refused
+            (["approx-compare", "--family", "gauss", "--variance", "1e300", "--m", "2",
+              "--quad-n", "1024"], 2),
             # t^r underflows at the bottom of the lambda_r grid
             (["distance", "--family", "gauss", "--variance", "1", "--vs", "gauss:variance=1",
               "--r", "200"], 0),
@@ -369,8 +373,8 @@ class TestExitCodes:
               "--schedule", "1e300,1e301,1e305"], 1),
         ],
         ids=["laplace-support", "detect", "rescale", "distance", "approx-compare-tiny",
-             "kurtosis-tiny", "distance-tiny", "distance-identical-r200", "distance-r150",
-             "detect-schedule"],
+             "kurtosis-tiny", "distance-tiny", "approx-compare-huge-fixed-budget",
+             "distance-identical-r200", "distance-r150", "detect-schedule"],
     )
     def test_overflowed_exponent_prints_no_warning(self, capsys, argv, expected):
         with warnings.catch_warnings():

@@ -248,10 +248,13 @@ class TestOverflowedProbes:
         lambda: fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)),
     ], ids=["approx_compare", "kolmogorov_distance", "fit_stable"])
     def test_overflowed_exponent_in_a_probe_warns_nothing(self, call):
-        # an exponent past the float range means f = 0 at that probe
+        # an exponent past the float range means f = 0 at that probe; the
+        # x grid then reaches 8e150 against T = 93.3, and the fixed budget's
+        # error estimate (about 1e147) is refused rather than reported
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            call()
+            with pytest.raises(QuadratureError, match="not below 1"):
+                call()
 
 
 class TestSharedTruncation:
@@ -482,8 +485,8 @@ class TestKeptCandidateBlocks:
         approx_compare(SymmetrizedGammaCF(0.5), 10, **kwargs)
         assert inversion._kept is None
 
-    @pytest.mark.parametrize("field, value", [(0, 1), (1, 1), (2, 1), (3, 256), (4, 93.3)],
-                             ids=["grid", "x-grid", "law-count", "N", "T"])
+    @pytest.mark.parametrize("field, value", [(0, 1), (1, 1), (3, 256), (4, 93.3)],
+                             ids=["grid", "x-grid", "N", "T"])
     def test_each_key_field_separates_kept_cdfs(self, empty_slot, field, value):
         laws = [self.TARGET, GaussianCF(2.0)]
 
@@ -498,6 +501,17 @@ class TestKeptCandidateBlocks:
         inversion._kept, inversion._kept_cdfs = None, {}
         F_ref, q_ref, gaps_ref = call(*variant)
         assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
+
+    def test_law_count_shares_one_kept_cdf_entry(self, empty_slot):
+        # the laws take a product of their own, so the candidates' CDF
+        # columns do not depend on how many laws come first
+        laws, quad = [self.TARGET, GaussianCF(2.0)], QuadratureSpec(T=40.0, N=128)
+        results = [_cdf_matrix(laws[:k], self.XS[0], quad, self.GRIDS[0]) for k in (1, 2)]
+        assert len(inversion._kept_cdfs) == 1
+        for k, (F, q, gaps) in zip((1, 2), results):
+            inversion._kept, inversion._kept_cdfs = None, {}
+            F_ref, q_ref, gaps_ref = _cdf_matrix(laws[:k], self.XS[0], quad, self.GRIDS[0])
+            assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
 
     @given(pool=st.lists(st.tuples(st.sampled_from(range(len(GRIDS))), st.sampled_from([0, 1]),
                                    st.sampled_from([1, 2, 3]), st.sampled_from([64, 128, 256]),
@@ -534,8 +548,8 @@ class TestKeptCdfColumns:
         runs = _counting_values(monkeypatch)
         second = approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert repr(second) == repr(first)
-        # the first product slices the kept matrix; only the error
-        # estimate's half-node column of the closest candidate is built
+        # only the laws' product runs; the error estimate's half-node
+        # column of the closest candidate is the one candidate column built
         assert runs == [(512, 1)]
 
     def test_hit_after_a_truncation_change_builds_only_the_first_product(self, empty_slot,
@@ -546,10 +560,10 @@ class TestKeptCdfColumns:
         kept = inversion._kept
         runs = _counting_values(monkeypatch)
         assert repr(approx_compare(SymmetrizedGammaCF(0.5), 10)) == repr(first)
-        # the 30 candidates beside the two laws: 21 scales of the first
-        # alpha and 9 of the second, then the error column; the coefficient
-        # matrix of the other truncation stays
-        assert runs == [(1024, 21), (1024, 9), (512, 1)]
+        # the first product is the laws' own, so a hit builds only the
+        # error column and never reads the coefficient matrix of the other
+        # truncation, which stays
+        assert runs == [(512, 1)]
         assert inversion._kept is kept
 
     def test_two_read_only_entries_least_recently_used_out(self, empty_slot):
@@ -564,8 +578,8 @@ class TestKeptCdfColumns:
         assert list(inversion._kept_cdfs) == [a, c]
         for key, cdfs in inversion._kept_cdfs.items():
             assert key[1:] == (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID,
-                               1024, key[4], 2)
-            assert cdfs.shape == (201, 420 + 2 - 32)
+                               1024, key[4])
+            assert cdfs.shape == (201, 420)
             assert not cdfs.flags.writeable
             with pytest.raises(ValueError):
                 cdfs[0, 0] = 1.0
@@ -574,17 +588,41 @@ class TestKeptCdfColumns:
         lambda: approx_compare(SymmetrizedGammaCF(0.5), 10,
                                alpha_grid=np.linspace(1.0, 1.95, 60),
                                scale_grid=np.geomspace(0.25, 4.0, 60)),
+        # 2501 distinct |x| take two kernel blocks at 1024 nodes, and their
+        # 2501 x 420 columns exceed the entry bound
         lambda: fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10),
                            x_grid=np.linspace(-8.0, 8.0, 5001)),
-        # 2100 distinct |x| need two kernel blocks at 1024 nodes, though
-        # their 2100 x 9 columns are within the entry bound
-        lambda: _cdf_matrix([sum_rescale(SymmetrizedGammaCF(0.5), 10)],
-                            np.linspace(0.0, 8.0, 2100), QuadratureSpec(N=1024),
-                            ((1.2, 1.5), tuple(np.geomspace(0.5, 2.0, 20)))),
-    ], ids=["60x60-grid", "5001-point-x-grid", "two-kernel-blocks"])
+    ], ids=["60x60-grid", "5001-point-x-grid"])
     def test_large_or_chunked_passes_are_not_kept(self, empty_slot, call):
         call()
         assert inversion._kept_cdfs == {}
+
+    def test_two_kernel_blocks_are_kept_and_repeat_their_bits(self, empty_slot):
+        # 2100 distinct |x| need two kernel blocks at 1024 nodes; their
+        # 2100 x 40 columns are within the entry bound
+        def call():
+            return _cdf_matrix([sum_rescale(SymmetrizedGammaCF(0.5), 10)],
+                               np.linspace(0.0, 8.0, 2100), QuadratureSpec(N=1024),
+                               ((1.2, 1.5), tuple(np.geomspace(0.5, 2.0, 20))))
+
+        call()
+        assert len(inversion._kept_cdfs) == 1
+        F, q, gaps = call()
+        inversion._kept, inversion._kept_cdfs = None, {}
+        F_ref, q_ref, gaps_ref = call()
+        assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
+
+    def test_fit_and_compare_share_one_entry(self, empty_slot):
+        fit = fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10))
+        [entry] = inversion._kept_cdfs.values()
+        report = approx_compare(SymmetrizedGammaCF(0.5), 10)
+        [kept] = inversion._kept_cdfs.values()
+        assert kept is entry
+        assert (report.best_alpha, report.best_scale) == (fit.alpha, fit.scale)
+        # the candidate columns are the same bits; the target's column is a
+        # one-column product in the fit and a two-column one beside the
+        # gaussian, and BLAS rounds the two in different orders
+        assert report.d_stable == pytest.approx(fit.distance, rel=0.0, abs=1e-15)
 
 
 class TestKolmogorovDistance:

@@ -11,12 +11,17 @@ Cases that read samples run in a scratch directory holding
 ``samples.txt`` (seeded draws from N(0, 0.02)), so the path recorded in
 ``config`` is the same relative name everywhere.
 
-    PYTHONPATH=src python tools/make_goldens.py
+    PYTHONPATH=src python tools/make_goldens.py [--check]
+
+With --check nothing is written: each case whose payload differs from
+its golden file is printed as a unified diff, and the exit code is 1 if
+any differs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import os
 import sys
@@ -92,7 +97,22 @@ def payload(argv) -> str:
     return head + "\n"
 
 
-def main() -> int:
+def check(texts) -> int:
+    """Print a unified diff per case whose payload differs from its golden file."""
+    differs = False
+    for name, text in texts.items():
+        path = GOLDEN_DIR / f"{name}.txt"
+        old = path.read_text() if path.exists() else ""
+        diff = list(difflib.unified_diff(old.splitlines(True), text.splitlines(True),
+                                         f"golden/{name}.txt", f"now/{name}.txt"))
+        sys.stdout.writelines(diff)
+        differs = differs or bool(diff)
+    return int(differs)
+
+
+def main(argv) -> int:
+    if argv not in ([], ["--check"]):
+        sys.exit("usage: make_goldens.py [--check]")
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
@@ -101,6 +121,8 @@ def main() -> int:
             texts = {name: payload(args) for name, args in CASES.items()}
         finally:
             os.chdir(here)
+    if argv == ["--check"]:
+        return check(texts)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (GOLDEN_DIR / f"{name}.txt").write_text(text)
@@ -108,4 +130,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
