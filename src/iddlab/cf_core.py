@@ -657,7 +657,11 @@ def from_samples(samples) -> EmpiricalCF:
 
 
 def scale_argument(cf: SymmetricCF, factor: float) -> SymmetricCF:
-    """CF of factor * X, i.e. t -> f(factor * t)."""
+    """CF of factor * X, i.e. t -> f(factor * t); a gaussian stays one
+    while its variance is finite."""
+    c = _check_positive_param("factor", factor)
+    if isinstance(cf, GaussianCF) and math.isfinite(cf.variance * c * c):
+        return GaussianCF(cf.variance * c * c)
     return ScaledCF(cf, factor)
 
 

@@ -18,7 +18,7 @@ costs one small matrix product and no extra sine kernel.  Where the
 error falls like h^p the gap is 2^p - 1 times the finer rule's error:
 p = 4 for a smooth CF and 1 + alpha at a |t|^alpha cusp at t = 0, so for
 every law here but stable ones with alpha < 1, p >= 2 and a third of
-the gap is reported.  It is taken only on the columns that feed a
+the gap is reported.  It is taken only on the columns that can feed a
 reported number (the error of a distance is the sum of its two
 columns' errors).  Without a fixed budget the passes start at 1024
 nodes and double while that estimate exceeds 1e-6, up to a cap past
@@ -28,37 +28,20 @@ Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel, so comparing a target against a whole stable
 grid costs one kernel and a few matrix products.  The core fixes one
-column layout: the target, then each law compared with it (the gaussian
-in approx_compare, the second law in kolmogorov_distance), then the
-stable candidates alpha-major, of which only the closest counts.  Each
-alpha is one unit-scale law read at c t for every scale c.  The least
-alpha at the least scale sets the truncation: where its (c t)^alpha
-first exceeds -log 1e-10, c t > 1, so every larger alpha or scale is
-below that level there too.  Subnormal coefficients are flushed before
-the sine-kernel product (see _weighted).
+column layout: the target, then each law compared with it (the second
+law in kolmogorov_distance), then the stable candidates alpha-major, of
+which only the closest counts.  Each alpha is one unit-scale law read at
+c t for every scale c.  The least alpha at the least scale sets the
+truncation: where its (c t)^alpha first exceeds -log 1e-10, c t > 1, so
+every larger alpha or scale is below that level there too.  The laws
+take a sine-kernel product of their own, and the candidates follow 32 at
+a time.  Subnormal coefficients are flushed before the product (see
+_weighted).
 
-The candidates' coefficient columns w f(t) / t depend only on the grid,
-the truncation T and the node budget N, so the last grid's are kept as
-one read-only matrix keyed by (alphas, scales, N, T), which fit_stable
-and approx_compare share; the laws, and the one half-node column of the
-error estimate, are built on every call.  Only matrices of at most 2^19
-entries are kept: the default grid at 1024 nodes (3.4 MB), not at 2048
-nodes or more.
-
-The laws never share a sine-kernel product with candidates: they take
-one product of their own, and the candidates follow 32 at a time from
-the first, kept or built alike.  The bits of a BLAS product depend on
-its width, so this layout makes each candidate CDF column a function of
-the distinct |x|, the grid, N and T alone, whatever the number of laws.
-Those columns are kept read-only under the key (distinct |x|, alphas,
-scales, N, T) in two slots, least recently used out.  A call repeating
-its x grid (every m of one family: rescaling keeps the variance) builds
-the sine kernel, runs the laws' product and copies the rest; it reads
-no coefficient matrix.  Nothing is kept when the columns exceed 2^17
-entries (the default grid at 201 distinct |x| holds 84k).  The sine
-kernel (1.6 MB per x grid) is not kept: it is about 40% of a hit's
-time, but keeping it raised the peak memory of a run of repeated calls
-by about a tenth.
+approx_compare reads the normalized sum in units of its standard
+deviation on one x grid, so the candidates' CDF columns there are a
+process constant (see _candidate_table), and a call inverts only the
+standardized sum beside the unit gaussian.
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -76,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import moments
-from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, sum_rescale
+from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
 from .cf_core import _spec_integer, _spec_number
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
@@ -109,16 +92,8 @@ _X_SPAN_SCALES = 8.0
 # at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
-# the last pass's candidate coefficient matrix is kept for the next call
-# when it holds at most this many entries; _kept is (key, matrix)
-_KEEP_ENTRIES = 2**19
-_kept = None
-# a pass's candidate CDF columns, kept per x grid for the next call when
-# they hold at most this many entries; _kept_cdfs maps a key to its
-# columns, least recently used first
-_KEEP_CDF_ENTRIES = 2**17
-_KEEP_CDF_SLOTS = 2
-_kept_cdfs = {}
+# the candidate table's slot: (key, CDF columns, column errors, quadrature)
+_table = None
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
 _START_BUDGET = 1024
@@ -137,7 +112,9 @@ class QuadratureSpec:
 
     T = None picks the truncation point automatically as the first t
     with |f(t)| < 1e-10 (failing if that never happens by t = 1e5);
-    laws inverted together share the largest of their points.
+    laws inverted together share the largest of their points.  In
+    approx_compare T is read on the sum in units of its sd, and T and N
+    bind both the sum's pass and the candidate table.
 
     N = None lets the error estimate choose the budget: passes start at
     1024 nodes and double until the estimate is within 1e-6, and a call
@@ -179,10 +156,12 @@ class StableFit:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Which idealization sits closer to the normalized m-fold sum."""
+    """Which idealization sits closer to the normalized m-fold sum; x_grid,
+    scale_grid and best_scale are in units of sd, its standard deviation."""
 
     family: dict
     m: int
+    sd: float
     d_gaussian: float
     best_alpha: float
     best_scale: float
@@ -194,20 +173,20 @@ class ComparisonReport:
     quadrature: dict
 
 
-def _auto_truncation(*cfs: SymmetricCF) -> float:
+def _auto_truncation(*cfs: SymmetricCF, probe: np.ndarray = _T_PROBE) -> float:
     """Largest over cfs of the first probe t with |f(t)| < _EPS_TAIL; refuses a law never below."""
     k = -1
     for cf in cfs:
         # an overflowed exponent means f = 0 there
         with np.errstate(over="ignore"):
-            below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
+            below = np.flatnonzero(np.abs(cf.evaluate(probe)) < _EPS_TAIL)
         if below.size == 0:
             raise QuadratureError(
-                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
+                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {probe[-1]:g}; "
                 "pass an explicit truncation T"
             )
         k = max(k, int(below[0]))
-    return float(_T_PROBE[k])
+    return float(probe[k])
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -274,7 +253,8 @@ def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _law_columns(laws, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One column w f(t) / t per law."""
-    return _weighted(np.stack([cf.evaluate(t) for cf in laws], axis=1), t, w)
+    c = np.stack([cf.evaluate(t) for cf in laws], axis=1) if laws else np.empty((t.size, 0))
+    return _weighted(c, t, w)
 
 
 def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -293,48 +273,19 @@ def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarr
     return _weighted(np.concatenate(parts, axis=1), t, w)
 
 
-def _kept_candidates(alphas: tuple, scales: tuple, N: int, T: float):
-    """The grid's candidate columns w f(t) / t at budget N and truncation T.
-
-    The last key (alphas, scales, N, T) keeps its matrix in one slot,
-    read-only, and a miss empties the slot before building; a matrix
-    over _KEEP_ENTRIES entries is neither built nor kept (None).
-    """
-    global _kept
-    key, kept = (alphas, scales, N, T), _kept
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    # the old matrix goes before the new one is built, this frame's reference too
-    kept = _kept = None
-    t, w, _ = _nodes_and_weights(N, T)
-    t, w = t[1:], w[1:]
-    n = len(alphas) * len(scales)
-    if n * t.size > _KEEP_ENTRIES:
-        return None
-    matrix = np.empty((t.size, n))
-    # one product set at a time, so that building holds one set's temporaries
-    for c0 in range(0, n, _LAW_BLOCK):
-        c1 = min(c0 + _LAW_BLOCK, n)
-        matrix[:, c0:c1] = _stable_columns(alphas, scales, c0, c1, t, w)
-    _kept = (key, *_frozen(matrix))
-    return matrix
-
-
 def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     """CDFs of the layout's columns on one 1-d grid at node budget N.
 
     Returns the matrix whose column j holds F_j(xs), the node count, and
-    errors(closest): a third of the largest gap over the grid to the
-    same column from every other node (see the module docstring), for
-    each law column and then candidate column `closest` unless it is
-    None.
+    errors(c0, c1): a third of the largest gap over the grid to the same
+    column from every other node (see the module docstring), for each
+    law column and then candidates c0 .. c1 - 1.
 
     The sine kernel is built over the distinct |x| only, since
     F(-x) = 1 - F(x), and multiplies the laws' coefficient columns
-    w f(t) / t in one product, then the candidates' _LAW_BLOCK at a
-    time, sliced from the kept matrix or else built per product; on a
-    hit in _kept_cdfs only the laws' product runs.  When the kernel is
-    built in one block, errors() keeps a copy of its even-node columns.
+    w f(t) / t in one product, then the candidates' _LAW_BLOCK at a time.
+    When the kernel is built in one block, errors() keeps a copy of its
+    even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -344,31 +295,23 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
     alphas, scales = grid
     first, n = len(laws), len(alphas) * len(scales)
-    key = (ax.tobytes(), alphas, scales, N, T)
-    keep = 0 < ax.size * n <= _KEEP_CDF_ENTRIES
-    cdfs = _kept_cdfs.pop(key, None) if keep else None
-    if cdfs is None and n:
-        # eviction and the coefficient slot come before the pass allocates,
-        # so that a miss builds where the old entries were
-        while keep and len(_kept_cdfs) >= _KEEP_CDF_SLOTS:
-            del _kept_cdfs[next(iter(_kept_cdfs))]
-        kept = _kept_candidates(alphas, scales, N, T)
+
+    def products(kernel, head, t, w, c0, c1, out):
+        # the laws' columns head, then candidates c0 .. c1 - 1 built _LAW_BLOCK at a time
+        out[:, :first] = kernel @ head
+        for b0 in range(c0, c1, _LAW_BLOCK):
+            b1 = min(b0 + _LAW_BLOCK, c1)
+            out[:, first + b0 - c0:first + b1 - c0] = kernel @ _stable_columns(
+                alphas, scales, b0, b1, t, w)
+
     head = _law_columns(laws, t, w)
     half = np.empty((ax.size, first + n))
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        half[rows, :first] = kernel @ head
-        for c0 in range(0, n if cdfs is None else 0, _LAW_BLOCK):
-            c1 = min(c0 + _LAW_BLOCK, n)
-            c = _stable_columns(alphas, scales, c0, c1, t, w) if kept is None else kept[:, c0:c1]
-            half[rows, first + c0:first + c1] = kernel @ c
+        products(kernel, head, t, w, 0, n, half[rows])
     even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
     del kernel
-    if cdfs is not None:
-        half[:, first:] = cdfs
-    if keep:
-        _kept_cdfs[key] = cdfs if cdfs is not None else _frozen(half[:, first:].copy())[0]
     # the integrand tends to x * f(0) = x at t = 0
     half += (w0 * ax)[:, None]
     out = half[row]
@@ -378,30 +321,44 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     out[(out < 0.0) & (out >= -_CLAMP)] = 0.0
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
 
-    def errors(closest) -> np.ndarray:
-        cols = [*range(first)]
-        c = _law_columns(laws, t_half, w_half)
-        if closest is not None:
-            cols.append(closest)
-            j = closest - first
-            c = np.concatenate([c, _stable_columns(alphas, scales, j, j + 1, t_half, w_half)],
-                               axis=1)
-        coarse = np.empty((ax.size, len(cols)))
+    def errors(c0: int, c1: int) -> np.ndarray:
+        head = _law_columns(laws, t_half, w_half)
+        coarse = np.empty((ax.size, first + c1 - c0))
         for rows in chunks:
-            coarse[rows] = (even if even is not None else np.sin(np.outer(ax[rows], t_half))) @ c
+            kernel = even if even is not None else np.sin(np.outer(ax[rows], t_half))
+            products(kernel, head, t_half, w_half, c0, c1, coarse[rows])
         coarse += (w0_half * ax)[:, None]
-        return np.max(np.abs(half[:, cols] - coarse), axis=0) / (3.0 * math.pi)
+        coarse[:, :first] -= half[:, :first]
+        coarse[:, first:] -= half[:, first + c0:first + c1]
+        return np.abs(coarse, out=coarse).max(axis=0) / (3.0 * math.pi)
 
     return out, t.size + 1, errors
 
 
-def _sup_gaps(F: np.ndarray) -> np.ndarray:
-    """Each column's largest gap to column 0, _LAW_BLOCK columns at a time."""
-    gaps = np.empty(F.shape[1] - 1)
-    for j0 in range(1, F.shape[1], _LAW_BLOCK):
-        d = F[:, j0:j0 + _LAW_BLOCK] - F[:, :1]
-        gaps[j0 - 1:j0 - 1 + d.shape[1]] = np.abs(d, out=d).max(axis=0)
+def _sup_gaps(F: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each column's largest gap to ref, _LAW_BLOCK columns at a time."""
+    gaps = np.empty(F.shape[1])
+    for j0 in range(0, F.shape[1], _LAW_BLOCK):
+        d = F[:, j0:j0 + _LAW_BLOCK] - ref[:, None]
+        gaps[j0:j0 + d.shape[1]] = np.abs(d, out=d).max(axis=0)
     return gaps
+
+
+def _passes(run, quad: QuadratureSpec):
+    """(result, N, error) of run(N) -> (result, error) at the budget quad fixes or chooses."""
+    N = quad.N or _START_BUDGET
+    while True:
+        result, error = run(N)
+        if quad.N is not None and not error < 1.0:
+            # every reported number, a CDF value or a distance, lies in [0, 1]
+            raise QuadratureError(f"estimated quadrature error {error:.3g} is not below 1 "
+                                  f"at the fixed node budget N = {N}")
+        if quad.N is not None or error <= _TOL:
+            return result, N, error
+        if 2 * N > _MAX_BUDGET:
+            raise QuadratureError(f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
+                                  f"at the largest node budget N = {N}")
+        N *= 2
 
 
 def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
@@ -412,44 +369,30 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
     sorted, alpha-major.  Only the closest candidate (first smallest sup
     gap) counts: the reported numbers rest on the column groups (0,),
     (0, j) for each other law j and (0, closest), a group's error being
-    the sum of its columns' errors.
+    the sum of its columns' errors, and the passes (see _passes) run on
+    the largest group error.
 
     All columns share one truncation T: quad.T, else the largest
-    automatic T of the laws and of min(alphas) at min(scales).  A fixed
-    quad.N takes one pass, refused if its error estimate is 1 or more;
-    otherwise passes start at _START_BUDGET and double until the largest
-    group error is within _TOL.  Returns F (column j holds F_j(xs)), the
-    quadrature (T, budget N and node count of the last pass, error
-    estimate) and each column's gap to column 0.
-
-    The laws are evaluated on every pass; the candidates' columns come
-    from the kept CDF columns or the kept matrix when they hold them
-    (see the module docstring).
+    automatic T of the laws and of min(alphas) at min(scales).  Returns
+    F (column j holds F_j(xs)), the quadrature (T, budget N and node
+    count of the last pass, error estimate) and each column's gap to
+    column 0.
     """
     alphas, scales = tuple(grid[0]), tuple(grid[1])
     T = quad.T or _auto_truncation(*laws, *[StableCF(a, scales[0]) for a in alphas[:1]])
-    N = quad.N or _START_BUDGET
     first = len(laws)
-    while True:
+
+    def run(N):
         F, nodes, errors = _simpson_pass(laws, (alphas, scales), xs, T, N)
-        gaps = _sup_gaps(F)
-        closest = first + int(np.argmin(gaps[first - 1:])) if alphas else None
+        gaps = _sup_gaps(F[:, 1:], F[:, 0])
+        j = int(np.argmin(gaps[first - 1:])) if alphas else 0
         # every group is column 0 alone or with one other column, and
         # errors() gives column 0's error first
-        e = errors(closest)
-        error = float(e[0] + np.max(e[1:], initial=0.0))
-        if quad.N is not None and not error < 1.0:
-            # every reported number, a CDF value or a distance, lies in [0, 1]
-            raise QuadratureError(f"estimated quadrature error {error:.3g} is not below 1 "
-                                  f"at the fixed node budget N = {N}")
-        if quad.N is not None or error <= _TOL:
-            return F, {"T": T, "N": N, "nodes": nodes, "error": error}, gaps
-        if 2 * N > _MAX_BUDGET:
-            raise QuadratureError(
-                f"estimated quadrature error {error:.3g} exceeds {_TOL:g} "
-                f"at the largest node budget N = {N}"
-            )
-        N *= 2
+        e = errors(j, j + 1 if alphas else j)
+        return (F, nodes, gaps), float(e[0] + np.max(e[1:], initial=0.0))
+
+    (F, nodes, gaps), N, error = _passes(run, quad)
+    return F, {"T": T, "N": N, "nodes": nodes, "error": error}, gaps
 
 
 def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
@@ -559,12 +502,46 @@ def fit_stable(
     grid.  Grids are scanned in ascending order with strict improvement
     required, so ties resolve to the smallest alpha, then the smallest
     scale.  The quadrature error is measured on the target and the best
-    candidate.
+    candidate.  The fit is in the target's own units, so unlike
+    approx_compare it reads no candidate table: every call inverts its
+    candidates afresh.
     """
     quad = quad or QuadratureSpec()
     alphas, scales = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
     return _best_fit(_cdf_matrix([target], xs, quad, (alphas, scales))[2], alphas, scales)
+
+
+def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
+    """The candidates' CDF columns on _symmetric_grid(_X_SPAN_SCALES),
+    alpha-major, each column's error and the quadrature (T, N, nodes).
+
+    T is quad.T, else that of min(alphas) at min(scales).  Each pass
+    after the first inverts again only the alphas from the first to the
+    last with a column error above _TOL.  One slot keeps the last key's
+    table, read-only; _TOL is in the key so that no table serves a
+    stricter tolerance than it met.
+    """
+    global _table
+    key = (alphas, scales, quad, _TOL)
+    if _table is None or _table[0] != key:
+        _table = None
+        xs = _symmetric_grid(_X_SPAN_SCALES)
+        T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
+        k = len(scales)
+        F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
+
+        def run(N):
+            redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
+            a0, a1 = int(redo[0]), int(redo[-1]) + 1
+            cols = slice(k * a0, k * a1)
+            F[:, cols], nodes, errors = _simpson_pass([], (alphas[a0:a1], scales), xs, T, N)
+            e[cols] = errors(0, k * (a1 - a0))
+            return nodes, float(e.max())
+
+        nodes, N, _ = _passes(run, quad)
+        _table = (key, *_frozen(F, e), {"T": T, "N": N, "nodes": nodes})
+    return _table[1:]
 
 
 def approx_compare(
@@ -576,14 +553,20 @@ def approx_compare(
 ) -> ComparisonReport:
     """Gaussian versus best-stable approximation of the m-fold sum.
 
-    The gaussian competitor carries the family's exact variance, which
-    is also the variance of the normalized sum.  Stable candidates with
-    alpha = 2 are dropped from the grid since the gaussian side already
-    covers them; every other alpha outside (0, 2) raises InputError.
-    Both distances use one shared x grid and one shared
-    quadrature; distances within TIE_TOLERANCE (read at each call) of
-    each other are called a tie.  The quadrature error is measured on
-    the sum, the gaussian and the best candidate.
+    The normalized sum is read in units of its standard deviation sd
+    (the family's) on x in [-8, 8], against the unit gaussian and the
+    candidates StableCF(alpha, c), so no distance depends on the unit of
+    measurement.  Stable candidates with alpha = 2 are dropped from the
+    grid since the gaussian side already covers them; every other alpha
+    outside (0, 2) raises InputError.  Distances within TIE_TOLERANCE
+    (read at each call) of each other are called a tie.
+
+    The candidates come from the candidate table (its T, N and nodes are
+    quadrature.candidates).  The sum and the gaussian share the sum's T:
+    the automatic one, else for sd > 1 the one on the probe stretched by
+    sd, which reaches where the unstandardized sum's probe did.  Their
+    passes run on the reported error, the sum's plus the larger of the
+    gaussian's and the best candidate's.
     """
     quad = quad or QuadratureSpec()
     m = _check_m("m", m)
@@ -595,23 +578,34 @@ def approx_compare(
     if not alphas:
         raise InputError("alpha grid is empty after removing alpha = 2")
 
-    s_m = sum_rescale(family_cf, m)
-    # rescaling keeps the variance, so the grid reaches 8 sqrt(mu2)
-    xs = _x_values(None, s_m)
-    _, quadrature, gaps = _cdf_matrix([s_m, GaussianCF(mu2)], xs, quad, (alphas, scales))
+    table, e_table, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
+    sd = math.sqrt(mu2)
+    laws = [scale_argument(sum_rescale(family_cf, m), 1.0 / sd), GaussianCF(1.0)]
+    try:
+        T = quad.T or _auto_truncation(*laws)
+    except QuadratureError:
+        if sd <= 1.0:
+            raise
+        T = _auto_truncation(*laws, probe=_T_PROBE * sd)
+    xs = _symmetric_grid(_X_SPAN_SCALES)
+
+    def run(N):
+        F, nodes, errors = _simpson_pass(laws, ((), ()), xs, T, N)
+        gaps = np.concatenate([_sup_gaps(F[:, 1:], F[:, 0]), _sup_gaps(table, F[:, 0])])
+        e_sum, e_gauss = errors(0, 0)
+        return (gaps, nodes), float(e_sum + max(e_gauss, e_table[np.argmin(gaps[1:])]))
+
+    (gaps, nodes), N, error = _passes(run, quad)
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 
-    if abs(d_gauss - fit.distance) <= TIE_TOLERANCE:
-        verdict = "tie"
-    elif fit.distance < d_gauss:
-        verdict = "stable closer"
-    else:
-        verdict = "gaussian closer"
+    verdict = ("tie" if abs(d_gauss - fit.distance) <= TIE_TOLERANCE
+               else "stable closer" if fit.distance < d_gauss else "gaussian closer")
 
     return ComparisonReport(
         family=family_cf.describe(),
         m=m,
+        sd=sd,
         d_gaussian=d_gauss,
         best_alpha=fit.alpha,
         best_scale=fit.scale,
@@ -620,5 +614,6 @@ def approx_compare(
         alpha_grid=tuple(alphas),
         scale_grid=tuple(scales),
         x_grid={"min": float(xs[0]), "max": float(xs[-1]), "size": int(xs.size)},
-        quadrature=quadrature,
+        quadrature={"T": T, "N": N, "nodes": nodes, "error": error,
+                    "candidates": dict(candidates)},
     )

@@ -283,6 +283,16 @@ class TestScaleArgument:
             cf.evaluate(ts), SymmetrizedGammaCF(1.0).evaluate(2.0 * ts), rtol=1e-14
         )
 
+    def test_gaussian_stays_gaussian_while_its_variance_is_finite(self):
+        # standardizing a gaussian gives the unit gaussian bit for bit here
+        for v in (1e300, 1e12, 1e-300):
+            assert scale_argument(GaussianCF(v), 1.0 / math.sqrt(v)) == GaussianCF(1.0)
+        wide = scale_argument(GaussianCF(1e300), 1e10)
+        assert isinstance(wide, ScaledCF) and wide.factor == 1e10
+        for factor in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError):
+                scale_argument(GaussianCF(1.0), factor)
+
 
 FAMILY_STRATEGY = st.one_of(
     st.floats(0.01, 10.0).map(GaussianCF),

@@ -356,14 +356,15 @@ class TestExitCodes:
             (["detect", "--family", "gauss", "--variance", "1e305"], 1),
             (["rescale", "--family", "gauss", "--variance", "1e307", "--m", "4"], 0),
             (["distance", "--family", "gauss", "--variance", "1e307", "--r", "3"], 0),
-            # the variance squared underflows in the excess kurtosis
-            (["approx-compare", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 2),
+            # the variance squared underflows in the excess kurtosis; the
+            # comparison, in units of sd, reads the unit gaussian
+            (["approx-compare", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 0),
             (["kurtosis", "--family", "gauss", "--variance", "1e-300", "--m", "2"], 0),
             (["distance", "--family", "gauss", "--variance", "1e-300", "--r", "3"], 0),
-            # the x grid reaches 8e150 against T = 93.3: the fixed budget's
-            # error estimate is about 1e147, refused
+            # in units of sd the x grid reaches 8, not 8e150, and the fixed
+            # budget's error estimate is small
             (["approx-compare", "--family", "gauss", "--variance", "1e300", "--m", "2",
-              "--quad-n", "1024"], 2),
+              "--quad-n", "1024"], 0),
             # t^r underflows at the bottom of the lambda_r grid
             (["distance", "--family", "gauss", "--variance", "1", "--vs", "gauss:variance=1",
               "--r", "200"], 0),
@@ -379,9 +380,11 @@ class TestExitCodes:
     def test_overflowed_exponent_prints_no_warning(self, capsys, argv, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run(capsys, *argv)
+            code, out, err = run(capsys, *argv)
         assert code == expected
         assert err == "" or (err.startswith("iddlab: ") and err.count("\n") == 1)
+        if argv[0] == "approx-compare":
+            assert json.loads(out)["result"]["d_gaussian"] == 0.0
 
     def test_alpha_grid_past_two_is_one(self, capsys):
         # 1.5:2.5:3 holds 2.5: alpha = 2 is dropped, alpha = 2.5 refused

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -26,6 +29,7 @@ from iddlab import (
     limit_gaussian,
     moments,
     root_rescale,
+    scale_argument,
     sum_rescale,
 )
 from iddlab import cf_core, inversion
@@ -242,19 +246,31 @@ def _first_below(cf):
 
 
 class TestOverflowedProbes:
-    @pytest.mark.parametrize("call", [
-        lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)),
-        lambda: kolmogorov_distance(GaussianCF(1e300), GaussianCF(2e300), QuadratureSpec(N=1024)),
-        lambda: fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)),
+    @pytest.mark.parametrize("call, refused", [
+        (lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)), False),
+        (lambda: kolmogorov_distance(GaussianCF(1e300), GaussianCF(2e300), QuadratureSpec(N=1024)),
+         True),
+        (lambda: fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)), True),
     ], ids=["approx_compare", "kolmogorov_distance", "fit_stable"])
-    def test_overflowed_exponent_in_a_probe_warns_nothing(self, call):
-        # an exponent past the float range means f = 0 at that probe; the
-        # x grid then reaches 8e150 against T = 93.3, and the fixed budget's
-        # error estimate (about 1e147) is refused rather than reported
+    def test_overflowed_exponent_in_a_probe_warns_nothing(self, call, refused):
+        # an exponent past the float range means f = 0 at that probe; in
+        # absolute units the x grid then reaches 8e150 against T = 93.3, and
+        # the fixed budget's error estimate (about 1e147) is refused rather
+        # than reported; approx_compare reads the sum in units of its sd,
+        # where it is the unit gaussian
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureError, match="not below 1"):
-                call()
+            if refused:
+                with pytest.raises(QuadratureError, match="not below 1"):
+                    call()
+            else:
+                assert call().d_gaussian == 0.0
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Run with no candidate table; the slot is restored afterwards."""
+    monkeypatch.setattr(inversion, "_table", None)
 
 
 class TestSharedTruncation:
@@ -278,16 +294,21 @@ class TestSharedTruncation:
         with pytest.raises(QuadratureError, match="does not decay"):
             inversion._auto_truncation(StableCF(1.0, 0.25), CompoundPoissonCF(2.0, 1.0))
 
-    def test_only_laws_raising_the_truncation_are_probed_in_full(self, monkeypatch):
+    def test_only_laws_raising_the_truncation_are_probed_in_full(self, empty_table,
+                                                                  monkeypatch):
+        # the table probes its slowest candidate alone, on first use; the
+        # standardized sum and the unit gaussian share a truncation of their own
         family = SymmetrizedGammaCF(0.5)
-        laws = [sum_rescale(family, 10), GaussianCF(moments(family).mu2)]
+        laws = [scale_argument(sum_rescale(family, 10), 1.0), GaussianCF(1.0)]
+        slowest = StableCF(1.0, 0.25)
         candidates = [
             StableCF(a, c)
             for a in inversion.DEFAULT_ALPHA_GRID
             for c in inversion.DEFAULT_SCALE_GRID
         ]
-        # probed one by one, every law and candidate
-        k = max(map(_first_below, laws + candidates))
+        # probed one by one
+        T = inversion._T_PROBE[max(map(_first_below, laws))]
+        T_table = inversion._T_PROBE[max(map(_first_below, candidates))]
         probes = []
         evaluate = SymmetricCF.evaluate
 
@@ -298,8 +319,11 @@ class TestSharedTruncation:
 
         monkeypatch.setattr(SymmetricCF, "evaluate", counting)
         report = approx_compare(family, 10)
-        assert report.quadrature["T"] == inversion._T_PROBE[k]
-        assert probes == [*laws, StableCF(1.0, 0.25)]
+        assert (report.quadrature["T"], report.quadrature["candidates"]["T"]) == (T, T_table)
+        assert probes == [slowest, *laws]
+        probes.clear()
+        approx_compare(family, 10)
+        assert probes == laws
 
     @pytest.mark.parametrize("alphas, scales", [
         (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID),
@@ -321,7 +345,8 @@ class TestSharedTruncation:
             max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
         assert str(by_grid.value) == str(one_by_one.value)
 
-    def test_default_grid_builds_one_candidate_object_per_alpha(self, monkeypatch):
+    def test_default_grid_builds_one_candidate_object_per_alpha(self, empty_table,
+                                                                 monkeypatch):
         built = []
         init = cf_core._Transform.__post_init__
 
@@ -333,7 +358,125 @@ class TestSharedTruncation:
         monkeypatch.setattr(cf_core._Transform, "__post_init__", counting)
         approx_compare(SymmetrizedGammaCF(0.5), 10)
         alphas, scales = inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID
-        assert len(built) <= len(alphas) + len(scales)
+        # unit-scale laws, one per alpha and table pass, and the truncation's probe
+        assert {(cf.alpha, cf.scale) for cf in built} == {
+            *[(a, 1.0) for a in alphas], (alphas[0], scales[0])}
+        built.clear()
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        assert built == []
+
+
+DEFAULT_GRID = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
+
+
+class TestCandidateTable:
+    def test_not_built_at_import(self):
+        code = ("import iddlab; from iddlab import inversion; "
+                "assert inversion._table is None; "
+                "iddlab.cdf_from_cf(iddlab.GaussianCF(1.0), 1.0); "
+                "assert inversion._table is None")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_columns_and_errors_match_one_law_at_a_time(self, empty_table):
+        # more columns than one product, at one fixed quadrature
+        alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
+        quad = QuadratureSpec(T=40.0, N=1024)
+        F, e, q = inversion._candidate_table(alphas, scales, quad)
+        assert q == {"T": 40.0, "N": 1024, "nodes": 1025}
+        xs = _symmetric_grid(8.0)
+        for j, cf in enumerate(StableCF(a, c) for a in alphas for c in scales):
+            G, g, _ = _cdf_matrix([cf], xs, quad)
+            np.testing.assert_allclose(F[:, j], G[:, 0], rtol=0, atol=1e-12)
+            assert e[j] == pytest.approx(g["error"], rel=1e-6)
+
+    def test_passes_redo_only_the_alphas_that_miss_the_tolerance(self, empty_table):
+        # at 1024 nodes only the Cauchy column at scale 1/4 misses 1e-6, so
+        # the second pass inverts alpha = 1 alone, at 2048 nodes
+        F1, e1, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(N=1024))
+        assert e1[0] > 1e-6 and np.max(e1[1:]) <= 1e-6
+        F, e, q = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        assert q["N"] == 2048 and np.max(e) <= 1e-6
+        assert np.array_equal(F[:, 21:], F1[:, 21:]) and np.array_equal(e[21:], e1[21:])
+        F2, e2, _ = inversion._candidate_table(DEFAULT_GRID[0][:1], DEFAULT_GRID[1],
+                                               QuadratureSpec(N=2048))
+        assert np.array_equal(F[:, :21], F2) and np.array_equal(e[:21], e2)
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec(N=512), QuadratureSpec(T=50.0, N=1024)],
+                             ids=["N", "T-and-N"])
+    def test_fixed_quadrature_binds_the_sum_and_the_table(self, quad):
+        report = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=quad)
+        q = report.quadrature
+        assert q["N"] == q["candidates"]["N"] == quad.N
+        if quad.T is not None:
+            assert q["T"] == q["candidates"]["T"] == quad.T
+
+    def test_reported_error_is_the_sum_plus_the_larger_rival(self):
+        family, m = SymmetrizedGammaCF(1.0), 4
+        report = approx_compare(family, m)
+        q = report.quadrature
+        table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
+        F, _, errors = inversion._simpson_pass(pair, ((), ()), _symmetric_grid(8.0),
+                                               q["T"], q["N"])
+        e_sum, e_gauss = errors(0, 0)
+        closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
+        alphas, scales = DEFAULT_GRID
+        assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
+            report.best_scale)
+        assert q["error"] == e_sum + max(e_gauss, e_table[closest])
+
+
+class TestKeptCandidateBlocks:
+    """The candidate table is the one block kept across calls."""
+    FAMILIES = [SymmetrizedGammaCF(0.5), convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)),
+                GaussianCF(4.0)]
+    GRIDS = [((1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))),
+             ((1.1, 1.5), tuple(np.geomspace(0.3, 3.0, 20))),
+             ((1.2, 1.7), (0.8, 1.25))]
+    QUADS = [QuadratureSpec(N=128), QuadratureSpec(N=256), QuadratureSpec(T=40.0, N=128)]
+
+    def test_kept_matrix_is_read_only_and_keyed_without_laws(self, empty_table):
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        kept = inversion._table
+        assert kept[0] == (*DEFAULT_GRID, QuadratureSpec(), inversion._TOL)
+        F, e, q = kept[1:]
+        assert (F.shape, e.shape) == ((401, 420), (420,))
+        assert q == {"T": 93.32543007969915, "N": 2048, "nodes": 2049}
+        for a in (F, e):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        # every family and m reads the same table
+        approx_compare(convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)), 25)
+        assert inversion._table is kept
+        # another grid or quadrature takes the slot
+        approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=1024))
+        assert inversion._table[0][2] == QuadratureSpec(N=1024)
+
+    @given(pool=st.lists(st.tuples(st.sampled_from(range(len(FAMILIES))),
+                                   st.sampled_from([4, 10]),
+                                   st.sampled_from(range(len(GRIDS))),
+                                   st.sampled_from(range(len(QUADS)))),
+                         min_size=1, max_size=3),
+           order=st.lists(st.integers(0, 2), min_size=2, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_matches_one_with_an_empty_slot(self, pool, order):
+        # calls repeat from a small pool, so that the slot both hits and is replaced
+        saved = inversion._table
+        try:
+            inversion._table = None
+            for i in order:
+                f, m, g, q = pool[i % len(pool)]
+
+                def call():
+                    return approx_compare(self.FAMILIES[f], m, *self.GRIDS[g],
+                                          quad=self.QUADS[q])
+                report = call()
+                slot, inversion._table = inversion._table, None
+                ref = call()
+                inversion._table = slot
+                assert repr(report) == repr(ref)
+        finally:
+            inversion._table = saved
 
 
 def _layout(laws, grid, t, w):
@@ -343,7 +486,7 @@ def _layout(laws, grid, t, w):
 
 
 class TestCoefficientFlush:
-    T = 93.32543007969915  # the criterion-9 truncation
+    T = 93.32543007969915  # the default candidate table's truncation
     LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
     GRID = ((1.0, 1.95), (0.25, 4.0))
     COLUMNS = LAWS + [StableCF(1.0, 0.25), StableCF(1.0, 4.0), StableCF(1.95, 0.25),
@@ -395,234 +538,6 @@ class TestCandidateBlock:
             raw = np.stack([w * cf.evaluate(t) / t for cf in cfs], axis=1)
             raw[np.abs(raw) < np.finfo(float).tiny] = 0.0
             assert np.array_equal(block, raw)
-
-
-def _counting_values(monkeypatch):
-    """The shapes of the 2-d StableCF._values runs from here on."""
-    runs = []
-    values = StableCF._values
-
-    def counting(cf, t):
-        if np.ndim(t) == 2:
-            runs.append(np.shape(t))
-        return values(cf, t)
-
-    monkeypatch.setattr(StableCF, "_values", counting)
-    return runs
-
-
-@pytest.fixture
-def empty_slot(monkeypatch):
-    """Run with no kept candidate matrix and no kept CDF columns; the slots
-    are restored afterwards."""
-    monkeypatch.setattr(inversion, "_kept", None)
-    monkeypatch.setattr(inversion, "_kept_cdfs", {})
-
-
-class TestKeptCandidateBlocks:
-    TARGET = sum_rescale(SymmetrizedGammaCF(1.0), 4)
-    XS = [np.linspace(-6.0, 6.0, 25), np.linspace(-3.0, 7.5, 36)]
-    # 40 candidates fill more than one product, so where the products
-    # split the kept matrix depends on the number of laws
-    GRIDS = [((1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))),
-             ((1.1, 1.5), tuple(np.geomspace(0.3, 3.0, 20))),
-             ((1.2, 1.7), (0.8, 1.25))]
-
-    def test_second_target_at_the_same_truncation_reuses_the_block(self, empty_slot, monkeypatch):
-        runs = _counting_values(monkeypatch)
-        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        assert len(runs) > len(inversion.DEFAULT_ALPHA_GRID)
-        runs.clear()
-        second = approx_compare(SymmetrizedGammaCF(1.0), 4)
-        assert second.quadrature["T"] == first.quadrature["T"]
-        assert (first.quadrature["N"], second.quadrature["N"]) == (1024, 1024)
-        # only the error estimate's half-node column of the closest candidate
-        assert runs == [(512, 1)]
-
-    def test_fit_and_compare_share_the_kept_matrix(self, empty_slot, monkeypatch):
-        fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10))
-        runs = _counting_values(monkeypatch)
-        approx_compare(SymmetrizedGammaCF(0.5), 10)
-        # only the error estimate's half-node column of the closest candidate
-        assert runs == [(512, 1)]
-
-    def test_kept_matrix_is_read_only_and_keyed_without_laws(self, empty_slot):
-        report = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        key, matrix = inversion._kept
-        grid = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
-        assert key == (*grid, 1024, report.quadrature["T"])
-        assert matrix.shape == (1024, 420)
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
-
-    @pytest.mark.parametrize("grid, quad", [
-        ((inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID), QuadratureSpec()),
-        ((tuple(np.linspace(1.0, 1.95, 60)), tuple(np.geomspace(0.25, 4.0, 60))),
-         QuadratureSpec(N=128)),
-    ], ids=["criterion-9", "60x60-grid"])
-    def test_built_columns_match_the_kept_matrix(self, empty_slot, monkeypatch, grid, quad):
-        # the products slice the kept matrix, or build their columns when it is too big
-        target = sum_rescale(SymmetrizedGammaCF(0.5), 10)
-        laws = [target, GaussianCF(moments(target).mu2)]
-        xs = _symmetric_grid(8.0 * math.sqrt(laws[1].variance))
-        kept = _cdf_matrix(laws, xs, quad, grid)
-        assert inversion._kept is not None
-        monkeypatch.setattr(inversion, "_kept", None)
-        monkeypatch.setattr(inversion, "_KEEP_ENTRIES", 0)
-        built = _cdf_matrix(laws, xs, quad, grid)
-        assert inversion._kept is None
-        assert np.array_equal(built[0], kept[0]) and np.array_equal(built[2], kept[2])
-        assert built[1] == kept[1]
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(quad=QuadratureSpec(N=8192)),
-        dict(alpha_grid=np.linspace(1.0, 1.95, 60), scale_grid=np.geomspace(0.25, 4.0, 60)),
-    ], ids=["8192-nodes", "60x60-grid"])
-    def test_large_blocks_are_not_kept(self, empty_slot, kwargs):
-        approx_compare(SymmetrizedGammaCF(0.5), 10)
-        assert inversion._kept is not None
-        approx_compare(SymmetrizedGammaCF(0.5), 10, **kwargs)
-        assert inversion._kept is None
-
-    @pytest.mark.parametrize("field, value", [(0, 1), (1, 1), (3, 256), (4, 93.3)],
-                             ids=["grid", "x-grid", "N", "T"])
-    def test_each_key_field_separates_kept_cdfs(self, empty_slot, field, value):
-        laws = [self.TARGET, GaussianCF(2.0)]
-
-        def call(g, x, k, N, T):
-            return _cdf_matrix(laws[:k], self.XS[x], QuadratureSpec(T=T, N=N), self.GRIDS[g])
-
-        base = (0, 0, 2, 128, 40.0)
-        variant = base[:field] + (value,) + base[field + 1:]
-        call(*base)
-        F, q, gaps = call(*variant)
-        assert len(inversion._kept_cdfs) == 2
-        inversion._kept, inversion._kept_cdfs = None, {}
-        F_ref, q_ref, gaps_ref = call(*variant)
-        assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
-
-    def test_law_count_shares_one_kept_cdf_entry(self, empty_slot):
-        # the laws take a product of their own, so the candidates' CDF
-        # columns do not depend on how many laws come first
-        laws, quad = [self.TARGET, GaussianCF(2.0)], QuadratureSpec(T=40.0, N=128)
-        results = [_cdf_matrix(laws[:k], self.XS[0], quad, self.GRIDS[0]) for k in (1, 2)]
-        assert len(inversion._kept_cdfs) == 1
-        for k, (F, q, gaps) in zip((1, 2), results):
-            inversion._kept, inversion._kept_cdfs = None, {}
-            F_ref, q_ref, gaps_ref = _cdf_matrix(laws[:k], self.XS[0], quad, self.GRIDS[0])
-            assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
-
-    @given(pool=st.lists(st.tuples(st.sampled_from(range(len(GRIDS))), st.sampled_from([0, 1]),
-                                   st.sampled_from([1, 2, 3]), st.sampled_from([64, 128, 256]),
-                                   st.sampled_from([40.0, 93.3])),
-                         min_size=1, max_size=3),
-           order=st.lists(st.integers(0, 2), min_size=2, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_every_call_matches_one_with_an_empty_slot(self, pool, order):
-        # calls repeat from a small pool, so that both slots hit and evict
-        laws = [self.TARGET, GaussianCF(2.0), StableCF(1.5, 1.0)]
-        saved = inversion._kept, inversion._kept_cdfs
-        try:
-            inversion._kept, inversion._kept_cdfs = None, {}
-            for i in order:
-                g, x, k, N, T = pool[i % len(pool)]
-
-                def call():
-                    return _cdf_matrix(laws[:k], self.XS[x], QuadratureSpec(T=T, N=N),
-                                       self.GRIDS[g])
-                F, q, gaps = call()
-                slots = inversion._kept, inversion._kept_cdfs
-                inversion._kept, inversion._kept_cdfs = None, {}
-                F_ref, q_ref, gaps_ref = call()
-                inversion._kept, inversion._kept_cdfs = slots
-                assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref)
-                assert q == q_ref
-        finally:
-            inversion._kept, inversion._kept_cdfs = saved
-
-
-class TestKeptCdfColumns:
-    def test_repeated_call_builds_only_the_error_column(self, empty_slot, monkeypatch):
-        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        runs = _counting_values(monkeypatch)
-        second = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        assert repr(second) == repr(first)
-        # only the laws' product runs; the error estimate's half-node
-        # column of the closest candidate is the one candidate column built
-        assert runs == [(512, 1)]
-
-    def test_hit_after_a_truncation_change_builds_only_the_first_product(self, empty_slot,
-                                                                         monkeypatch):
-        first = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        other = approx_compare(SymmetrizedGammaCF(0.5), 4)
-        assert other.quadrature["T"] == pytest.approx(645.65, abs=0.01)
-        kept = inversion._kept
-        runs = _counting_values(monkeypatch)
-        assert repr(approx_compare(SymmetrizedGammaCF(0.5), 10)) == repr(first)
-        # the first product is the laws' own, so a hit builds only the
-        # error column and never reads the coefficient matrix of the other
-        # truncation, which stays
-        assert runs == [(512, 1)]
-        assert inversion._kept is kept
-
-    def test_two_read_only_entries_least_recently_used_out(self, empty_slot):
-        def last_key(shape):
-            approx_compare(SymmetrizedGammaCF(shape), 4)
-            return list(inversion._kept_cdfs)[-1]
-
-        a, b = last_key(0.5), last_key(1.0)
-        # a hit moves its entry last, so the next miss evicts b
-        assert last_key(0.5) == a and list(inversion._kept_cdfs) == [b, a]
-        c = last_key(2.0)
-        assert list(inversion._kept_cdfs) == [a, c]
-        for key, cdfs in inversion._kept_cdfs.items():
-            assert key[1:] == (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID,
-                               1024, key[4])
-            assert cdfs.shape == (201, 420)
-            assert not cdfs.flags.writeable
-            with pytest.raises(ValueError):
-                cdfs[0, 0] = 1.0
-
-    @pytest.mark.parametrize("call", [
-        lambda: approx_compare(SymmetrizedGammaCF(0.5), 10,
-                               alpha_grid=np.linspace(1.0, 1.95, 60),
-                               scale_grid=np.geomspace(0.25, 4.0, 60)),
-        # 2501 distinct |x| take two kernel blocks at 1024 nodes, and their
-        # 2501 x 420 columns exceed the entry bound
-        lambda: fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10),
-                           x_grid=np.linspace(-8.0, 8.0, 5001)),
-    ], ids=["60x60-grid", "5001-point-x-grid"])
-    def test_large_or_chunked_passes_are_not_kept(self, empty_slot, call):
-        call()
-        assert inversion._kept_cdfs == {}
-
-    def test_two_kernel_blocks_are_kept_and_repeat_their_bits(self, empty_slot):
-        # 2100 distinct |x| need two kernel blocks at 1024 nodes; their
-        # 2100 x 40 columns are within the entry bound
-        def call():
-            return _cdf_matrix([sum_rescale(SymmetrizedGammaCF(0.5), 10)],
-                               np.linspace(0.0, 8.0, 2100), QuadratureSpec(N=1024),
-                               ((1.2, 1.5), tuple(np.geomspace(0.5, 2.0, 20))))
-
-        call()
-        assert len(inversion._kept_cdfs) == 1
-        F, q, gaps = call()
-        inversion._kept, inversion._kept_cdfs = None, {}
-        F_ref, q_ref, gaps_ref = call()
-        assert np.array_equal(F, F_ref) and np.array_equal(gaps, gaps_ref) and q == q_ref
-
-    def test_fit_and_compare_share_one_entry(self, empty_slot):
-        fit = fit_stable(sum_rescale(SymmetrizedGammaCF(0.5), 10))
-        [entry] = inversion._kept_cdfs.values()
-        report = approx_compare(SymmetrizedGammaCF(0.5), 10)
-        [kept] = inversion._kept_cdfs.values()
-        assert kept is entry
-        assert (report.best_alpha, report.best_scale) == (fit.alpha, fit.scale)
-        # the candidate columns are the same bits; the target's column is a
-        # one-column product in the fit and a two-column one beside the
-        # gaussian, and BLAS rounds the two in different orders
-        assert report.d_stable == pytest.approx(fit.distance, rel=0.0, abs=1e-15)
 
 
 class TestKolmogorovDistance:
@@ -788,10 +703,14 @@ class TestApproxCompare:
         report = approx_compare(
             GaussianCF(1.0), 2, alpha_grid=(1.0, 1.5), scale_grid=(0.25, 1.0), quad=quad,
         )
-        # the slowest candidate, exp(-t / 4), sets the shared truncation
-        T = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]["T"]
+        # the sum (here the unit gaussian) and the gaussian at their own
+        # truncation; the table at its slowest candidate's, exp(-t / 4)
+        T = _cdf_matrix([GaussianCF(1.0)], np.array([1.0]), quad)[1]["T"]
+        T_table = _cdf_matrix([StableCF(1.0, 0.25)], np.array([1.0]), quad)[1]["T"]
+        assert T < T_table
         error = report.quadrature["error"]
-        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "error": error}
+        assert report.quadrature == {"T": T, "N": 1024, "nodes": 1025, "error": error,
+                                     "candidates": {"T": T_table, "N": 1024, "nodes": 1025}}
 
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):
@@ -834,12 +753,14 @@ class TestErrorEstimate:
         q = report.quadrature
         # one pass at the starting budget
         assert q["N"] == 1024 and q["error"] <= 1e-6
-        # the three reported columns again, at 16384 nodes and the same truncation
-        laws = [sum_rescale(family, m), GaussianCF(moments(family).mu2),
-                StableCF(report.best_alpha, report.best_scale)]
+        # the three reported columns again at 16384 nodes: the sum and the
+        # gaussian at their truncation, the best candidate at the table's
         xs = _symmetric_grid(report.x_grid["max"])
-        F = _cdf_matrix(laws, xs, QuadratureSpec(T=q["T"], N=16384))[0]
-        d_gaussian, d_stable = np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0)
+        pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
+        F = _cdf_matrix(pair, xs, QuadratureSpec(T=q["T"], N=16384))[0]
+        best = StableCF(report.best_alpha, report.best_scale)
+        G = _cdf_matrix([best], xs, QuadratureSpec(T=q["candidates"]["T"], N=16384))[0]
+        d_gaussian, d_stable = np.max(np.abs(np.column_stack([F[:, 1], G]) - F[:, :1]), axis=0)
         assert abs(report.d_gaussian - d_gaussian) <= q["error"]
         assert abs(report.d_stable - d_stable) <= q["error"]
 
@@ -884,15 +805,105 @@ class TestErrorEstimate:
         assert np.max(np.abs(coarse - fine)) > 1e-5
 
     def test_former_budget_reproduces_the_fixed_rule(self):
-        # the criterion-9 case as the fixed 4096-node rule computed it
+        # the criterion-9 case at the fixed 4096-node rule, which binds the
+        # sum and the candidate table alike
         fixed = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=4096))
-        assert fixed.d_gaussian == 0.01372438874052917
-        assert fixed.d_stable == 0.0033273201360512483
+        assert fixed.d_gaussian == 0.013724388741261473
+        assert fixed.d_stable == 0.0033273201359788063
         assert (fixed.best_alpha, fixed.best_scale) == (1.85, 0.6597539553864472)
         assert (fixed.quadrature["N"], fixed.quadrature["nodes"]) == (4096, 4097)
+        assert fixed.quadrature["candidates"] == {"T": 93.32543007969915, "N": 4096,
+                                                  "nodes": 4097}
         adaptive = approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert adaptive.quadrature["N"] == 1024
         assert adaptive.d_gaussian == pytest.approx(fixed.d_gaussian, abs=1e-8)
         assert adaptive.d_stable == pytest.approx(fixed.d_stable, abs=1e-8)
         assert (adaptive.best_alpha, adaptive.best_scale, adaptive.verdict) == (
             fixed.best_alpha, fixed.best_scale, fixed.verdict)
+
+
+class TestStandardizedCompare:
+    def test_laplace_sum_at_m_1_still_answers(self):
+        # (1 + t^2 / 2)^(-1) first falls below 1e-10 past the probe's end,
+        # which the probe stretched by sd = sqrt(2) reaches
+        report = approx_compare(SymmetrizedGammaCF(1.0), 1)
+        q = report.quadrature
+        assert q["T"] == inversion._T_PROBE[-1] * math.sqrt(2.0)
+        assert q["error"] <= 1e-6
+
+    @pytest.mark.parametrize("family, m", [
+        (GaussianCF(1e12), 2), (GaussianCF(1e-300), 2), (SymmetrizedGammaCF(1e6), 1),
+    ], ids=["gauss-1e12", "gauss-1e-300", "symgamma-1e6"])
+    def test_extreme_scale_answers_like_its_unit_variance_twin(self, family, m):
+        twin = approx_compare(scale_argument(family, 1.0 / math.sqrt(moments(family).mu2)), m)
+        assert twin.sd == pytest.approx(1.0, rel=1e-12)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = approx_compare(family, m)
+        assert time.perf_counter() - start < 1.0
+        _assert_same_answer(report, twin)
+
+    @given(family=st.sampled_from([
+               SymmetrizedGammaCF(1.0), SymmetrizedGammaCF(3.0), GaussianCF(2.0),
+               convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0))]),
+           m=st.sampled_from([2, 4, 10]),
+           k=_log_uniform(1e-6, 1e6))
+    @settings(max_examples=25, deadline=None)
+    def test_scaling_the_family_changes_no_answer(self, family, m, k):
+        _assert_same_answer(approx_compare(scale_argument(family, k), m),
+                            approx_compare(family, m))
+
+    @given(g=st.sampled_from([0.5, 1.0, 2.0]), j=st.sampled_from([2, 5]),
+           m=st.sampled_from([2, 4]))
+    @settings(max_examples=12, deadline=None)
+    def test_symgamma_shape_and_m_trade_off(self, g, j, m):
+        # symgamma(g)^(*m j) and symgamma(g j)^(*m) are one law up to scale
+        _assert_same_answer(approx_compare(SymmetrizedGammaCF(g), m * j),
+                            approx_compare(SymmetrizedGammaCF(g * j), m))
+
+
+def _assert_same_answer(a, b):
+    tol = a.quadrature["error"] + b.quadrature["error"]
+    assert abs(a.d_gaussian - b.d_gaussian) <= tol
+    assert abs(a.d_stable - b.d_stable) <= tol
+    assert (a.best_alpha, a.best_scale, a.verdict) == (b.best_alpha, b.best_scale, b.verdict)
+
+
+class TestStableOracle:
+    """The candidate table's columns against scipy's levy_stable, which
+    integrates Nolan's formula; at beta = 0 its law is StableCF(alpha, c)."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 1.85, 1.95])
+    def test_table_columns_against_levy_stable(self, alpha):
+        pytest.importorskip("scipy")
+        from scipy.stats import levy_stable
+
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        xs = _symmetric_grid(8.0)
+        scales = DEFAULT_GRID[1]
+        for c in (scales[0], scales[10], scales[20]):
+            j = DEFAULT_GRID[0].index(alpha) * len(scales) + scales.index(c)
+            for x in (-2.0, 0.12, 0.68, 2.0, 5.0, 8.0):
+                i = int(np.flatnonzero(xs == x)[0])
+                assert abs(F[i, j] - levy_stable.cdf(x, alpha, 0.0, scale=c)) <= e[j]
+
+    def test_alpha_1_5_gap_is_the_quadratures(self):
+        # scipy and a 30-digit quadrature of the inversion integral agree to
+        # rounding, so the table's gap to scipy at alpha = 1.5 (8.6e-9 here
+        # at 1024 nodes, growing with x from the |t|^1.5 cusp at t = 0) is
+        # its own, and within its error estimate
+        pytest.importorskip("scipy")
+        mp = pytest.importorskip("mpmath")
+        from scipy.stats import levy_stable
+
+        with mp.workdps(30):
+            def integrand(t):
+                return mp.exp(-t ** mp.mpf(1.5)) * mp.sin(2 * t) / t
+
+            exact = float(0.5 + mp.quad(integrand, mp.linspace(0, 60, 40) + [mp.inf]) / mp.pi)
+        assert levy_stable.cdf(2.0, 1.5, 0.0) == pytest.approx(exact, abs=1e-15)
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        j = DEFAULT_GRID[0].index(1.5) * 21 + 10
+        gap = abs(F[int(np.flatnonzero(_symmetric_grid(8.0) == 2.0)[0]), j] - exact)
+        assert 1e-10 < gap <= e[j]
