@@ -26,17 +26,17 @@ which the call is refused.
 
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
-set and one sine kernel, so comparing a target against a whole stable
-grid costs one kernel and a few matrix products.  The core fixes one
-column layout: the target, then each law compared with it (the second
-law in kolmogorov_distance), then the stable candidates alpha-major, of
-which only the closest counts.  Each alpha is one unit-scale law read at
-c t for every scale c.  The least alpha at the least scale sets the
+set and one sine kernel.  Column 0 is the target and each other law (the
+second law in kolmogorov_distance) is compared with it.  A pass inverts
+one kind of column, laws or stable candidates, so fit_stable measures a
+whole stable grid in two passes at one truncation and budget: the
+target's, then the candidates', alpha-major, of which only the closest
+counts.  Each alpha is one unit-scale law read at c t for every scale c.
+The least alpha at the least scale joins the target in setting the
 truncation: where its (c t)^alpha first exceeds -log 1e-10, c t > 1, so
-every larger alpha or scale is below that level there too.  The laws
-take a sine-kernel product of their own, and the candidates follow 32 at
-a time.  Subnormal coefficients are flushed before the product (see
-_weighted).
+every larger alpha or scale is below that level there too.  A pass
+multiplies its coefficient columns 32 at a time, and subnormal
+coefficients are flushed before the product (see _weighted).
 
 approx_compare reads the normalized sum in units of its standard
 deviation on one x grid, so the candidates' CDF columns there are a
@@ -53,8 +53,8 @@ to the best stable law with alpha < 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -251,10 +251,9 @@ def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _law_columns(laws, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One column w f(t) / t per law."""
-    c = np.stack([cf.evaluate(t) for cf in laws], axis=1) if laws else np.empty((t.size, 0))
-    return _weighted(c, t, w)
+def _law_columns(laws, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laws c0 .. c1 - 1 as columns w f(t) / t."""
+    return _weighted(np.stack([cf.evaluate(t) for cf in laws[c0:c1]], axis=1), t, w)
 
 
 def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -269,23 +268,26 @@ def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarr
     for i in range(c0 // k, (c1 - 1) // k + 1):
         # alpha i holds candidates k i .. k i + k - 1
         run = s[max(c0 - k * i, 0):c1 - k * i]
-        parts.append(StableCF(alphas[i], 1.0)._values(np.multiply.outer(t, run)))
+        # an overflowed exponent means f = 0 there
+        with np.errstate(over="ignore"):
+            parts.append(StableCF(alphas[i], 1.0)._values(np.multiply.outer(t, run)))
     return _weighted(np.concatenate(parts, axis=1), t, w)
 
 
-def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
-    """CDFs of the layout's columns on one 1-d grid at node budget N.
+def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
+    """CDFs of n columns of one kind on one 1-d grid at node budget N.
 
-    Returns the matrix whose column j holds F_j(xs), the node count, and
+    columns(c0, c1, t, w) gives columns c0 .. c1 - 1 as coefficients
+    w f(t) / t at nodes t: _law_columns or _stable_columns.  Returns the
+    matrix whose column j holds F_j(xs), the node count, and
     errors(c0, c1): a third of the largest gap over the grid to the same
-    column from every other node (see the module docstring), for each
-    law column and then candidates c0 .. c1 - 1.
+    column from every other node (see the module docstring), for columns
+    c0 .. c1 - 1.
 
     The sine kernel is built over the distinct |x| only, since
-    F(-x) = 1 - F(x), and multiplies the laws' coefficient columns
-    w f(t) / t in one product, then the candidates' _LAW_BLOCK at a time.
-    When the kernel is built in one block, errors() keeps a copy of its
-    even-node columns.
+    F(-x) = 1 - F(x), and multiplies the coefficient columns _LAW_BLOCK
+    at a time.  When the kernel is built in one block, errors() keeps a
+    copy of its even-node columns.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -293,23 +295,17 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     ax, row = np.unique(np.abs(xs), return_inverse=True)
     step = max(_KERNEL_BLOCK // t.size, 1)
     chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
-    alphas, scales = grid
-    first, n = len(laws), len(alphas) * len(scales)
 
-    def products(kernel, head, t, w, c0, c1, out):
-        # the laws' columns head, then candidates c0 .. c1 - 1 built _LAW_BLOCK at a time
-        out[:, :first] = kernel @ head
+    def products(kernel, t, w, c0, c1, out):
         for b0 in range(c0, c1, _LAW_BLOCK):
             b1 = min(b0 + _LAW_BLOCK, c1)
-            out[:, first + b0 - c0:first + b1 - c0] = kernel @ _stable_columns(
-                alphas, scales, b0, b1, t, w)
+            out[:, b0 - c0:b1 - c0] = kernel @ columns(b0, b1, t, w)
 
-    head = _law_columns(laws, t, w)
-    half = np.empty((ax.size, first + n))
+    half = np.empty((ax.size, n))
     for rows in chunks:
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        products(kernel, head, t, w, 0, n, half[rows])
+        products(kernel, t, w, 0, n, half[rows])
     even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
     del kernel
     # the integrand tends to x * f(0) = x at t = 0
@@ -322,14 +318,12 @@ def _simpson_pass(laws, grid, xs: np.ndarray, T: float, N: int):
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
 
     def errors(c0: int, c1: int) -> np.ndarray:
-        head = _law_columns(laws, t_half, w_half)
-        coarse = np.empty((ax.size, first + c1 - c0))
+        coarse = np.empty((ax.size, c1 - c0))
         for rows in chunks:
             kernel = even if even is not None else np.sin(np.outer(ax[rows], t_half))
-            products(kernel, head, t_half, w_half, c0, c1, coarse[rows])
+            products(kernel, t_half, w_half, c0, c1, coarse[rows])
         coarse += (w0_half * ax)[:, None]
-        coarse[:, :first] -= half[:, :first]
-        coarse[:, first:] -= half[:, first + c0:first + c1]
+        coarse -= half[:, c0:c1]
         return np.abs(coarse, out=coarse).max(axis=0) / (3.0 * math.pi)
 
     return out, t.size + 1, errors
@@ -361,34 +355,33 @@ def _passes(run, quad: QuadratureSpec):
         N *= 2
 
 
-def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, grid=((), ())):
-    """Invert laws and stable candidates on one grid, at quad's budget or to _TOL.
+def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
+    """Invert laws on one grid, at quad's budget or to _TOL, beside optional rivals.
 
-    Column layout: column 0 is the target and each other law is compared
-    with it; then come the candidates of grid = (alphas, scales), both
-    sorted, alpha-major.  Only the closest candidate (first smallest sup
-    gap) counts: the reported numbers rest on the column groups (0,),
-    (0, j) for each other law j and (0, closest), a group's error being
-    the sum of its columns' errors, and the passes (see _passes) run on
-    the largest group error.
+    Column 0 is the target and each other law is compared with it.
+    rivals(T, N) -> (R, errors) gives more columns on xs at the laws'
+    quadrature, errors as a pass's (see _simpson_pass), of which only the
+    closest (first smallest sup gap to column 0) counts.  The reported
+    numbers rest on the column groups (0,), (0, j) for each other law j
+    and (0, closest rival), a group's error being the sum of its columns'
+    errors, and the passes (see _passes) run on the largest group error.
 
-    All columns share one truncation T: quad.T, else the largest
-    automatic T of the laws and of min(alphas) at min(scales).  Returns
-    F (column j holds F_j(xs)), the quadrature (T, budget N and node
-    count of the last pass, error estimate) and each column's gap to
-    column 0.
+    The laws are inverted at quad.T, else at the largest of their
+    automatic T.  Returns F (column j holds law j's CDF on xs), the
+    quadrature (T, budget N and node count of the last pass, error
+    estimate) and the gap to column 0 of each other law, then each rival.
     """
-    alphas, scales = tuple(grid[0]), tuple(grid[1])
-    T = quad.T or _auto_truncation(*laws, *[StableCF(a, scales[0]) for a in alphas[:1]])
-    first = len(laws)
+    T = quad.T or _auto_truncation(*laws)
 
     def run(N):
-        F, nodes, errors = _simpson_pass(laws, (alphas, scales), xs, T, N)
+        F, nodes, errors = _simpson_pass(partial(_law_columns, laws), len(laws), xs, T, N)
         gaps = _sup_gaps(F[:, 1:], F[:, 0])
-        j = int(np.argmin(gaps[first - 1:])) if alphas else 0
-        # every group is column 0 alone or with one other column, and
-        # errors() gives column 0's error first
-        e = errors(j, j + 1 if alphas else j)
+        e = errors(0, len(laws))
+        if rivals is not None:
+            R, rival_errors = rivals(T, N)
+            gaps = np.concatenate([gaps, _sup_gaps(R, F[:, 0])])
+            j = int(np.argmin(gaps[len(laws) - 1:]))
+            e = np.append(e, rival_errors(j, j + 1))
         return (F, nodes, gaps), float(e[0] + np.max(e[1:], initial=0.0))
 
     (F, nodes, gaps), N, error = _passes(run, quad)
@@ -509,7 +502,14 @@ def fit_stable(
     quad = quad or QuadratureSpec()
     alphas, scales = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
-    return _best_fit(_cdf_matrix([target], xs, quad, (alphas, scales))[2], alphas, scales)
+    T = quad.T or _auto_truncation(target, StableCF(alphas[0], scales[0]))
+    columns = partial(_stable_columns, alphas, scales)
+
+    def candidates(T, N):
+        F, _, errors = _simpson_pass(columns, len(alphas) * len(scales), xs, T, N)
+        return F, errors
+
+    return _best_fit(_cdf_matrix([target], xs, replace(quad, T=T), candidates)[2], alphas, scales)
 
 
 def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
@@ -535,7 +535,8 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
             redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
             a0, a1 = int(redo[0]), int(redo[-1]) + 1
             cols = slice(k * a0, k * a1)
-            F[:, cols], nodes, errors = _simpson_pass([], (alphas[a0:a1], scales), xs, T, N)
+            F[:, cols], nodes, errors = _simpson_pass(
+                partial(_stable_columns, alphas[a0:a1], scales), k * (a1 - a0), xs, T, N)
             e[cols] = errors(0, k * (a1 - a0))
             return nodes, float(e.max())
 
@@ -588,14 +589,8 @@ def approx_compare(
             raise
         T = _auto_truncation(*laws, probe=_T_PROBE * sd)
     xs = _symmetric_grid(_X_SPAN_SCALES)
-
-    def run(N):
-        F, nodes, errors = _simpson_pass(laws, ((), ()), xs, T, N)
-        gaps = np.concatenate([_sup_gaps(F[:, 1:], F[:, 0]), _sup_gaps(table, F[:, 0])])
-        e_sum, e_gauss = errors(0, 0)
-        return (gaps, nodes), float(e_sum + max(e_gauss, e_table[np.argmin(gaps[1:])]))
-
-    (gaps, nodes), N, error = _passes(run, quad)
+    _, quadrature, gaps = _cdf_matrix(laws, xs, replace(quad, T=T),
+                                      lambda T, N: (table, lambda c0, c1: e_table[c0:c1]))
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 
@@ -614,6 +609,5 @@ def approx_compare(
         alpha_grid=tuple(alphas),
         scale_grid=tuple(scales),
         x_grid={"min": float(xs[0]), "max": float(xs[-1]), "size": int(xs.size)},
-        quadrature={"T": T, "N": N, "nodes": nodes, "error": error,
-                    "candidates": dict(candidates)},
+        quadrature={**quadrature, "candidates": dict(candidates)},
     )

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from iddlab.inversion import (
     _cdf_matrix,
     _law_columns,
     _nodes_and_weights,
+    _simpson_pass,
     _stable_columns,
     _symmetric_grid,
 )
@@ -199,14 +201,25 @@ class TestCdfFromCf:
                 assert cdf_from_cf(cf, x) == pytest.approx(oracle, abs=1e-8)
 
 
+def _candidates(grid, xs):
+    """The rivals fit_stable hands _cdf_matrix: one candidate pass at the laws' T and N."""
+    columns, n = partial(_stable_columns, *grid), len(grid[0]) * len(grid[1])
+
+    def rivals(T, N):
+        R, _, errors = _simpson_pass(columns, n, xs, T, N)
+        return R, errors
+    return rivals
+
+
 class TestCdfMatrix:
     def test_batched_columns_match_single_law(self):
-        # more columns than one coefficient block, at one explicit truncation
+        # more candidate columns than one coefficient block, at one explicit truncation
         alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
         laws = [GaussianCF(1.0), SymmetrizedGammaCF(1.0)]
         quad = QuadratureSpec(T=40.0, N=1024)
         xs = np.linspace(-6.0, 6.0, 41)
-        F, q, _ = _cdf_matrix(laws, xs, quad, (alphas, scales))
+        F, q, _ = _cdf_matrix(laws, xs, quad)
+        F = np.concatenate([F, _candidates((alphas, scales), xs)(quad.T, quad.N)[0]], axis=1)
         laws += [StableCF(a, c) for a in alphas for c in scales]
         assert F.shape == (xs.size, len(laws))
         assert (q["T"], q["nodes"]) == (40.0, 1025)
@@ -224,11 +237,12 @@ class TestCdfMatrix:
         candidates = [StableCF(a, c) for a in grid[0] for c in grid[1]]
         e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in [target, *candidates]]
         assert max(e) == e[1 + candidates.index(rough)]
-        F, q, gaps = _cdf_matrix([target], xs, quad, grid)
-        assert np.array_equal(gaps, np.max(np.abs(F[:, 1:] - F[:, :1]), axis=0))
+        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs))
+        R = _candidates(grid, xs)(quad.T, quad.N)[0]
+        assert np.array_equal(gaps, np.max(np.abs(R - F[:, :1]), axis=0))
         assert candidates[int(np.argmin(gaps))] == near
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
-        q = _cdf_matrix([target, rough], xs, quad, grid)[1]
+        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs))[1]
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
@@ -265,6 +279,17 @@ class TestOverflowedProbes:
                     call()
             else:
                 assert call().d_gaussian == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: approx_compare(SymmetrizedGammaCF(1.0), 4, (1.5,), (1e300,)).d_stable,
+        lambda: fit_stable(GaussianCF(1.0), (1.5,), (1e300,), QuadratureSpec(N=1024)).distance,
+    ], ids=["approx_compare", "fit_stable"])
+    def test_overflowed_exponent_in_a_candidate_column_warns_nothing(self, call):
+        # at c = 1e300, (c t)^alpha overflows at every node past t = 0, where
+        # f = 0, so the candidate's CDF is 1/2 across the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call() == pytest.approx(0.5, abs=2e-3)
 
 
 @pytest.fixture
@@ -330,17 +355,27 @@ class TestSharedTruncation:
         ((0.3, 0.5, 0.8), (0.5, 1.0, 4.0)),
         ((1.0, 1.5, 2.0), (0.1, 1.0, 10.0)),
     ], ids=["default", "alpha-below-1", "alpha-2"])
-    def test_grid_truncation_is_the_largest_per_candidate_one(self, alphas, scales):
-        # the law decays before the first probe point, so the grid sets T
+    def test_grid_truncation_is_the_largest_per_candidate_one(self, alphas, scales,
+                                                              monkeypatch):
+        # the law decays before the first probe point, so the grid sets T,
+        # and the law's pass and the candidates' share it
         narrow = GaussianCF(1e6)
-        T = _cdf_matrix([narrow], np.array([0.0]), QuadratureSpec(N=64), (alphas, scales))[1]["T"]
-        assert T == max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
+        truncations = []
+        simpson_pass = inversion._simpson_pass
+
+        def recording(columns, n, xs, T, N):
+            truncations.append(T)
+            return simpson_pass(columns, n, xs, T, N)
+
+        monkeypatch.setattr(inversion, "_simpson_pass", recording)
+        fit_stable(narrow, alphas, scales, QuadratureSpec(N=64), x_grid=[0.0])
+        T = max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
+        assert truncations == [T, T]
 
     def test_grid_too_slow_to_decay_refused_like_its_slowest_candidate(self):
         alphas, scales = (1.0, 1.5), (1e-6, 1.0)
         with pytest.raises(QuadratureError) as by_grid:
-            _cdf_matrix([GaussianCF(1e6)], np.array([0.0]), QuadratureSpec(N=64),
-                        (alphas, scales))
+            fit_stable(GaussianCF(1e6), alphas, scales, QuadratureSpec(N=64), x_grid=[0.0])
         with pytest.raises(QuadratureError) as one_by_one:
             max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
         assert str(by_grid.value) == str(one_by_one.value)
@@ -416,9 +451,9 @@ class TestCandidateTable:
         q = report.quadrature
         table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F, _, errors = inversion._simpson_pass(pair, ((), ()), _symmetric_grid(8.0),
-                                               q["T"], q["N"])
-        e_sum, e_gauss = errors(0, 0)
+        F, _, errors = _simpson_pass(partial(_law_columns, pair), 2, _symmetric_grid(8.0),
+                                     q["T"], q["N"])
+        e_sum, e_gauss = errors(0, 2)
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
         alphas, scales = DEFAULT_GRID
         assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
@@ -480,9 +515,10 @@ class TestKeptCandidateBlocks:
 
 
 def _layout(laws, grid, t, w):
-    """Every coefficient column _cdf_matrix lays out: each law, then the candidates alpha-major."""
+    """The coefficient columns of a fit's two passes: each law, then the candidates alpha-major."""
     n = len(grid[0]) * len(grid[1])
-    return np.concatenate([_law_columns(laws, t, w), _stable_columns(*grid, 0, n, t, w)], axis=1)
+    return np.concatenate([_law_columns(laws, 0, len(laws), t, w),
+                           _stable_columns(*grid, 0, n, t, w)], axis=1)
 
 
 class TestCoefficientFlush:
@@ -532,7 +568,7 @@ class TestCandidateBlock:
         c1 = min(max(ends), len(candidates))
         c0 = min(ends[0], c1 - 1)
         for cfs, block in [
-            (self.LAWS, _law_columns(self.LAWS, t, w)),
+            (self.LAWS, _law_columns(self.LAWS, 0, len(self.LAWS), t, w)),
             (candidates[c0:c1], _stable_columns(alphas, scales, c0, c1, t, w)),
         ]:
             raw = np.stack([w * cf.evaluate(t) / t for cf in cfs], axis=1)
@@ -887,6 +923,33 @@ class TestStableOracle:
             for x in (-2.0, 0.12, 0.68, 2.0, 5.0, 8.0):
                 i = int(np.flatnonzero(xs == x)[0])
                 assert abs(F[i, j] - levy_stable.cdf(x, alpha, 0.0, scale=c)) <= e[j]
+
+    def test_table_columns_against_the_power_series(self):
+        # F(x) = 1/2 + 1/(pi alpha) sum_k (-1)^k Gamma((2k+1)/alpha) z^(2k+1)/(2k+1)!,
+        # z = x/c, summed at 40 digits; the series converges fast enough only
+        # for alpha >= 1.5 and z <= 4
+        mp = pytest.importorskip("mpmath")
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        xs = _symmetric_grid(8.0)
+        alphas, scales = DEFAULT_GRID
+        with mp.workdps(40):
+            for a, alpha in enumerate(alphas):
+                if alpha < 1.5:
+                    continue
+                for s in (5, 10, 20):  # scales 1/2, 1 and 4
+                    j = a * len(scales) + s
+                    for x in (0.04, 0.4, 1.0, 2.0):
+                        i = int(np.argmin(np.abs(xs - x)))
+                        z, total, k = mp.mpf(xs[i]) / scales[s], mp.mpf(0), 0
+                        while True:
+                            term = (mp.gamma(mp.mpf(2 * k + 1) / alpha) * z ** (2 * k + 1)
+                                    / mp.factorial(2 * k + 1))
+                            total += term if k % 2 == 0 else -term
+                            if abs(term) < mp.mpf(10) ** -30:
+                                break
+                            k += 1
+                        exact = float(mp.mpf(0.5) + total / (mp.pi * alpha))
+                        assert abs(F[i, j] - exact) <= e[j]
 
     def test_alpha_1_5_gap_is_the_quadratures(self):
         # scipy and a 30-digit quadrature of the inversion integral agree to

@@ -104,6 +104,19 @@ class TestLambdaR:
         got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
         assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
 
+    def test_pinned_value_against_a_30_digit_supremum(self):
+        # argmax t* = 0.60190078 of the ratio, by a scan and then a root of
+        # its derivative; lambda_3 = 0.174157909569676
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def ratio(t):
+                return abs(1 / (1 + t * t) - mp.exp(-t * t)) / t**3
+
+            start = max(mp.linspace(0.05, 5, 100), key=ratio)
+            exact = float(ratio(mp.findroot(lambda t: mp.diff(ratio, t), start)))
+        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), LambdaConfig(r=3.0))
+        assert got == pytest.approx(exact, rel=1e-6)
+
     def test_short_grid_extends_up_to_the_supremum(self):
         # the ratio still grows at t_max = 0.01; the supremum sits near t = 1,
         # two decades further up
