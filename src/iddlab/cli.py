@@ -163,12 +163,14 @@ _LT_FAMILIES = _families({
 })
 
 
-def _build_family(kind: str, params: dict, table: dict):
+def _build_family(kind: str, params: dict, table: dict, spec: str | None = None):
     # kind is known: argparse choices and _parse_inline_spec check it first
     names, cls = table[kind]
     missing = [n for n in names if params.get(n) is None]
     if missing:
-        raise InputError(f"family {kind!r} needs --{missing[0].replace('_', '-')}")
+        need = (f"{missing[0]}= in spec {spec!r}" if spec is not None
+                else f"--{missing[0].replace('_', '-')}")
+        raise InputError(f"family {kind!r} needs {need}")
     extra = [n for n, v in params.items() if v is not None and n not in names]
     if extra:
         raise InputError(f"parameter {extra[0]!r} does not belong to family {kind!r}")
@@ -194,7 +196,7 @@ def _parse_inline_spec(spec: str, table: dict):
             f"unknown family {kind!r} in spec {spec!r}; "
             f"choose from {', '.join(sorted(table))}"
         )
-    return _build_family(kind, params, table)
+    return _build_family(kind, params, table, spec)
 
 
 def read_samples(path: str) -> list:

@@ -12,31 +12,33 @@ and evaluated by composite Simpson rule on hybrid nodes: uniform on
 rest).  Slowly decaying CFs that never reach that level are rejected
 rather than integrated badly.
 
-Each pass measures its own error.  Every other node of a pass is itself
-a Simpson rule with half the budget, so the gap between the two rules
-costs one small matrix product and no extra sine kernel.  Where the
-error falls like h^p the gap is 2^p - 1 times the finer rule's error:
-p = 4 for a smooth CF and 1 + alpha at a |t|^alpha cusp at t = 0, so for
-every law here but stable ones with alpha < 1, p >= 2 and a third of
-the gap is reported.  It is taken only on the columns that can feed a
-reported number (the error of a distance is the sum of its two
-columns' errors).  Without a fixed budget the passes start at 1024
-nodes and double while that estimate exceeds 1e-6, up to a cap past
-which the call is refused.
+Each pass measures the error of every column it inverts.  Every other
+node of a pass is itself a Simpson rule with half the budget, read from
+the same sine kernel and the same CF values, so the gap between the two
+rules costs one product of half the size.  Where the error falls like
+h^p the gap is 2^p - 1 times the finer rule's error: p = 4 for a smooth
+CF and 1 + alpha at a |t|^alpha cusp at t = 0, so for every law here but
+stable ones with alpha < 1, p >= 2 and a third of the gap is reported.
+Only the columns that feed a reported number enter the reported error
+(the error of a distance is the sum of its two columns' errors).
+Without a fixed budget the passes start at 1024 nodes and double while
+that estimate exceeds 1e-6, up to a cap past which the call is refused.
+A grid on which |x| T overflows is refused before a pass builds its
+kernel.
 
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel.  Column 0 is the target and each other law (the
 second law in kolmogorov_distance) is compared with it.  A pass inverts
 one kind of column, laws or stable candidates, so fit_stable measures a
-whole stable grid in two passes at one truncation and budget: the
-target's, then the candidates', alpha-major, of which only the closest
-counts.  Each alpha is one unit-scale law read at c t for every scale c.
-The least alpha at the least scale joins the target in setting the
+whole stable grid in two passes at one budget: the target's at its own
+truncation, then the candidates', alpha-major, of which only the closest
+counts, at the grid's.  Each alpha is one unit-scale law read at c t for
+every scale c.  The least alpha at the least scale sets a grid's
 truncation: where its (c t)^alpha first exceeds -log 1e-10, c t > 1, so
 every larger alpha or scale is below that level there too.  A pass
-multiplies its coefficient columns 32 at a time, and subnormal
-coefficients are flushed before the product (see _weighted).
+weights each block of CF values once per rule, flushing subnormal
+coefficients (see _weighted), and multiplies 32 columns at a time.
 
 approx_compare reads the normalized sum in units of its standard
 deviation on one x grid, so the candidates' CDF columns there are a
@@ -251,13 +253,13 @@ def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _law_columns(laws, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Laws c0 .. c1 - 1 as columns w f(t) / t."""
-    return _weighted(np.stack([cf.evaluate(t) for cf in laws[c0:c1]], axis=1), t, w)
+def _law_columns(laws, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
+    """Laws c0 .. c1 - 1 as columns f(t)."""
+    return np.stack([cf.evaluate(t) for cf in laws[c0:c1]], axis=1)
 
 
-def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Candidates c0 .. c1 - 1 of the alpha-major grid as columns w f(t) / t.
+def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
+    """Candidates c0 .. c1 - 1 of the alpha-major grid as columns f(t).
 
     Each alpha is StableCF(alpha, 1) read at c t, bit for bit
     StableCF(alpha, c).evaluate(t) as c t = 1 (t c); _values skips
@@ -271,61 +273,55 @@ def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray, w: np.ndarr
         # an overflowed exponent means f = 0 there
         with np.errstate(over="ignore"):
             parts.append(StableCF(alphas[i], 1.0)._values(np.multiply.outer(t, run)))
-    return _weighted(np.concatenate(parts, axis=1), t, w)
+    return np.concatenate(parts, axis=1)
 
 
 def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
     """CDFs of n columns of one kind on one 1-d grid at node budget N.
 
-    columns(c0, c1, t, w) gives columns c0 .. c1 - 1 as coefficients
-    w f(t) / t at nodes t: _law_columns or _stable_columns.  Returns the
-    matrix whose column j holds F_j(xs), the node count, and
-    errors(c0, c1): a third of the largest gap over the grid to the same
-    column from every other node (see the module docstring), for columns
-    c0 .. c1 - 1.
+    columns(c0, c1, t) gives columns c0 .. c1 - 1 as values f(t) at nodes
+    t: _law_columns or _stable_columns.  Returns the matrix whose column j
+    holds F_j(xs), the node count, and each column's error: a third of
+    the largest gap over the grid to the same column from every other
+    node (see the module docstring).
 
     The sine kernel is built over the distinct |x| only, since
-    F(-x) = 1 - F(x), and multiplies the coefficient columns _LAW_BLOCK
-    at a time.  When the kernel is built in one block, errors() keeps a
-    copy of its even-node columns.
+    F(-x) = 1 - F(x), in blocks of rows, each multiplying the columns
+    _LAW_BLOCK at a time.  Each block of values is weighted once per
+    rule: the N/2 rule reads the even nodes of the same kernel block and
+    of the same values, copied so that BLAS still takes both products.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
     w0_half, w_half, t_half = w_half[0], w_half[1:], t[1::2]
     ax, row = np.unique(np.abs(xs), return_inverse=True)
+    if not math.isfinite(float(ax[-1]) * float(t[-1])):
+        raise QuadratureError(f"x t overflows at |x| = {ax[-1]:g} and T = {T:g}")
     step = max(_KERNEL_BLOCK // t.size, 1)
-    chunks = [slice(x0, x0 + step) for x0 in range(0, ax.size, step)]
-
-    def products(kernel, t, w, c0, c1, out):
-        for b0 in range(c0, c1, _LAW_BLOCK):
-            b1 = min(b0 + _LAW_BLOCK, c1)
-            out[:, b0 - c0:b1 - c0] = kernel @ columns(b0, b1, t, w)
-
-    half = np.empty((ax.size, n))
-    for rows in chunks:
+    half, errors = np.empty((ax.size, n)), np.zeros(n)
+    for x0 in range(0, ax.size, step):
+        rows = slice(x0, x0 + step)
         kernel = np.outer(ax[rows], t)
         np.sin(kernel, out=kernel)
-        products(kernel, t, w, 0, n, half[rows])
-    even = kernel[:, 1::2].copy() if len(chunks) == 1 else None
-    del kernel
-    # the integrand tends to x * f(0) = x at t = 0
-    half += (w0 * ax)[:, None]
+        even, coarse = kernel[:, 1::2].copy(), np.empty((kernel.shape[0], n))
+        for c0 in range(0, n, _LAW_BLOCK):
+            c1 = min(c0 + _LAW_BLOCK, n)
+            f = columns(c0, c1, t)
+            coarse[:, c0:c1] = even @ _weighted(f[1::2].copy(), t_half, w_half)
+            half[rows, c0:c1] = kernel @ _weighted(f, t, w)
+        # the integrand tends to x * f(0) = x at t = 0
+        half[rows] += (w0 * ax[rows])[:, None]
+        coarse += (w0_half * ax[rows])[:, None]
+        coarse -= half[rows]
+        np.maximum(errors, np.abs(coarse, out=coarse).max(axis=0), out=errors)
+    errors /= 3.0 * math.pi
+    del kernel, even, coarse
     out = half[row]
     out /= math.pi
     out *= np.sign(xs)[:, None]
     out += 0.5
     out[(out < 0.0) & (out >= -_CLAMP)] = 0.0
     out[(out > 1.0) & (out <= 1.0 + _CLAMP)] = 1.0
-
-    def errors(c0: int, c1: int) -> np.ndarray:
-        coarse = np.empty((ax.size, c1 - c0))
-        for rows in chunks:
-            kernel = even if even is not None else np.sin(np.outer(ax[rows], t_half))
-            products(kernel, t_half, w_half, c0, c1, coarse[rows])
-        coarse += (w0_half * ax)[:, None]
-        coarse -= half[:, c0:c1]
-        return np.abs(coarse, out=coarse).max(axis=0) / (3.0 * math.pi)
-
     return out, t.size + 1, errors
 
 
@@ -359,12 +355,13 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
     """Invert laws on one grid, at quad's budget or to _TOL, beside optional rivals.
 
     Column 0 is the target and each other law is compared with it.
-    rivals(T, N) -> (R, errors) gives more columns on xs at the laws'
-    quadrature, errors as a pass's (see _simpson_pass), of which only the
-    closest (first smallest sup gap to column 0) counts.  The reported
-    numbers rest on the column groups (0,), (0, j) for each other law j
-    and (0, closest rival), a group's error being the sum of its columns'
-    errors, and the passes (see _passes) run on the largest group error.
+    rivals(N) -> (R, e) gives more columns on xs at budget N, at a
+    truncation of their own, and their errors, of which only the closest
+    (first smallest sup gap to column 0) counts.  Of all the columns'
+    errors the reported numbers rest on the groups (0,), (0, j) for each
+    other law j and (0, closest rival), a group's error being the sum of
+    its columns', and the passes (see _passes) run on the largest group
+    error.
 
     The laws are inverted at quad.T, else at the largest of their
     automatic T.  Returns F (column j holds law j's CDF on xs), the
@@ -374,14 +371,12 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
     T = quad.T or _auto_truncation(*laws)
 
     def run(N):
-        F, nodes, errors = _simpson_pass(partial(_law_columns, laws), len(laws), xs, T, N)
+        F, nodes, e = _simpson_pass(partial(_law_columns, laws), len(laws), xs, T, N)
         gaps = _sup_gaps(F[:, 1:], F[:, 0])
-        e = errors(0, len(laws))
         if rivals is not None:
-            R, rival_errors = rivals(T, N)
+            R, e_rivals = rivals(N)
             gaps = np.concatenate([gaps, _sup_gaps(R, F[:, 0])])
-            j = int(np.argmin(gaps[len(laws) - 1:]))
-            e = np.append(e, rival_errors(j, j + 1))
+            e = np.append(e, e_rivals[int(np.argmin(gaps[len(laws) - 1:]))])
         return (F, nodes, gaps), float(e[0] + np.max(e[1:], initial=0.0))
 
     (F, nodes, gaps), N, error = _passes(run, quad)
@@ -494,22 +489,24 @@ def fit_stable(
     All candidates are measured against the target on one shared x
     grid.  Grids are scanned in ascending order with strict improvement
     required, so ties resolve to the smallest alpha, then the smallest
-    scale.  The quadrature error is measured on the target and the best
-    candidate.  The fit is in the target's own units, so unlike
-    approx_compare it reads no candidate table: every call inverts its
-    candidates afresh.
+    scale.  The target is inverted at quad.T, else at its own automatic
+    T, and the candidates at quad.T, else at the T of the least alpha at
+    the least scale, the rule of the candidate table; both passes share
+    the budget, and its error is the target's plus the best candidate's.
+    The fit is in the target's own units, so unlike approx_compare it
+    reads no candidate table: every call inverts its candidates afresh.
     """
     quad = quad or QuadratureSpec()
     alphas, scales = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
-    T = quad.T or _auto_truncation(target, StableCF(alphas[0], scales[0]))
+    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
     columns = partial(_stable_columns, alphas, scales)
 
-    def candidates(T, N):
-        F, _, errors = _simpson_pass(columns, len(alphas) * len(scales), xs, T, N)
-        return F, errors
+    def candidates(N):
+        F, _, e = _simpson_pass(columns, len(alphas) * len(scales), xs, T, N)
+        return F, e
 
-    return _best_fit(_cdf_matrix([target], xs, replace(quad, T=T), candidates)[2], alphas, scales)
+    return _best_fit(_cdf_matrix([target], xs, quad, candidates)[2], alphas, scales)
 
 
 def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
@@ -535,9 +532,8 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
             redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
             a0, a1 = int(redo[0]), int(redo[-1]) + 1
             cols = slice(k * a0, k * a1)
-            F[:, cols], nodes, errors = _simpson_pass(
+            F[:, cols], nodes, e[cols] = _simpson_pass(
                 partial(_stable_columns, alphas[a0:a1], scales), k * (a1 - a0), xs, T, N)
-            e[cols] = errors(0, k * (a1 - a0))
             return nodes, float(e.max())
 
         nodes, N, _ = _passes(run, quad)
@@ -589,8 +585,7 @@ def approx_compare(
             raise
         T = _auto_truncation(*laws, probe=_T_PROBE * sd)
     xs = _symmetric_grid(_X_SPAN_SCALES)
-    _, quadrature, gaps = _cdf_matrix(laws, xs, replace(quad, T=T),
-                                      lambda T, N: (table, lambda c0, c1: e_table[c0:c1]))
+    _, quadrature, gaps = _cdf_matrix(laws, xs, replace(quad, T=T), lambda N: (table, e_table))
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 

@@ -240,6 +240,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect", "--family", "gauss")
         assert code == 1 and "variance" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["distance", "--family", "gauss", "--variance", "1", "--r", "3",
+           "--vs", "stable:alpha=1.5"],
+          "family 'stable' needs scale= in spec 'stable:alpha=1.5'"),
+         (["detect", "--family", "gauss", "--variance", "1", "--convolve", "cpoisson:rate=2"],
+          "family 'cpoisson' needs jump= in spec 'cpoisson:rate=2'"),
+         (["detect", "--family", "stable", "--alpha", "1.5"], "family 'stable' needs --scale")],
+        ids=["vs", "convolve", "family"],
+    )
+    def test_missing_parameter_named_as_given(self, capsys, argv, message):
+        # an inline spec names the missing key, --family the missing flag
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"iddlab: input error: {message}\n"
+
     def test_no_command_is_one(self, capsys):
         assert main([]) == 1
 

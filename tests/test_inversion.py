@@ -41,6 +41,7 @@ from iddlab.inversion import (
     _simpson_pass,
     _stable_columns,
     _symmetric_grid,
+    _weighted,
 )
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
@@ -172,6 +173,33 @@ class TestCdfFromCf:
         got = cdf_from_cf(GaussianCF(1.0), xs)
         np.testing.assert_allclose(got, [normal_cdf(x) for x in xs], atol=1e-6)
 
+    def test_pass_does_not_depend_on_the_row_block(self, monkeypatch):
+        # the same grid as one kernel block and as blocks of 401, 401 and 399
+        # rows, across two coefficient products: the CDFs and the error array
+        # are bit-identical (no block is so small that BLAS takes another
+        # summation order, as it may for a product of a few rows)
+        xs = np.linspace(-4.0, 7.0, 1201)
+        columns = partial(_stable_columns, (1.2, 1.9), tuple(np.geomspace(0.5, 2.0, 20)))
+        runs = []
+        for block in (2**40, 401 * 1024):
+            monkeypatch.setattr(inversion, "_KERNEL_BLOCK", block)
+            runs.append(_simpson_pass(columns, 40, xs, 40.0, 1024))
+        (F1, nodes1, e1), (F2, nodes2, e2) = runs
+        assert nodes1 == nodes2 == 1025 and e1.shape == (40,)
+        assert np.array_equal(F1, F2) and np.array_equal(e1, e2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: cdf_from_cf(GaussianCF(1.0), 1e308),
+        lambda: kolmogorov_distance(GaussianCF(1.0), GaussianCF(2.0), x_grid=[1e308]),
+        # x t stays finite at the target's T and overflows at the candidates'
+        lambda: fit_stable(GaussianCF(1.0), x_grid=[1e307]),
+    ], ids=["cdf_from_cf", "kolmogorov_distance", "fit_stable"])
+    def test_overflowing_x_t_refused_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=r"x t overflows at \|x\| = 1e\+30[78]"):
+                call()
+
     def test_explicit_truncation_override(self):
         auto = cdf_from_cf(GaussianCF(1.0), 1.0)
         manual = cdf_from_cf(GaussianCF(1.0), 1.0, QuadratureSpec(T=12.0))
@@ -201,13 +229,13 @@ class TestCdfFromCf:
                 assert cdf_from_cf(cf, x) == pytest.approx(oracle, abs=1e-8)
 
 
-def _candidates(grid, xs):
-    """The rivals fit_stable hands _cdf_matrix: one candidate pass at the laws' T and N."""
+def _candidates(grid, xs, T):
+    """The rivals fit_stable hands _cdf_matrix: one candidate pass at T and the laws' N."""
     columns, n = partial(_stable_columns, *grid), len(grid[0]) * len(grid[1])
 
-    def rivals(T, N):
-        R, _, errors = _simpson_pass(columns, n, xs, T, N)
-        return R, errors
+    def rivals(N):
+        R, _, e = _simpson_pass(columns, n, xs, T, N)
+        return R, e
     return rivals
 
 
@@ -219,7 +247,7 @@ class TestCdfMatrix:
         quad = QuadratureSpec(T=40.0, N=1024)
         xs = np.linspace(-6.0, 6.0, 41)
         F, q, _ = _cdf_matrix(laws, xs, quad)
-        F = np.concatenate([F, _candidates((alphas, scales), xs)(quad.T, quad.N)[0]], axis=1)
+        F = np.concatenate([F, _candidates((alphas, scales), xs, quad.T)(quad.N)[0]], axis=1)
         laws += [StableCF(a, c) for a in alphas for c in scales]
         assert F.shape == (xs.size, len(laws))
         assert (q["T"], q["nodes"]) == (40.0, 1025)
@@ -237,12 +265,12 @@ class TestCdfMatrix:
         candidates = [StableCF(a, c) for a in grid[0] for c in grid[1]]
         e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in [target, *candidates]]
         assert max(e) == e[1 + candidates.index(rough)]
-        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs))
-        R = _candidates(grid, xs)(quad.T, quad.N)[0]
+        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs, quad.T))
+        R = _candidates(grid, xs, quad.T)(quad.N)[0]
         assert np.array_equal(gaps, np.max(np.abs(R - F[:, :1]), axis=0))
         assert candidates[int(np.argmin(gaps))] == near
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
-        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs))[1]
+        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, quad.T))[1]
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
@@ -283,10 +311,12 @@ class TestOverflowedProbes:
     @pytest.mark.parametrize("call", [
         lambda: approx_compare(SymmetrizedGammaCF(1.0), 4, (1.5,), (1e300,)).d_stable,
         lambda: fit_stable(GaussianCF(1.0), (1.5,), (1e300,), QuadratureSpec(N=1024)).distance,
-    ], ids=["approx_compare", "fit_stable"])
+        lambda: fit_stable(GaussianCF(1.0), (1.5,), (1e300,)).distance,
+    ], ids=["approx_compare", "fit_stable", "fit_stable-chosen-budget"])
     def test_overflowed_exponent_in_a_candidate_column_warns_nothing(self, call):
         # at c = 1e300, (c t)^alpha overflows at every node past t = 0, where
-        # f = 0, so the candidate's CDF is 1/2 across the grid
+        # f = 0, so the candidate's CDF is 1/2 across the grid; at its own
+        # truncation (the first probe) the chosen budget answers at once
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert call() == pytest.approx(0.5, abs=2e-3)
@@ -357,8 +387,8 @@ class TestSharedTruncation:
     ], ids=["default", "alpha-below-1", "alpha-2"])
     def test_grid_truncation_is_the_largest_per_candidate_one(self, alphas, scales,
                                                               monkeypatch):
-        # the law decays before the first probe point, so the grid sets T,
-        # and the law's pass and the candidates' share it
+        # the law decays before the first probe point, and its pass runs at
+        # that T; the candidates' pass runs at the grid's own
         narrow = GaussianCF(1e6)
         truncations = []
         simpson_pass = inversion._simpson_pass
@@ -370,7 +400,7 @@ class TestSharedTruncation:
         monkeypatch.setattr(inversion, "_simpson_pass", recording)
         fit_stable(narrow, alphas, scales, QuadratureSpec(N=64), x_grid=[0.0])
         T = max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
-        assert truncations == [T, T]
+        assert truncations == [inversion._T_PROBE[0], T]
 
     def test_grid_too_slow_to_decay_refused_like_its_slowest_candidate(self):
         alphas, scales = (1.0, 1.5), (1e-6, 1.0)
@@ -451,9 +481,8 @@ class TestCandidateTable:
         q = report.quadrature
         table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F, _, errors = _simpson_pass(partial(_law_columns, pair), 2, _symmetric_grid(8.0),
-                                     q["T"], q["N"])
-        e_sum, e_gauss = errors(0, 2)
+        F, _, (e_sum, e_gauss) = _simpson_pass(partial(_law_columns, pair), 2,
+                                               _symmetric_grid(8.0), q["T"], q["N"])
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
         alphas, scales = DEFAULT_GRID
         assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
@@ -517,8 +546,8 @@ class TestKeptCandidateBlocks:
 def _layout(laws, grid, t, w):
     """The coefficient columns of a fit's two passes: each law, then the candidates alpha-major."""
     n = len(grid[0]) * len(grid[1])
-    return np.concatenate([_law_columns(laws, 0, len(laws), t, w),
-                           _stable_columns(*grid, 0, n, t, w)], axis=1)
+    return _weighted(np.concatenate([_law_columns(laws, 0, len(laws), t),
+                                     _stable_columns(*grid, 0, n, t)], axis=1), t, w)
 
 
 class TestCoefficientFlush:
@@ -562,17 +591,15 @@ class TestCandidateBlock:
     @settings(max_examples=60, deadline=None)
     def test_columns_match_per_candidate_objects(self, alphas, scales, ends):
         # laws, and any run of consecutive candidates, one alpha or several
-        t, w, _ = _nodes_and_weights(256, 93.3)
-        t, w = t[1:], w[1:]
+        t = _nodes_and_weights(256, 93.3)[0][1:]
         candidates = [StableCF(a, c) for a in alphas for c in scales]
         c1 = min(max(ends), len(candidates))
         c0 = min(ends[0], c1 - 1)
         for cfs, block in [
-            (self.LAWS, _law_columns(self.LAWS, 0, len(self.LAWS), t, w)),
-            (candidates[c0:c1], _stable_columns(alphas, scales, c0, c1, t, w)),
+            (self.LAWS, _law_columns(self.LAWS, 0, len(self.LAWS), t)),
+            (candidates[c0:c1], _stable_columns(alphas, scales, c0, c1, t)),
         ]:
-            raw = np.stack([w * cf.evaluate(t) / t for cf in cfs], axis=1)
-            raw[np.abs(raw) < np.finfo(float).tiny] = 0.0
+            raw = np.stack([cf.evaluate(t) for cf in cfs], axis=1)
             assert np.array_equal(block, raw)
 
 
