@@ -161,18 +161,26 @@ def limit_deviation(
 def _fd_moments(cf: SymmetricCF) -> tuple[float, float]:
     """Fourth-order central differences of the CF at zero.
 
-    Step size h = max(1e-2 / sqrt(mu2_rough), 1e-4), where mu2_rough
-    comes from a coarse second difference; this balances truncation
-    against cancellation for CFs whose curvature at zero is about mu2.
+    Step size h = 1e-2 / sqrt(mu2_rough), where mu2_rough comes from a
+    coarse second difference at the first h0 in 0.1, 0.01, ... with
+    f(h0) >= 1/2; this balances truncation against cancellation for CFs
+    whose curvature at zero is about mu2.  The step follows the law's
+    scale without a floor, so the relative error is the same at every
+    variance; a law so wide that h^4 leaves the normal float range
+    raises MomentError.
     """
     if not cf.has_finite_fourth_moment():
         raise MomentError("finite-difference moments need a finite fourth moment")
 
     h0 = 0.1
-    while float(cf.evaluate(h0)) < 0.5 and h0 > 1e-8:
+    while float(cf.evaluate(h0)) < 0.5:
         h0 /= 10.0
-    mu2_rough = max(2.0 * (1.0 - float(cf.evaluate(h0))) / (h0 * h0), 1e-16)
-    h = max(1e-2 / math.sqrt(mu2_rough), 1e-4)
+    # h0^2 = 0 only for a law far wider than any float variance
+    mu2_rough = 2.0 * (1.0 - float(cf.evaluate(h0))) / (h0 * h0) if h0 * h0 > 0.0 else math.inf
+    h = 1e-2 / math.sqrt(max(mu2_rough, 1e-16))
+    if not h**4 >= np.finfo(float).tiny:
+        raise MomentError(f"finite-difference step {h:.3g} is too small for a law of variance "
+                          f"about {mu2_rough:.3g}")
 
     f1, f2, f3 = (float(cf.evaluate(k * h)) for k in (1.0, 2.0, 3.0))
     # even function: stencils fold the negative side onto the positive one

@@ -55,7 +55,7 @@ to the best stable law with alpha < 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -78,11 +78,12 @@ __all__ = [
     "TIE_TOLERANCE",
 ]
 
-_T_PROBE_MAX = 1e5
+_T_PROBE_MAX = 1e6
 # the automatic truncation point is the first probe t with |f(t)| below this
 _EPS_TAIL = 1e-10
-# candidate truncation points, shared by every automatic choice of T
-_T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 701)
+# candidate truncation points, shared by every automatic choice of T; the
+# first 701 are exactly geomspace(1e-2, 1e5, 701)
+_T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 801)
 _T_PROBE.flags.writeable = False
 _CLAMP = 1e-9
 # coefficients below the smallest normal float are flushed to 0
@@ -90,12 +91,10 @@ _TINY = np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
-# entries, and multiplies the candidates' coefficient columns this many
-# at a time, to bound memory
+# entries, and every pass multiplies its columns, laws or candidates,
+# this many at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
-# the candidate table's slot: (key, CDF columns, column errors, quadrature)
-_table = None
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
 _START_BUDGET = 1024
@@ -113,10 +112,11 @@ class QuadratureSpec:
     """Truncation and node budget of the inversion.
 
     T = None picks the truncation point automatically as the first t
-    with |f(t)| < 1e-10 (failing if that never happens by t = 1e5);
-    laws inverted together share the largest of their points.  In
-    approx_compare T is read on the sum in units of its sd, and T and N
-    bind both the sum's pass and the candidate table.
+    of a log-spaced probe of [1e-2, 1e6] with |f(t)| < 1e-10 (failing if
+    that never happens by t = 1e6); laws inverted together share the
+    largest of their points.  In approx_compare T is read on the sum in
+    units of its sd, and T and N bind both the sum's pass and the
+    candidate table.
 
     N = None lets the error estimate choose the budget: passes start at
     1024 nodes and double until the estimate is within 1e-6, and a call
@@ -175,20 +175,20 @@ class ComparisonReport:
     quadrature: dict
 
 
-def _auto_truncation(*cfs: SymmetricCF, probe: np.ndarray = _T_PROBE) -> float:
+def _auto_truncation(*cfs: SymmetricCF) -> float:
     """Largest over cfs of the first probe t with |f(t)| < _EPS_TAIL; refuses a law never below."""
     k = -1
     for cf in cfs:
         # an overflowed exponent means f = 0 there
         with np.errstate(over="ignore"):
-            below = np.flatnonzero(np.abs(cf.evaluate(probe)) < _EPS_TAIL)
+            below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
         if below.size == 0:
             raise QuadratureError(
-                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {probe[-1]:g}; "
+                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
                 "pass an explicit truncation T"
             )
         k = max(k, int(below[0]))
-    return float(probe[k])
+    return float(_T_PROBE[k])
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -403,7 +403,7 @@ def _scale_proxy(cf: SymmetricCF) -> float:
             return math.sqrt(mu2)
     except MomentError:
         pass
-    probe = np.geomspace(1e-8, _T_PROBE_MAX, 1301)
+    probe = np.geomspace(1e-8, 1e5, 1301)
     with np.errstate(over="ignore"):
         vals = cf.evaluate(probe)
     below = np.flatnonzero(vals < 0.5)
@@ -509,36 +509,31 @@ def fit_stable(
     return _best_fit(_cdf_matrix([target], xs, quad, candidates)[2], alphas, scales)
 
 
+@lru_cache(maxsize=1)
 def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
     """The candidates' CDF columns on _symmetric_grid(_X_SPAN_SCALES),
     alpha-major, each column's error and the quadrature (T, N, nodes).
 
     T is quad.T, else that of min(alphas) at min(scales).  Each pass
     after the first inverts again only the alphas from the first to the
-    last with a column error above _TOL.  One slot keeps the last key's
-    table, read-only; _TOL is in the key so that no table serves a
-    stricter tolerance than it met.
+    last with a column error above _TOL.  The memo keeps the last key's
+    table, read-only; whatever changes _TOL must clear it.
     """
-    global _table
-    key = (alphas, scales, quad, _TOL)
-    if _table is None or _table[0] != key:
-        _table = None
-        xs = _symmetric_grid(_X_SPAN_SCALES)
-        T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
-        k = len(scales)
-        F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
+    xs = _symmetric_grid(_X_SPAN_SCALES)
+    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
+    k = len(scales)
+    F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
 
-        def run(N):
-            redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
-            a0, a1 = int(redo[0]), int(redo[-1]) + 1
-            cols = slice(k * a0, k * a1)
-            F[:, cols], nodes, e[cols] = _simpson_pass(
-                partial(_stable_columns, alphas[a0:a1], scales), k * (a1 - a0), xs, T, N)
-            return nodes, float(e.max())
+    def run(N):
+        redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
+        a0, a1 = int(redo[0]), int(redo[-1]) + 1
+        cols = slice(k * a0, k * a1)
+        F[:, cols], nodes, e[cols] = _simpson_pass(
+            partial(_stable_columns, alphas[a0:a1], scales), k * (a1 - a0), xs, T, N)
+        return nodes, float(e.max())
 
-        nodes, N, _ = _passes(run, quad)
-        _table = (key, *_frozen(F, e), {"T": T, "N": N, "nodes": nodes})
-    return _table[1:]
+    nodes, N, _ = _passes(run, quad)
+    return (*_frozen(F, e), {"T": T, "N": N, "nodes": nodes})
 
 
 def approx_compare(
@@ -559,11 +554,10 @@ def approx_compare(
     (read at each call) of each other are called a tie.
 
     The candidates come from the candidate table (its T, N and nodes are
-    quadrature.candidates).  The sum and the gaussian share the sum's T:
-    the automatic one, else for sd > 1 the one on the probe stretched by
-    sd, which reaches where the unstandardized sum's probe did.  Their
-    passes run on the reported error, the sum's plus the larger of the
-    gaussian's and the best candidate's.
+    quadrature.candidates).  The standardized sum and the gaussian share
+    quad.T, else the larger of their automatic ones, so the answer does
+    not depend on sd.  Their passes run on the reported error, the
+    sum's plus the larger of the gaussian's and the best candidate's.
     """
     quad = quad or QuadratureSpec()
     m = _check_m("m", m)
@@ -578,14 +572,8 @@ def approx_compare(
     table, e_table, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
     sd = math.sqrt(mu2)
     laws = [scale_argument(sum_rescale(family_cf, m), 1.0 / sd), GaussianCF(1.0)]
-    try:
-        T = quad.T or _auto_truncation(*laws)
-    except QuadratureError:
-        if sd <= 1.0:
-            raise
-        T = _auto_truncation(*laws, probe=_T_PROBE * sd)
     xs = _symmetric_grid(_X_SPAN_SCALES)
-    _, quadrature, gaps = _cdf_matrix(laws, xs, replace(quad, T=T), lambda N: (table, e_table))
+    _, quadrature, gaps = _cdf_matrix(laws, xs, quad, lambda N: (table, e_table))
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 

@@ -107,16 +107,17 @@ def _ratio(cf_u: SymmetricCF, cf_v: SymmetricCF, ts: np.ndarray, r: float) -> np
     # tiny differences between near-one CFs from drowning in cancellation
     # noise, which matters when the grid extends to very small t.  CFs
     # without a log (empirical ones can cross zero) subtract directly.
-    # Equal exponents, -inf where both CFs underflow to 0, differ by 0.
-    try:
-        lu = cf_u.log_evaluate(ts)
-        lv = cf_v.log_evaluate(ts)
-        gap = np.subtract(lu, lv, out=np.zeros(ts.shape), where=lu != lv)
-        diff = np.exp(np.maximum(lu, lv)) * -np.expm1(-np.abs(gap))
-    except PositivityError:
-        diff = np.abs(cf_u.evaluate(ts) - cf_v.evaluate(ts))
-    # 0 where the CFs agree, whatever t^r is; a gap over a t^r that underflowed is inf
+    # Equal exponents, -inf where both CFs underflow to 0, differ by 0; an
+    # exponent that overflows to -inf means f = 0 there.
     with np.errstate(over="ignore", divide="ignore"):
+        try:
+            lu = cf_u.log_evaluate(ts)
+            lv = cf_v.log_evaluate(ts)
+            gap = np.subtract(lu, lv, out=np.zeros(ts.shape), where=lu != lv)
+            diff = np.exp(np.maximum(lu, lv)) * -np.expm1(-np.abs(gap))
+        except PositivityError:
+            diff = np.abs(cf_u.evaluate(ts) - cf_v.evaluate(ts))
+        # 0 where the CFs agree, whatever t^r is; a gap over a t^r that underflowed is inf
         return np.divide(diff, ts**r, out=np.zeros(ts.shape), where=diff != 0.0)
 
 

@@ -168,6 +168,18 @@ class TestMoments:
         assert fd.mu2 == pytest.approx(exact.mu2, rel=1e-3)
         assert fd.mu4 == pytest.approx(exact.mu4, rel=1e-3)
 
+    @pytest.mark.parametrize("variance", [1e6, 1e10, 1e100])
+    def test_finite_difference_has_no_unit(self, variance):
+        # the step follows the law's scale, so a wide gaussian is read as
+        # closely as the unit one
+        fd = moments(GaussianCF(variance), "finite-difference")
+        assert fd.mu2 == pytest.approx(variance, rel=1e-6)
+        assert fd.kappa == pytest.approx(0.0, abs=1e-6)
+
+    def test_finite_difference_step_whose_fourth_power_underflows_refused(self):
+        with pytest.raises(MomentError, match="too small"):
+            moments(GaussianCF(1e300), "finite-difference")
+
     def test_finite_difference_for_samples(self):
         rng = np.random.default_rng(42)
         xs = rng.normal(0.0, 1.0, 50000)

@@ -323,9 +323,11 @@ class TestOverflowedProbes:
 
 
 @pytest.fixture
-def empty_table(monkeypatch):
-    """Run with no candidate table; the slot is restored afterwards."""
-    monkeypatch.setattr(inversion, "_table", None)
+def empty_table():
+    """Run with no candidate table, and leave none behind."""
+    inversion._candidate_table.cache_clear()
+    yield
+    inversion._candidate_table.cache_clear()
 
 
 class TestSharedTruncation:
@@ -437,9 +439,9 @@ DEFAULT_GRID = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
 class TestCandidateTable:
     def test_not_built_at_import(self):
         code = ("import iddlab; from iddlab import inversion; "
-                "assert inversion._table is None; "
+                "assert inversion._candidate_table.cache_info().currsize == 0; "
                 "iddlab.cdf_from_cf(iddlab.GaussianCF(1.0), 1.0); "
-                "assert inversion._table is None")
+                "assert inversion._candidate_table.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_columns_and_errors_match_one_law_at_a_time(self, empty_table):
@@ -500,10 +502,12 @@ class TestKeptCandidateBlocks:
     QUADS = [QuadratureSpec(N=128), QuadratureSpec(N=256), QuadratureSpec(T=40.0, N=128)]
 
     def test_kept_matrix_is_read_only_and_keyed_without_laws(self, empty_table):
+        table = inversion._candidate_table
         approx_compare(SymmetrizedGammaCF(0.5), 10)
-        kept = inversion._table
-        assert kept[0] == (*DEFAULT_GRID, QuadratureSpec(), inversion._TOL)
-        F, e, q = kept[1:]
+        assert (table.cache_info().misses, table.cache_info().currsize) == (1, 1)
+        kept = table(*DEFAULT_GRID, QuadratureSpec())
+        assert table.cache_info().hits == 1
+        F, e, q = kept
         assert (F.shape, e.shape) == ((401, 420), (420,))
         assert q == {"T": 93.32543007969915, "N": 2048, "nodes": 2049}
         for a in (F, e):
@@ -511,10 +515,12 @@ class TestKeptCandidateBlocks:
                 a[0] = 1.0
         # every family and m reads the same table
         approx_compare(convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)), 25)
-        assert inversion._table is kept
-        # another grid or quadrature takes the slot
+        assert table.cache_info().hits == 2 and table(*DEFAULT_GRID, QuadratureSpec()) is kept
+        # another grid or quadrature takes the memo's one entry
         approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=1024))
-        assert inversion._table[0][2] == QuadratureSpec(N=1024)
+        assert (table.cache_info().misses, table.cache_info().currsize) == (2, 1)
+        assert table(*DEFAULT_GRID, QuadratureSpec(N=1024))[2]["N"] == 1024
+        assert table.cache_info().misses == 2
 
     @given(pool=st.lists(st.tuples(st.sampled_from(range(len(FAMILIES))),
                                    st.sampled_from([4, 10]),
@@ -524,10 +530,10 @@ class TestKeptCandidateBlocks:
            order=st.lists(st.integers(0, 2), min_size=2, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_every_call_matches_one_with_an_empty_slot(self, pool, order):
-        # calls repeat from a small pool, so that the slot both hits and is replaced
-        saved = inversion._table
+        # calls repeat from a small pool, so that the memo both hits and is replaced
+        table = inversion._candidate_table
         try:
-            inversion._table = None
+            table.cache_clear()
             for i in order:
                 f, m, g, q = pool[i % len(pool)]
 
@@ -535,12 +541,11 @@ class TestKeptCandidateBlocks:
                     return approx_compare(self.FAMILIES[f], m, *self.GRIDS[g],
                                           quad=self.QUADS[q])
                 report = call()
-                slot, inversion._table = inversion._table, None
+                table.cache_clear()
                 ref = call()
-                inversion._table = slot
                 assert repr(report) == repr(ref)
         finally:
-            inversion._table = saved
+            table.cache_clear()
 
 
 def _layout(laws, grid, t, w):
@@ -835,10 +840,12 @@ class TestErrorEstimate:
         assert q["N"] == 1024 and q["error"] <= 1e-6
         assert np.max(np.abs(F - fine)) <= q["error"]
 
-    def test_tiny_tolerance_doubles_the_budget(self, monkeypatch):
+    def test_tiny_tolerance_doubles_the_budget(self, empty_table, monkeypatch):
         grid = dict(alpha_grid=(1.5,), scale_grid=(1.0,))
         loose = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
         monkeypatch.setattr(inversion, "_TOL", 1e-10)
+        # the memo's table met the former tolerance only
+        inversion._candidate_table.cache_clear()
         tight = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
         assert loose.quadrature["N"] == 1024 and loose.quadrature["error"] > 1e-10
         assert tight.quadrature["N"] > 1024
@@ -887,12 +894,20 @@ class TestErrorEstimate:
 
 class TestStandardizedCompare:
     def test_laplace_sum_at_m_1_still_answers(self):
-        # (1 + t^2 / 2)^(-1) first falls below 1e-10 past the probe's end,
-        # which the probe stretched by sd = sqrt(2) reaches
-        report = approx_compare(SymmetrizedGammaCF(1.0), 1)
-        q = report.quadrature
-        assert q["T"] == inversion._T_PROBE[-1] * math.sqrt(2.0)
-        assert q["error"] <= 1e-6
+        # each sum standardizes to (1 + t^2 / 2)^(-1), which first falls
+        # below 1e-10 near t = 1.4e5, within the probe whatever sd is
+        laplace = approx_compare(SymmetrizedGammaCF(1.0), 1)
+        for g, m in [(1.0, 1), (0.5, 2), (0.25, 4), (0.1, 10)]:
+            report = approx_compare(SymmetrizedGammaCF(g), m)
+            q = report.quadrature
+            standardized = scale_argument(sum_rescale(SymmetrizedGammaCF(g), m), 1.0 / report.sd)
+            assert q["T"] == inversion._T_PROBE[_first_below(standardized)]
+            assert q["error"] <= 1e-6
+            _assert_same_answer(report, laplace)
+
+    def test_probe_extends_the_former_one_bit_for_bit(self):
+        # every law that decays by t = 1e5 keeps its truncation point
+        assert np.array_equal(inversion._T_PROBE[:701], np.geomspace(1e-2, 1e5, 701))
 
     @pytest.mark.parametrize("family, m", [
         (GaussianCF(1e12), 2), (GaussianCF(1e-300), 2), (SymmetrizedGammaCF(1e6), 1),

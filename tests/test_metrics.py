@@ -94,6 +94,18 @@ class TestLambdaR:
             warnings.simplefilter("error")
             assert lambda_r(GaussianCF(1e307), GaussianCF(1e307), cfg) == 0.0
 
+    @pytest.mark.parametrize("call", [
+        lambda cfg: lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg),
+        lambda cfg: clt_bound_check(SymmetrizedGammaCF(1.0), 4, 3.0, cfg).holds,
+        lambda cfg: backward_bound(SymmetrizedGammaCF(1.0), 4, 3.0, cfg).holds,
+    ], ids=["lambda_r", "clt_bound_check", "backward_bound"])
+    def test_grid_where_t_squared_overflows_warns_nothing(self, call):
+        # past t = 1e154 the gaussian exponent overflows to -inf, so f = 0
+        cfg = LambdaConfig(r=3.0, t_max=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(cfg)
+
     def test_symmetry(self):
         cfg = LambdaConfig(r=3.0)
         a, b = SymmetrizedGammaCF(1.0), GaussianCF(2.0)

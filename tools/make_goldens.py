@@ -71,6 +71,8 @@ CASES = {
     "approx-compare-wide-grid": ["approx-compare", "--family", "symgamma", "--shape", "1",
                                  "--m", "4", "--alpha-grid", "0.5:2.0:7",
                                  "--scale-grid", "0.3:3:5"],
+    "approx-compare-unit-free": ["approx-compare", "--family", "symgamma", "--shape", "0.5",
+                                 "--m", "2"],
 }
 
 
