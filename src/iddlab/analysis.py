@@ -163,29 +163,45 @@ def _fd_moments(cf: SymmetricCF) -> tuple[float, float]:
 
     Step size h = 1e-2 / sqrt(mu2_rough), where mu2_rough comes from a
     coarse second difference at the first h0 in 0.1, 0.01, ... with
-    f(h0) >= 1/2; this balances truncation against cancellation for CFs
-    whose curvature at zero is about mu2.  The step follows the law's
-    scale without a floor, so the relative error is the same at every
-    variance; a law so wide that h^4 leaves the normal float range
-    raises MomentError.
+    f(h0) >= 1/2, or, for a law so narrow that f(0.1) rounds to 1, at
+    the first h0 in 1, 10, ... with f(h0) < 1; this balances truncation
+    against cancellation for CFs whose curvature at zero is about mu2.
+    The step follows the law's scale without a floor, so the relative
+    error is the same at every variance; a law so wide or so narrow that
+    h^4 leaves the normal float range raises MomentError.  A law with
+    f = 1 wherever h0^2 is finite is the point mass at 0 to float
+    precision, and every difference of it reads 0.
     """
     if not cf.has_finite_fourth_moment():
         raise MomentError("finite-difference moments need a finite fourth moment")
 
-    h0 = 0.1
-    while float(cf.evaluate(h0)) < 0.5:
-        h0 /= 10.0
+    h0, f0 = 0.1, float(cf.evaluate(0.1))
+    if f0 == 1.0:
+        while f0 == 1.0 and math.isfinite(100.0 * h0 * h0):
+            h0 *= 10.0
+            f0 = float(cf.evaluate(h0))
+        if f0 == 1.0:
+            # the point mass: -d2 and d4 at any step whose stencil reads f = 1
+            return -0.0, 0.0
+    else:
+        while f0 < 0.5:
+            h0 /= 10.0
+            f0 = float(cf.evaluate(h0))
     # h0^2 = 0 only for a law far wider than any float variance
-    mu2_rough = 2.0 * (1.0 - float(cf.evaluate(h0))) / (h0 * h0) if h0 * h0 > 0.0 else math.inf
-    h = 1e-2 / math.sqrt(max(mu2_rough, 1e-16))
-    if not h**4 >= np.finfo(float).tiny:
-        raise MomentError(f"finite-difference step {h:.3g} is too small for a law of variance "
-                          f"about {mu2_rough:.3g}")
+    mu2_rough = 2.0 * (1.0 - f0) / (h0 * h0) if h0 * h0 > 0.0 else math.inf
+    h = 1e-2 / math.sqrt(mu2_rough)
+    try:
+        h4 = h**4
+    except OverflowError:
+        h4 = math.inf
+    if not np.finfo(float).tiny <= h4 < math.inf:
+        raise MomentError(f"finite-difference step {h:.3g} is too {'small' if h < 1.0 else 'large'}"
+                          f" for a law of variance about {mu2_rough:.3g}")
 
     f1, f2, f3 = (float(cf.evaluate(k * h)) for k in (1.0, 2.0, 3.0))
     # even function: stencils fold the negative side onto the positive one
     d2 = (-30.0 + 32.0 * f1 - 2.0 * f2) / (12.0 * h * h)
-    d4 = (56.0 - 78.0 * f1 + 24.0 * f2 - 2.0 * f3) / (6.0 * h**4)
+    d4 = (56.0 - 78.0 * f1 + 24.0 * f2 - 2.0 * f3) / (6.0 * h4)
     return -d2, d4
 
 
@@ -255,6 +271,9 @@ def remainder_profile(cf: SymmetricCF, a_hat: float, t_grid) -> list[tuple[float
         raise InputError("t_grid is empty")
     if not np.all(np.isfinite(grid)) or np.any(grid == 0.0):
         raise InputError("t_grid must be finite and nonzero")
+    a = float(a_hat)
+    if not math.isfinite(a):
+        raise InputError(f"a_hat must be finite, got {a_hat!r}")
     logs = cf.log_evaluate(grid)
-    r = (-logs - float(a_hat) * grid * grid) / (grid * grid)
+    r = (-logs - a * grid * grid) / (grid * grid)
     return [(float(t), float(v)) for t, v in zip(grid, r)]

@@ -29,16 +29,18 @@ kernel.
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
 set and one sine kernel.  Column 0 is the target and each other law (the
-second law in kolmogorov_distance) is compared with it.  A pass inverts
-one kind of column, laws or stable candidates, so fit_stable measures a
-whole stable grid in two passes at one budget: the target's at its own
-truncation, then the candidates', alpha-major, of which only the closest
-counts, at the grid's.  Each alpha is one unit-scale law read at c t for
-every scale c.  The least alpha at the least scale sets a grid's
-truncation: where its (c t)^alpha first exceeds -log 1e-10, c t > 1, so
-every larger alpha or scale is below that level there too.  A pass
-weights each block of CF values once per rule, flushing subnormal
-coefficients (see _weighted), and multiplies 32 columns at a time.
+second law in kolmogorov_distance) is compared with it.  Every column
+a pass inverts is a unit law read at c t, for each unit and each scale c
+of the pass: a law is its own unit at the one scale 1, and the stable
+candidate of index alpha and scale c is the unit StableCF(alpha, 1) read
+at c t, alpha-major.  So fit_stable measures a whole stable grid in two
+passes at one budget: the target's at its own truncation, then the
+candidates', of which only the closest counts, at the grid's.  The least
+alpha at the least scale sets a grid's truncation: where its
+(c t)^alpha first exceeds -log 1e-10, c t > 1, so every larger alpha or
+scale is below that level there too.  A pass weights each block of CF
+values once per rule, flushing subnormal coefficients (see _weighted),
+and multiplies 32 columns at a time.
 
 approx_compare reads the normalized sum in units of its standard
 deviation on one x grid, so the candidates' CDF columns there are a
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,8 +93,8 @@ _TINY = np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
-# entries, and every pass multiplies its columns, laws or candidates,
-# this many at a time, to bound memory
+# entries, and every pass multiplies its columns this many at a time, to
+# bound memory (the gap scan after a pass is not blocked; see _sup_gaps)
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
 # without a fixed budget, passes start here and double while the error
@@ -184,9 +186,7 @@ def _auto_truncation(*cfs: SymmetricCF) -> float:
             below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
         if below.size == 0:
             raise QuadratureError(
-                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}; "
-                "pass an explicit truncation T"
-            )
+                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}")
         k = max(k, int(below[0]))
     return float(_T_PROBE[k])
 
@@ -253,37 +253,33 @@ def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _law_columns(laws, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
-    """Laws c0 .. c1 - 1 as columns f(t)."""
-    return np.stack([cf.evaluate(t) for cf in laws[c0:c1]], axis=1)
+def _columns(units, scales, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
+    """Columns c0 .. c1 - 1 as values f(t): column j is unit j // k read at
+    scales[j % k] t, where k = len(scales).
 
-
-def _stable_columns(alphas, scales, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
-    """Candidates c0 .. c1 - 1 of the alpha-major grid as columns f(t).
-
-    Each alpha is StableCF(alpha, 1) read at c t, bit for bit
-    StableCF(alpha, c).evaluate(t) as c t = 1 (t c); _values skips
-    evaluate's finiteness check, since t c overflows only where f is 0.
+    A law at the scale 1 is itself, bit for bit, as t 1 = t, and
+    StableCF(alpha, 1) read at c t is StableCF(alpha, c).evaluate(t), as
+    c t = t c; _values skips evaluate's finiteness check, since c t
+    overflows only where f is 0.
     """
-    k, s = len(scales), np.array(scales)
+    k = len(scales)
     parts = []
     for i in range(c0 // k, (c1 - 1) // k + 1):
-        # alpha i holds candidates k i .. k i + k - 1
-        run = s[max(c0 - k * i, 0):c1 - k * i]
+        # unit i holds columns k i .. k i + k - 1
+        run = scales[max(c0 - k * i, 0):c1 - k * i]
         # an overflowed exponent means f = 0 there
         with np.errstate(over="ignore"):
-            parts.append(StableCF(alphas[i], 1.0)._values(np.multiply.outer(t, run)))
+            parts.append(units[i]._values(np.multiply.outer(t, run)))
     return np.concatenate(parts, axis=1)
 
 
-def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
-    """CDFs of n columns of one kind on one 1-d grid at node budget N.
+def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
+    """CDFs of every unit read at every scale (see _columns) on one 1-d
+    grid at node budget N.
 
-    columns(c0, c1, t) gives columns c0 .. c1 - 1 as values f(t) at nodes
-    t: _law_columns or _stable_columns.  Returns the matrix whose column j
-    holds F_j(xs), the node count, and each column's error: a third of
-    the largest gap over the grid to the same column from every other
-    node (see the module docstring).
+    Returns the matrix whose column j holds F_j(xs), the node count, and
+    each column's error: a third of the largest gap over the grid to the
+    same column from every other node (see the module docstring).
 
     The sine kernel is built over the distinct |x| only, since
     F(-x) = 1 - F(x), in blocks of rows, each multiplying the columns
@@ -297,7 +293,7 @@ def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
     ax, row = np.unique(np.abs(xs), return_inverse=True)
     if not math.isfinite(float(ax[-1]) * float(t[-1])):
         raise QuadratureError(f"x t overflows at |x| = {ax[-1]:g} and T = {T:g}")
-    step = max(_KERNEL_BLOCK // t.size, 1)
+    step, n = max(_KERNEL_BLOCK // t.size, 1), len(units) * len(scales)
     half, errors = np.empty((ax.size, n)), np.zeros(n)
     for x0 in range(0, ax.size, step):
         rows = slice(x0, x0 + step)
@@ -306,7 +302,7 @@ def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
         even, coarse = kernel[:, 1::2].copy(), np.empty((kernel.shape[0], n))
         for c0 in range(0, n, _LAW_BLOCK):
             c1 = min(c0 + _LAW_BLOCK, n)
-            f = columns(c0, c1, t)
+            f = _columns(units, scales, c0, c1, t)
             coarse[:, c0:c1] = even @ _weighted(f[1::2].copy(), t_half, w_half)
             half[rows, c0:c1] = kernel @ _weighted(f, t, w)
         # the integrand tends to x * f(0) = x at t = 0
@@ -326,12 +322,13 @@ def _simpson_pass(columns, n: int, xs: np.ndarray, T: float, N: int):
 
 
 def _sup_gaps(F: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Each column's largest gap to ref, _LAW_BLOCK columns at a time."""
-    gaps = np.empty(F.shape[1])
-    for j0 in range(0, F.shape[1], _LAW_BLOCK):
-        d = F[:, j0:j0 + _LAW_BLOCK] - ref[:, None]
-        gaps[j0:j0 + d.shape[1]] = np.abs(d, out=d).max(axis=0)
-    return gaps
+    """Each column's largest gap to ref.
+
+    Unlike the passes, the scan is not blocked: it holds one temporary
+    the size of F, so on a large x grid the peak is F twice.
+    """
+    d = F - ref[:, None]
+    return np.abs(d, out=d).max(axis=0)
 
 
 def _passes(run, quad: QuadratureSpec):
@@ -371,7 +368,7 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
     T = quad.T or _auto_truncation(*laws)
 
     def run(N):
-        F, nodes, e = _simpson_pass(partial(_law_columns, laws), len(laws), xs, T, N)
+        F, nodes, e = _simpson_pass(laws, (1.0,), xs, T, N)
         gaps = _sup_gaps(F[:, 1:], F[:, 0])
         if rivals is not None:
             R, e_rivals = rivals(N)
@@ -500,10 +497,10 @@ def fit_stable(
     alphas, scales = _stable_grid(alpha_grid, scale_grid)
     xs = _x_values(x_grid, target)
     T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
-    columns = partial(_stable_columns, alphas, scales)
+    units = [StableCF(a, 1.0) for a in alphas]
 
     def candidates(N):
-        F, _, e = _simpson_pass(columns, len(alphas) * len(scales), xs, T, N)
+        F, _, e = _simpson_pass(units, scales, xs, T, N)
         return F, e
 
     return _best_fit(_cdf_matrix([target], xs, quad, candidates)[2], alphas, scales)
@@ -521,15 +518,14 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
     """
     xs = _symmetric_grid(_X_SPAN_SCALES)
     T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
-    k = len(scales)
+    units, k = [StableCF(a, 1.0) for a in alphas], len(scales)
     F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
 
     def run(N):
         redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
         a0, a1 = int(redo[0]), int(redo[-1]) + 1
         cols = slice(k * a0, k * a1)
-        F[:, cols], nodes, e[cols] = _simpson_pass(
-            partial(_stable_columns, alphas[a0:a1], scales), k * (a1 - a0), xs, T, N)
+        F[:, cols], nodes, e[cols] = _simpson_pass(units[a0:a1], scales, xs, T, N)
         return nodes, float(e.max())
 
     nodes, N, _ = _passes(run, quad)

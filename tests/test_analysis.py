@@ -21,6 +21,7 @@ from iddlab import (
     remainder_profile,
     root_rescale,
 )
+from iddlab.cf_core import scale_argument
 
 # finite-fourth-moment fixtures used throughout
 CATALOG = [
@@ -168,17 +169,35 @@ class TestMoments:
         assert fd.mu2 == pytest.approx(exact.mu2, rel=1e-3)
         assert fd.mu4 == pytest.approx(exact.mu4, rel=1e-3)
 
-    @pytest.mark.parametrize("variance", [1e6, 1e10, 1e100])
+    @pytest.mark.parametrize("variance", [1e6, 1e10, 1e100, 1e-20, 1e-30, 1e-100])
     def test_finite_difference_has_no_unit(self, variance):
         # the step follows the law's scale, so a wide gaussian is read as
-        # closely as the unit one
+        # closely as the unit one, and so is one so narrow that f(0.1)
+        # rounds to 1
         fd = moments(GaussianCF(variance), "finite-difference")
-        assert fd.mu2 == pytest.approx(variance, rel=1e-6)
+        assert fd.mu2 == pytest.approx(variance, rel=1e-6, abs=0.0)
         assert fd.kappa == pytest.approx(0.0, abs=1e-6)
 
     def test_finite_difference_step_whose_fourth_power_underflows_refused(self):
         with pytest.raises(MomentError, match="too small"):
             moments(GaussianCF(1e300), "finite-difference")
+
+    def test_finite_difference_step_whose_fourth_power_overflows_refused(self):
+        with pytest.raises(MomentError, match="too large"):
+            moments(GaussianCF(1e-300), "finite-difference")
+
+    def test_finite_difference_of_a_law_wider_than_any_float_variance_refused(self):
+        # f vanishes at every positive float step, so the coarse search
+        # ends at h0 = 0 and reads an infinite rough variance; the law's
+        # own exponent overflows on the way there, which is not the subject
+        cf = scale_argument(GaussianCF(1e300), 1e300)
+        with np.errstate(over="ignore"), pytest.raises(MomentError, match="too small"):
+            moments(cf, "finite-difference")
+
+    def test_finite_difference_of_the_point_mass(self):
+        # f = 1 wherever the coarse step's square is finite: every difference reads 0
+        fd = moments(GaussianCF(0.0), "finite-difference")
+        assert repr((fd.mu2, fd.mu4, fd.kappa)) == "(-0.0, 0.0, 0.0)"
 
     def test_finite_difference_for_samples(self):
         rng = np.random.default_rng(42)
@@ -288,3 +307,8 @@ class TestRemainderProfile:
         prof = dict(remainder_profile(CompoundPoissonCF(1.0, 1.0), 0.0, [3.0, two_pi]))
         assert prof[two_pi] == pytest.approx(0.0, abs=1e-12)
         assert prof[3.0] > 0.1  # decay towards zero is not monotone
+
+    @pytest.mark.parametrize("a_hat", [math.nan, math.inf])
+    def test_non_finite_coefficient_refused(self, a_hat):
+        with pytest.raises(InputError, match="a_hat"):
+            remainder_profile(SymmetrizedGammaCF(1.0), a_hat, [1.0])

@@ -299,6 +299,21 @@ class TestExitCodes:
         )
         assert code == 2 and out == "" and err.startswith("iddlab: numerical error:")
 
+    def test_truncation_refusal_names_no_missing_flag(self, capsys):
+        # no flag sets the truncation T, so the refusal names none
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "cpoisson", "--rate", "2",
+            "--jump", "1", "--m", "1",
+        )
+        assert code == 2 and out == "" and "does not decay" in err
+        assert "truncation" not in err and " T" not in err
+
+    def test_narrow_law_kurtosis_by_finite_differences(self, capsys):
+        report = run_json(capsys, "kurtosis", "--family", "gauss", "--variance", "1e-20",
+                          "--m", "4", "--method", "finite-difference")
+        assert abs(report["result"]["kappa_1"]) < 1e-6
+        assert report["result"]["base_moments"]["mu2"] == pytest.approx(1e-20, rel=1e-6, abs=0.0)
+
     def test_failed_assertion_is_three(self, capsys, monkeypatch):
         failing = BoundCheck(lhs=1.0, rhs=0.5, holds=False, m=4, r=3.0)
         monkeypatch.setattr(cli, "clt_bound_check", lambda *a, **k: failing)

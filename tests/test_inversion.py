@@ -3,7 +3,6 @@ import subprocess
 import sys
 import time
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -36,10 +35,9 @@ from iddlab import (
 from iddlab import cf_core, inversion
 from iddlab.inversion import (
     _cdf_matrix,
-    _law_columns,
+    _columns,
     _nodes_and_weights,
     _simpson_pass,
-    _stable_columns,
     _symmetric_grid,
     _weighted,
 )
@@ -179,11 +177,11 @@ class TestCdfFromCf:
         # are bit-identical (no block is so small that BLAS takes another
         # summation order, as it may for a product of a few rows)
         xs = np.linspace(-4.0, 7.0, 1201)
-        columns = partial(_stable_columns, (1.2, 1.9), tuple(np.geomspace(0.5, 2.0, 20)))
+        units, scales = [StableCF(1.2, 1.0), StableCF(1.9, 1.0)], tuple(np.geomspace(0.5, 2.0, 20))
         runs = []
         for block in (2**40, 401 * 1024):
             monkeypatch.setattr(inversion, "_KERNEL_BLOCK", block)
-            runs.append(_simpson_pass(columns, 40, xs, 40.0, 1024))
+            runs.append(_simpson_pass(units, scales, xs, 40.0, 1024))
         (F1, nodes1, e1), (F2, nodes2, e2) = runs
         assert nodes1 == nodes2 == 1025 and e1.shape == (40,)
         assert np.array_equal(F1, F2) and np.array_equal(e1, e2)
@@ -231,10 +229,10 @@ class TestCdfFromCf:
 
 def _candidates(grid, xs, T):
     """The rivals fit_stable hands _cdf_matrix: one candidate pass at T and the laws' N."""
-    columns, n = partial(_stable_columns, *grid), len(grid[0]) * len(grid[1])
+    units = [StableCF(a, 1.0) for a in grid[0]]
 
     def rivals(N):
-        R, _, e = _simpson_pass(columns, n, xs, T, N)
+        R, _, e = _simpson_pass(units, grid[1], xs, T, N)
         return R, e
     return rivals
 
@@ -280,6 +278,25 @@ class TestCdfMatrix:
         T_slow = _cdf_matrix([slow], np.array([1.0]), quad)[1]["T"]
         assert T_fast < 92.0 < T_slow
         assert _cdf_matrix([GaussianCF(1.0), slow], np.array([1.0]), quad)[1]["T"] == T_slow
+
+
+def _count_stable_objects(monkeypatch):
+    """The list that every StableCF built from now on is appended to."""
+    built = []
+    init = cf_core._Transform.__post_init__
+
+    def counting(cf):
+        if type(cf) is StableCF:
+            built.append(cf)
+        init(cf)
+
+    monkeypatch.setattr(cf_core._Transform, "__post_init__", counting)
+    return built
+
+
+# (alpha, scale) of the default grid's unit laws and of its truncation probe
+_UNITS_AND_PROBE = sorted([*[(a, 1.0) for a in inversion.DEFAULT_ALPHA_GRID],
+                           (inversion.DEFAULT_ALPHA_GRID[0], inversion.DEFAULT_SCALE_GRID[0])])
 
 
 def _first_below(cf):
@@ -395,9 +412,9 @@ class TestSharedTruncation:
         truncations = []
         simpson_pass = inversion._simpson_pass
 
-        def recording(columns, n, xs, T, N):
+        def recording(units, scales, xs, T, N):
             truncations.append(T)
-            return simpson_pass(columns, n, xs, T, N)
+            return simpson_pass(units, scales, xs, T, N)
 
         monkeypatch.setattr(inversion, "_simpson_pass", recording)
         fit_stable(narrow, alphas, scales, QuadratureSpec(N=64), x_grid=[0.0])
@@ -414,23 +431,19 @@ class TestSharedTruncation:
 
     def test_default_grid_builds_one_candidate_object_per_alpha(self, empty_table,
                                                                  monkeypatch):
-        built = []
-        init = cf_core._Transform.__post_init__
-
-        def counting(cf):
-            if type(cf) is StableCF:
-                built.append(cf)
-            init(cf)
-
-        monkeypatch.setattr(cf_core._Transform, "__post_init__", counting)
+        built = _count_stable_objects(monkeypatch)
         approx_compare(SymmetrizedGammaCF(0.5), 10)
-        alphas, scales = inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID
-        # unit-scale laws, one per alpha and table pass, and the truncation's probe
-        assert {(cf.alpha, cf.scale) for cf in built} == {
-            *[(a, 1.0) for a in alphas], (alphas[0], scales[0])}
+        # one unit-scale law per alpha, however many table passes, and the truncation's probe
+        assert sorted((cf.alpha, cf.scale) for cf in built) == _UNITS_AND_PROBE
         built.clear()
         approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert built == []
+
+    def test_default_fit_builds_one_candidate_object_per_alpha(self, monkeypatch):
+        target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
+        built = _count_stable_objects(monkeypatch)
+        fit_stable(target)
+        assert sorted((cf.alpha, cf.scale) for cf in built) == _UNITS_AND_PROBE
 
 
 DEFAULT_GRID = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
@@ -483,8 +496,7 @@ class TestCandidateTable:
         q = report.quadrature
         table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F, _, (e_sum, e_gauss) = _simpson_pass(partial(_law_columns, pair), 2,
-                                               _symmetric_grid(8.0), q["T"], q["N"])
+        F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _symmetric_grid(8.0), q["T"], q["N"])
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
         alphas, scales = DEFAULT_GRID
         assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
@@ -550,9 +562,9 @@ class TestKeptCandidateBlocks:
 
 def _layout(laws, grid, t, w):
     """The coefficient columns of a fit's two passes: each law, then the candidates alpha-major."""
-    n = len(grid[0]) * len(grid[1])
-    return _weighted(np.concatenate([_law_columns(laws, 0, len(laws), t),
-                                     _stable_columns(*grid, 0, n, t)], axis=1), t, w)
+    units, n = [StableCF(a, 1.0) for a in grid[0]], len(grid[0]) * len(grid[1])
+    return _weighted(np.concatenate([_columns(laws, (1.0,), 0, len(laws), t),
+                                     _columns(units, grid[1], 0, n, t)], axis=1), t, w)
 
 
 class TestCoefficientFlush:
@@ -598,11 +610,12 @@ class TestCandidateBlock:
         # laws, and any run of consecutive candidates, one alpha or several
         t = _nodes_and_weights(256, 93.3)[0][1:]
         candidates = [StableCF(a, c) for a in alphas for c in scales]
+        units = [StableCF(a, 1.0) for a in alphas]
         c1 = min(max(ends), len(candidates))
         c0 = min(ends[0], c1 - 1)
         for cfs, block in [
-            (self.LAWS, _law_columns(self.LAWS, 0, len(self.LAWS), t)),
-            (candidates[c0:c1], _stable_columns(alphas, scales, c0, c1, t)),
+            (self.LAWS, _columns(self.LAWS, (1.0,), 0, len(self.LAWS), t)),
+            (candidates[c0:c1], _columns(units, scales, c0, c1, t)),
         ]:
             raw = np.stack([cf.evaluate(t) for cf in cfs], axis=1)
             assert np.array_equal(block, raw)
