@@ -195,8 +195,9 @@ def _fd_moments(cf: SymmetricCF) -> tuple[float, float]:
     except OverflowError:
         h4 = math.inf
     if not np.finfo(float).tiny <= h4 < math.inf:
+        mu2 = -2.0 * float(cf.log_evaluate(h0)) / (h0 * h0) if h0 * h0 > 0.0 else math.inf
         raise MomentError(f"finite-difference step {h:.3g} is too {'small' if h < 1.0 else 'large'}"
-                          f" for a law of variance about {mu2_rough:.3g}")
+                          f" for a law of variance about {mu2:.3g}")
 
     f1, f2, f3 = (float(cf.evaluate(k * h)) for k in (1.0, 2.0, 3.0))
     # even function: stencils fold the negative side onto the positive one

@@ -33,19 +33,19 @@ second law in kolmogorov_distance) is compared with it.  Every column
 a pass inverts is a unit law read at c t, for each unit and each scale c
 of the pass: a law is its own unit at the one scale 1, and the stable
 candidate of index alpha and scale c is the unit StableCF(alpha, 1) read
-at c t, alpha-major.  So fit_stable measures a whole stable grid in two
-passes at one budget: the target's at its own truncation, then the
-candidates', of which only the closest counts, at the grid's.  The least
-alpha at the least scale sets a grid's truncation: where its
-(c t)^alpha first exceeds -log 1e-10, c t > 1, so every larger alpha or
-scale is below that level there too.  A pass weights each block of CF
-values once per rule, flushing subnormal coefficients (see _weighted),
-and multiplies 32 columns at a time.
+at c t, alpha-major.  The least alpha at the least scale sets a stable
+grid's truncation: where its (c t)^alpha first exceeds -log 1e-10,
+c t > 1, so every larger alpha or scale is below that level there too.
+A pass weights each block of CF values once per rule, flushing subnormal
+coefficients (see _weighted), and multiplies 32 columns at a time.
 
-approx_compare reads the normalized sum in units of its standard
-deviation on one x grid, so the candidates' CDF columns there are a
-process constant (see _candidate_table), and a call inverts only the
-standardized sum beside the unit gaussian.
+fit_stable and approx_compare fit through one path (_fit), which reads
+the target in units of its length scale on one x grid, so the
+candidates' CDF columns there are a process constant (see
+_candidate_table) and a call inverts only the target, beside the unit
+gaussian in approx_compare.  Against an x or scale grid of the caller's,
+the candidates are inverted afresh at the target's budget, and only the
+closest counts.
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -116,9 +116,9 @@ class QuadratureSpec:
     T = None picks the truncation point automatically as the first t
     of a log-spaced probe of [1e-2, 1e6] with |f(t)| < 1e-10 (failing if
     that never happens by t = 1e6); laws inverted together share the
-    largest of their points.  In approx_compare T is read on the sum in
-    units of its sd, and T and N bind both the sum's pass and the
-    candidate table.
+    largest of their points.  fit_stable without x_grid and
+    approx_compare read T in units of the target's length scale, and T
+    and N bind the candidates' passes (or table) as well.
 
     N = None lets the error estimate choose the budget: passes start at
     1024 nodes and double until the estimate is within 1e-6, and a call
@@ -392,31 +392,24 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
 
 
 def _scale_proxy(cf: SymmetricCF) -> float:
-    """A length scale: the standard deviation, or 1/t_half for laws
-    without one, where f(t_half) = 1/2."""
+    """A length scale: the standard deviation, or 1/t for laws without one,
+    where f(t) = 1/e (exactly c for exp(-|c t|^alpha)), t in [1e-8, 1e5]."""
     try:
         mu2 = moments(cf).mu2
         if mu2 > 0.0:
             return math.sqrt(mu2)
     except MomentError:
         pass
-    probe = np.geomspace(1e-8, 1e5, 1301)
+    probe, level = np.geomspace(1e-8, 1e5, 1301), math.exp(-1.0)
     with np.errstate(over="ignore"):
-        vals = cf.evaluate(probe)
-    below = np.flatnonzero(vals < 0.5)
+        below = np.flatnonzero(cf.evaluate(probe) < level)
     if below.size == 0:
-        raise InputError(
-            "cannot auto-scale an x grid for this CF; pass x_grid explicitly"
-        )
+        raise InputError("cannot auto-scale an x grid for this CF; pass x_grid explicitly")
     i = int(below[0])
-    lo = probe[i - 1] if i > 0 else probe[0] / 10.0
-    hi = probe[i]
+    lo, hi = (float(probe[i - 1]) if i > 0 else float(probe[0]) / 10.0), float(probe[i])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(cf.evaluate(mid)) < 0.5:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if cf.evaluate(mid) < level else (mid, hi)
     return 1.0 / hi
 
 
@@ -442,12 +435,8 @@ def kolmogorov_distance(
     quad: QuadratureSpec | None = None,
     x_grid=None,
 ) -> float:
-    """max over the grid of |F_a(x) - F_b(x)|.
-
-    The default grid is symmetric with 401 points, reaching 8 standard
-    deviations (or 8 half-decay scale units for heavy-tailed laws) of
-    the wider law.
-    """
+    """max over the grid of |F_a(x) - F_b(x)|; the default grid has 401
+    points and reaches 8 length scales (see _scale_proxy) of the wider law."""
     quad = quad or QuadratureSpec()
     return float(_cdf_matrix([cf_a, cf_b], _x_values(x_grid, cf_a, cf_b), quad)[2][0])
 
@@ -477,33 +466,34 @@ def _best_fit(gaps: np.ndarray, alphas: list, scales: list) -> StableFit:
 def fit_stable(
     target: SymmetricCF,
     alpha_grid=DEFAULT_ALPHA_GRID,
-    scale_grid=DEFAULT_SCALE_GRID,
+    scale_grid=None,
     quad: QuadratureSpec | None = None,
     x_grid=None,
 ) -> StableFit:
     """Best symmetric stable law by Kolmogorov distance, exhaustively.
 
-    All candidates are measured against the target on one shared x
-    grid.  Grids are scanned in ascending order with strict improvement
-    required, so ties resolve to the smallest alpha, then the smallest
-    scale.  The target is inverted at quad.T, else at its own automatic
-    T, and the candidates at quad.T, else at the T of the least alpha at
-    the least scale, the rule of the candidate table; both passes share
-    the budget, and its error is the target's plus the best candidate's.
-    The fit is in the target's own units, so unlike approx_compare it
-    reads no candidate table: every call inverts its candidates afresh.
+    All candidates are measured against the target on one shared x grid.
+    Grids are scanned in ascending order with strict improvement required,
+    so ties resolve to the smallest alpha, then the smallest scale.
+    Without x_grid the fit is approx_compare's: the target is read in
+    units of its length scale s (see _scale_proxy) on x in [-8, 8], as is
+    a fixed quad.T.  scale_grid = None is DEFAULT_SCALE_GRID in units of
+    s, read from the candidate table, and the fit reports c s; an
+    explicit scale_grid is absolute, inverted per call as c / s, and the
+    fit reports its entry.  With x_grid, x, scales and quad.T are absolute.
     """
     quad = quad or QuadratureSpec()
-    alphas, scales = _stable_grid(alpha_grid, scale_grid)
-    xs = _x_values(x_grid, target)
-    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
-    units = [StableCF(a, 1.0) for a in alphas]
-
-    def candidates(N):
-        F, _, e = _simpson_pass(units, scales, xs, T, N)
-        return F, e
-
-    return _best_fit(_cdf_matrix([target], xs, quad, candidates)[2], alphas, scales)
+    alphas, scales = _stable_grid(alpha_grid,
+                                  DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
+    if x_grid is not None:
+        gaps = _fit([target], alphas, scales, quad, _x_values(x_grid))[0]
+        return _best_fit(gaps, alphas, scales)
+    s = _scale_proxy(target)
+    laws = [scale_argument(target, 1.0 / s)]
+    if scale_grid is None:
+        return _best_fit(_fit(laws, alphas, scales, quad)[0], alphas, [c * s for c in scales])
+    xs = _symmetric_grid(_X_SPAN_SCALES)
+    return _best_fit(_fit(laws, alphas, [c / s for c in scales], quad, xs)[0], alphas, scales)
 
 
 @lru_cache(maxsize=1)
@@ -530,6 +520,24 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
 
     nodes, N, _ = _passes(run, quad)
     return (*_frozen(F, e), {"T": T, "N": N, "nodes": nodes})
+
+
+def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs=None):
+    """The gaps to laws[0] of the other laws, then of the candidates, and
+    the quadrature: without xs on _symmetric_grid(_X_SPAN_SCALES) against
+    the candidate table (its T, N and nodes under "candidates"), else on
+    xs against candidates inverted at each budget, at the table's T."""
+    if xs is None:
+        F, e, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
+        _, quadrature, gaps = _cdf_matrix(laws, _symmetric_grid(_X_SPAN_SCALES), quad,
+                                          lambda N: (F, e))
+        return gaps, {**quadrature, "candidates": dict(candidates)}
+    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
+    units = [StableCF(a, 1.0) for a in alphas]
+    # a pass gives (F, nodes, errors), of which the rivals are F and errors
+    _, quadrature, gaps = _cdf_matrix(laws, xs, quad,
+                                      lambda N: _simpson_pass(units, scales, xs, T, N)[::2])
+    return gaps, quadrature
 
 
 def approx_compare(
@@ -565,11 +573,9 @@ def approx_compare(
     if not alphas:
         raise InputError("alpha grid is empty after removing alpha = 2")
 
-    table, e_table, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
     sd = math.sqrt(mu2)
     laws = [scale_argument(sum_rescale(family_cf, m), 1.0 / sd), GaussianCF(1.0)]
-    xs = _symmetric_grid(_X_SPAN_SCALES)
-    _, quadrature, gaps = _cdf_matrix(laws, xs, quad, lambda N: (table, e_table))
+    gaps, quadrature = _fit(laws, alphas, scales, quad)
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 
@@ -587,6 +593,6 @@ def approx_compare(
         verdict=verdict,
         alpha_grid=tuple(alphas),
         scale_grid=tuple(scales),
-        x_grid={"min": float(xs[0]), "max": float(xs[-1]), "size": int(xs.size)},
-        quadrature={**quadrature, "candidates": dict(candidates)},
+        x_grid={"min": -_X_SPAN_SCALES, "max": _X_SPAN_SCALES, "size": _X_GRID_SIZE},
+        quadrature=quadrature,
     )

@@ -80,14 +80,7 @@ class DiscretizedMeasure:
 
     def integrate(self, fn) -> float:
         """Integrate a scalar function of the position against the measure."""
-        total = 0.0
-        if self.atom_positions.size:
-            total += float(np.sum(self.atom_masses * fn(self.atom_positions)))
-        if self.density_grid.size > 1:
-            total += float(
-                np.trapezoid(fn(self.density_grid) * self.density_values, self.density_grid)
-            )
-        return total
+        return float(self.integrate_outer(lambda _, x: fn(x), 0.0))
 
     def integrate_outer(self, kernel, t: np.ndarray) -> np.ndarray:
         """Integrate ``kernel(t, x)`` over x for every entry of t.

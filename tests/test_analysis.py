@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,13 @@ class TestMoments:
     def test_finite_difference_step_whose_fourth_power_overflows_refused(self):
         with pytest.raises(MomentError, match="too large"):
             moments(GaussianCF(1e-300), "finite-difference")
+
+    @pytest.mark.parametrize("variance", [1e-160, 2e-160, 1e-300, 3e300])
+    def test_finite_difference_refusal_names_the_variance(self, variance):
+        # 1 - f(h0) rounds to a multiple of 2^-53 at a narrow law; the
+        # exponent at h0 does not
+        with pytest.raises(MomentError, match=re.escape(f"variance about {variance:.3g}") + "$"):
+            moments(GaussianCF(variance), "finite-difference")
 
     def test_finite_difference_of_a_law_wider_than_any_float_variance_refused(self):
         # f vanishes at every positive float step, so the coarse search

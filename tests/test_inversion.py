@@ -304,26 +304,33 @@ def _first_below(cf):
     return int(np.flatnonzero(np.abs(cf.evaluate(inversion._T_PROBE)) < 1e-10)[0])
 
 
+def _fit_scaled(fit, k):
+    """A fit as (alpha, scale times k, distance)."""
+    return fit.alpha, fit.scale * k, fit.distance
+
+
 class TestOverflowedProbes:
-    @pytest.mark.parametrize("call, refused", [
-        (lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)), False),
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)).d_gaussian,
+         lambda: 0.0),
         (lambda: kolmogorov_distance(GaussianCF(1e300), GaussianCF(2e300), QuadratureSpec(N=1024)),
-         True),
-        (lambda: fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)), True),
+         None),
+        (lambda: _fit_scaled(fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)), 1e-150),
+         lambda: _fit_scaled(fit_stable(GaussianCF(1.0), quad=QuadratureSpec(N=1024)), 1.0)),
     ], ids=["approx_compare", "kolmogorov_distance", "fit_stable"])
-    def test_overflowed_exponent_in_a_probe_warns_nothing(self, call, refused):
+    def test_overflowed_exponent_in_a_probe_warns_nothing(self, call, expected):
         # an exponent past the float range means f = 0 at that probe; in
         # absolute units the x grid then reaches 8e150 against T = 93.3, and
         # the fixed budget's error estimate (about 1e147) is refused rather
-        # than reported; approx_compare reads the sum in units of its sd,
-        # where it is the unit gaussian
+        # than reported; approx_compare and the default fit_stable read the
+        # law in units of its sd, where it is the unit gaussian
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if refused:
+            if expected is None:
                 with pytest.raises(QuadratureError, match="not below 1"):
                     call()
             else:
-                assert call().d_gaussian == 0.0
+                assert call() == pytest.approx(expected(), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda: approx_compare(SymmetrizedGammaCF(1.0), 4, (1.5,), (1e300,)).d_stable,
@@ -439,11 +446,14 @@ class TestSharedTruncation:
         approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert built == []
 
-    def test_default_fit_builds_one_candidate_object_per_alpha(self, monkeypatch):
+    def test_default_fit_builds_one_candidate_object_per_alpha(self, empty_table, monkeypatch):
         target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
         built = _count_stable_objects(monkeypatch)
         fit_stable(target)
         assert sorted((cf.alpha, cf.scale) for cf in built) == _UNITS_AND_PROBE
+        built.clear()
+        fit_stable(target)
+        assert built == []
 
 
 DEFAULT_GRID = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
@@ -707,6 +717,49 @@ class TestFitStable:
         fit = fit_stable(target, alphas, scales, quad, xs)
         assert (fit.alpha, fit.scale) == best[:2]
         assert fit.distance == pytest.approx(best[2], abs=1e-12)
+
+
+class TestDefaultFit:
+    """fit_stable without an x grid: approx_compare's fit, in the target's units."""
+
+    @pytest.mark.parametrize("g, m", [(1.0, 4), (0.5, 10), (3.0, 2)])
+    def test_equals_approx_compare_fit(self, g, m):
+        report = approx_compare(SymmetrizedGammaCF(g), m)
+        fit = fit_stable(sum_rescale(SymmetrizedGammaCF(g), m))
+        assert fit.alpha == report.best_alpha
+        assert fit.scale == pytest.approx(report.best_scale * report.sd, rel=0.0, abs=1e-15)
+        assert fit.distance == pytest.approx(report.d_stable, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha, c", [(1.5, 1.0), (1.2, 3.0)])
+    def test_stable_law_fits_itself(self, alpha, c):
+        # the scale of a law without variance is 1/t where f(t) = 1/e,
+        # exactly c, so the law's own scale is on the relative grid
+        fit = fit_stable(StableCF(alpha, c))
+        assert fit.alpha == alpha
+        assert fit.scale == pytest.approx(c, rel=1e-12)
+        assert fit.distance < 1e-8
+
+    @given(cf=st.sampled_from([
+               GaussianCF(1.0), SymmetrizedGammaCF(1.0), sum_rescale(SymmetrizedGammaCF(0.5), 10),
+               convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0))]),
+           s=_log_uniform(1e-6, 1e6))
+    @settings(max_examples=20, deadline=None)
+    def test_scaling_the_target_scales_only_the_fit_scale(self, cf, s):
+        _assert_scaled_fit(fit_stable(scale_argument(cf, s)), fit_stable(cf), s)
+
+    # the scale probe reads 1/c on [1e-8, 1e5], so c s stays inside it
+    @given(law=st.sampled_from([(1.1, 1.0), (1.5, 0.7), (1.85, 2.0)]),
+           s=_log_uniform(1e-4, 1e4))
+    @settings(max_examples=20, deadline=None)
+    def test_scaling_a_stable_target_scales_only_the_fit_scale(self, law, s):
+        cf = StableCF(*law)
+        _assert_scaled_fit(fit_stable(scale_argument(cf, s)), fit_stable(cf), s)
+
+
+def _assert_scaled_fit(scaled, fit, s):
+    assert scaled.alpha == fit.alpha
+    assert scaled.scale == pytest.approx(fit.scale * s, rel=1e-12)
+    assert scaled.distance == pytest.approx(fit.distance, rel=1e-9, abs=1e-12)
 
 
 class TestApproxCompare:
