@@ -474,7 +474,7 @@ class CanonicalCF(SymmetricCF):
     def _log_values(self, t):
         def kernel(tt, x):
             s = np.sin(0.5 * tt * x)
-            return s * s * (1.0 + x * x) / (x * x)
+            return s * s * ((1.0 + x * x) / (x * x))
 
         spectral = self.measure.integrate_outer(kernel, t)
         return -self.gaussian_coefficient * t * t - 4.0 * spectral

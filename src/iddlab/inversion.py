@@ -393,7 +393,8 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
 
 def _scale_proxy(cf: SymmetricCF) -> float:
     """A length scale: the standard deviation, or 1/t for laws without one,
-    where f(t) = 1/e (exactly c for exp(-|c t|^alpha)), t in [1e-8, 1e5]."""
+    where f(t) = 1/e (exactly c for exp(-|c t|^alpha)); refused unless
+    that t lies in [1e-9, 1e5]."""
     try:
         mu2 = moments(cf).mu2
         if mu2 > 0.0:
@@ -403,10 +404,11 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     probe, level = np.geomspace(1e-8, 1e5, 1301), math.exp(-1.0)
     with np.errstate(over="ignore"):
         below = np.flatnonzero(cf.evaluate(probe) < level)
-    if below.size == 0:
+    # a crossing before the probe's first point is bracketed by [1e-9, 1e-8] or refused
+    i = int(below[0]) if below.size else None
+    if i is None or (i == 0 and cf.evaluate(1e-9) < level):
         raise InputError("cannot auto-scale an x grid for this CF; pass x_grid explicitly")
-    i = int(below[0])
-    lo, hi = (float(probe[i - 1]) if i > 0 else float(probe[0]) / 10.0), float(probe[i])
+    lo, hi = float(probe[i - 1]) if i else 1e-9, float(probe[i])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if cf.evaluate(mid) < level else (mid, hi)

@@ -5,7 +5,10 @@ a symmetric characteristic exponent and the jump measure of a
 subordinator exponent) store a measure the same way: a finite list of
 atoms plus an optional tabulated density integrated by the trapezoid
 rule.  Instances are immutable; the arrays are copied and frozen at
-construction.
+construction, and joined there into one weighted node set: the atoms
+weighted by their masses, the grid points by trapezoid weight times
+density.  Integrals against it are evaluated in blocks of bounded
+memory.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import numpy as np
 from .errors import InputError
 
 __all__ = ["DiscretizedMeasure"]
+
+# kernel values held at once by integrate_outer (rows of t times nodes)
+_BLOCK = 8192
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -56,10 +62,12 @@ class DiscretizedMeasure:
             raise InputError("atom positions must be strictly positive")
         if mass.size and np.min(mass) < 0.0:
             raise InputError("atom masses must be nonnegative")
+        if grid.size == 1:
+            raise InputError("density grid needs at least two points")
         if grid.size:
             if np.min(grid) <= 0.0:
                 raise InputError("density grid must be strictly positive")
-            if grid.size > 1 and np.min(np.diff(grid)) <= 0.0:
+            if np.min(np.diff(grid)) <= 0.0:
                 raise InputError("density grid must be strictly increasing")
             if np.min(dens) < 0.0:
                 raise InputError("density values must be nonnegative")
@@ -69,6 +77,12 @@ class DiscretizedMeasure:
         object.__setattr__(self, "atom_masses", mass)
         object.__setattr__(self, "density_grid", grid)
         object.__setattr__(self, "density_values", dens)
+        # trapezoid weights, np.trapezoid's rule: h_0/2, (h_(j-1)+h_j)/2, h_(n-1)/2
+        half, trap = 0.5 * np.diff(grid), np.zeros(grid.size)
+        trap[:-1] += half
+        trap[1:] += half
+        object.__setattr__(self, "_nodes", np.concatenate([pos, grid]))
+        object.__setattr__(self, "_weights", np.concatenate([mass, trap * dens]))
 
     @classmethod
     def from_atoms(cls, atoms) -> "DiscretizedMeasure":
@@ -86,14 +100,13 @@ class DiscretizedMeasure:
         """Integrate ``kernel(t, x)`` over x for every entry of t.
 
         ``kernel`` must broadcast over a trailing x axis; the result has
-        the shape of ``t``.
+        the shape of ``t``.  The measure is one weighted node set, so
+        each block of rows of t is one kernel matrix contracted with
+        the weights; a block holds about _BLOCK kernel values.
         """
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        if self.atom_positions.size:
-            k = kernel(t[..., None], self.atom_positions)
-            out += np.sum(k * self.atom_masses, axis=-1)
-        if self.density_grid.size > 1:
-            k = kernel(t[..., None], self.density_grid)
-            out += np.trapezoid(k * self.density_values, self.density_grid, axis=-1)
-        return out
+        rows, out = t.reshape(-1), np.empty(t.size)
+        step = max(_BLOCK // max(self._nodes.size, 1), 1)
+        for i in range(0, rows.size, step):
+            out[i:i + step] = kernel(rows[i:i + step, None], self._nodes) @ self._weights
+        return out.reshape(t.shape)

@@ -730,7 +730,8 @@ class TestDefaultFit:
         assert fit.scale == pytest.approx(report.best_scale * report.sd, rel=0.0, abs=1e-15)
         assert fit.distance == pytest.approx(report.d_stable, rel=0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("alpha, c", [(1.5, 1.0), (1.2, 3.0)])
+    # c = 1e9 puts f's 1/e crossing at t = 1e-9, the low end of the scale probe
+    @pytest.mark.parametrize("alpha, c", [(1.5, 1.0), (1.2, 3.0), (1.5, 1e9)])
     def test_stable_law_fits_itself(self, alpha, c):
         # the scale of a law without variance is 1/t where f(t) = 1/e,
         # exactly c, so the law's own scale is on the relative grid
@@ -738,6 +739,14 @@ class TestDefaultFit:
         assert fit.alpha == alpha
         assert fit.scale == pytest.approx(c, rel=1e-12)
         assert fit.distance < 1e-8
+
+    def test_scale_below_the_probe_refused(self):
+        # f(1e-9) is already below 1/e: the crossing at 1e-10 is not bracketed
+        target = StableCF(1.5, 1e10)
+        with pytest.raises(InputError, match="pass x_grid explicitly"):
+            fit_stable(target)
+        with pytest.raises(InputError, match="pass x_grid explicitly"):
+            kolmogorov_distance(target, GaussianCF(1.0))
 
     @given(cf=st.sampled_from([
                GaussianCF(1.0), SymmetrizedGammaCF(1.0), sum_rescale(SymmetrizedGammaCF(0.5), 10),

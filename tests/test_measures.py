@@ -1,0 +1,108 @@
+"""DiscretizedMeasure: one weighted node set, integrated in row blocks.
+
+The canonical exponents are checked against a direct reference that
+sums the atoms and applies np.trapezoid to the density table on the
+whole points × nodes kernel matrix at once.
+"""
+
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iddlab import CanonicalCF, CanonicalLaplace, DiscretizedMeasure, InputError
+from iddlab import measures
+
+
+def _measure(n_atoms, n_grid, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.001, 0.1, n_grid)) if n_grid else np.empty(0)
+    return DiscretizedMeasure(atom_positions=rng.uniform(0.01, 10.0, n_atoms),
+                              atom_masses=rng.uniform(0.0, 2.0, n_atoms),
+                              density_grid=grid,
+                              density_values=rng.uniform(0.0, 2.0, n_grid))
+
+
+def _reference(kernel, m, t):
+    k = kernel(np.asarray(t)[..., None], m.atom_positions)
+    out = np.sum(k * m.atom_masses, axis=-1)
+    if m.density_grid.size:
+        k = kernel(np.asarray(t)[..., None], m.density_grid)
+        out = out + np.trapezoid(k * m.density_values, m.density_grid, axis=-1)
+    return out
+
+
+def _cf_reference(m, t):
+    def kernel(tt, x):
+        return np.sin(0.5 * tt * x) ** 2 * (1.0 + x * x) / (x * x)
+    return -0.3 * t * t - 4.0 * _reference(kernel, m, t)
+
+
+def _laplace_reference(m, s):
+    def kernel(ss, a):
+        return np.expm1(-a * ss) / np.expm1(-a)
+    return -0.7 * s - _reference(kernel, m, s)
+
+
+LAWS = {
+    "canonical-cf": (lambda m: CanonicalCF(0.3, m), _cf_reference, (-50.0, 50.0)),
+    "canonical-laplace": (lambda m: CanonicalLaplace(0.7, m), _laplace_reference, (0.01, 50.0)),
+}
+
+
+def _shapes(step):
+    # scalar, on and straddling a block boundary, two dimensional
+    return [(), (1,), (step,), (step + 1,), (2 * step - 1,), (3, step + 1)]
+
+
+class TestIntegrateOuter:
+    @given(n_atoms=st.integers(0, 3),
+           n_grid=st.one_of(st.just(0), st.integers(2, 300)),
+           seed=st.integers(0, 2**32 - 1),
+           law=st.sampled_from(sorted(LAWS)))
+    @example(n_atoms=0, n_grid=0, seed=0, law="canonical-cf")
+    @example(n_atoms=0, n_grid=0, seed=0, law="canonical-laplace")
+    @settings(max_examples=40, deadline=None)
+    def test_matches_atoms_plus_trapezoid(self, n_atoms, n_grid, seed, law):
+        build, reference, (lo, hi) = LAWS[law]
+        m = _measure(n_atoms, n_grid, seed)
+        cf = build(m)
+        step = max(measures._BLOCK // max(n_atoms + n_grid, 1), 1)
+        rng = np.random.default_rng(seed + 1)
+        for shape in _shapes(step):
+            t = rng.uniform(lo, hi, shape)
+            got = cf.log_evaluate(t)
+            assert np.shape(got) == shape
+            np.testing.assert_allclose(got, reference(m, t), rtol=1e-13, atol=0.0)
+            assert np.asarray(cf.log_evaluate(t)).tobytes() == np.asarray(got).tobytes()
+
+    def test_memory_stays_bounded_by_the_block(self):
+        # a points x nodes matrix here would be 1e5 x 200 doubles, 160 MB a
+        # copy; blocked rows keep the peak to a few arrays the size of t
+        grid = np.geomspace(0.01, 10.0, 200)
+        cf = CanonicalCF(0.3, DiscretizedMeasure(density_grid=grid, density_values=np.exp(-grid)))
+        t = np.linspace(0.0, 50.0, 100_000)
+        tracemalloc.start()
+        try:
+            cf.log_evaluate(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("atoms", [(), ((1.0, 0.5),)])
+    def test_one_point_density_refused(self, atoms):
+        pos, mass = [a[0] for a in atoms], [a[1] for a in atoms]
+        with pytest.raises(InputError, match="at least two points"):
+            DiscretizedMeasure(pos, mass, density_grid=[1.0], density_values=[5.0])
+
+    def test_node_set_is_not_a_field(self):
+        m = _measure(2, 10, 3)
+        assert [f.name for f in fields(m)] == [
+            "atom_positions", "atom_masses", "density_grid", "density_values"]
+        assert "_nodes" not in repr(m) and "_weights" not in repr(m)

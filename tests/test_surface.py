@@ -3,13 +3,18 @@
 Each public name is declared once, in the module that defines it, and
 iddlab re-exports it from there; these checks catch a public function
 or class that was never added to its module's __all__.  A family's
-description is likewise read from its fields.
+description is likewise read from its fields.  The package imports
+nothing beyond the standard library and numpy.
 """
 
+import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +67,30 @@ def test_family_describes_its_fields(family):
     expected = [("kind", KINDS[family])] + [(n, (i + 1) / 4) for i, n in enumerate(names)]
     assert list(described.items()) == expected
     assert all(type(described[n]) is float for n in names)
+
+
+# test extras: installed beside the package, never imported by it
+EXTRAS = ("scipy", "mpmath", "hypothesis")
+
+
+def test_cli_import_loads_only_stdlib_and_numpy():
+    code = ("import sys; before = set(sys.modules); import iddlab.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    loaded = set(subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert loaded.isdisjoint(EXTRAS)
+    assert loaded - set(sys.stdlib_module_names) <= {"iddlab", "numpy"}
+
+
+def test_package_sources_import_only_stdlib_and_numpy():
+    # also catches an import inside a function, which a cold import never runs
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in Path(iddlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert {n.split(".")[0] for n in names} <= allowed, (path.name, names)
