@@ -270,11 +270,13 @@ def remainder_profile(cf: SymmetricCF, a_hat: float, t_grid) -> list[tuple[float
     grid = np.asarray(t_grid, dtype=float)
     if grid.size == 0:
         raise InputError("t_grid is empty")
-    if not np.all(np.isfinite(grid)) or np.any(grid == 0.0):
-        raise InputError("t_grid must be finite and nonzero")
+    with np.errstate(over="ignore"):
+        sq = grid * grid
+    if not np.all(np.isfinite(sq)) or np.any(sq == 0.0):
+        raise InputError("t_grid must be finite and nonzero, with t^2 finite and nonzero")
     a = float(a_hat)
     if not math.isfinite(a):
         raise InputError(f"a_hat must be finite, got {a_hat!r}")
     logs = cf.log_evaluate(grid)
-    r = (-logs - a * grid * grid) / (grid * grid)
+    r = (-logs - a * grid * grid) / sq
     return [(float(t), float(v)) for t, v in zip(grid, r)]

@@ -61,7 +61,13 @@ from .cf_core import (
     sum_rescale,
 )
 from .errors import ConfigError, IddlabError, InputError
-from .inversion import _START_BUDGET, QuadratureSpec, approx_compare
+from .inversion import (
+    _START_BUDGET,
+    DEFAULT_ALPHA_GRID,
+    DEFAULT_SCALE_GRID,
+    QuadratureSpec,
+    approx_compare,
+)
 from .inversion import _TOL as _QUAD_TOL
 from .laplace_core import (
     DEFAULT_S_GRID_SIZE,
@@ -266,6 +272,11 @@ def _parse_grid(text: str, spacing: str) -> tuple:
     if spacing == "log":
         return tuple(np.geomspace(start, stop, count))
     return tuple(np.round(np.linspace(start, stop, count), 12))
+
+
+def _grid_spec(grid: tuple) -> str:
+    """The start:stop:count spec of a library grid, read back by _parse_grid."""
+    return f"{float(grid[0])!r}:{float(grid[-1])!r}:{len(grid)}"
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +594,10 @@ _COMMANDS = {
     "approx-compare": (_cmd_approx_compare, "gaussian vs stable approximation of the m-fold sum",
                        _CF_FAMILIES, (
         _M,
-        ("alpha_grid", _text, "1.0:1.95:20", None, "linear alpha grid START:STOP:COUNT"),
-        ("scale_grid", _text, "0.25:4.0:21", None, "log-spaced scale grid START:STOP:COUNT"),
+        ("alpha_grid", _text, _grid_spec(DEFAULT_ALPHA_GRID), None,
+         "linear alpha grid START:STOP:COUNT"),
+        ("scale_grid", _text, _grid_spec(DEFAULT_SCALE_GRID), None,
+         "log-spaced scale grid START:STOP:COUNT"),
         ("quad_n", _integer, QuadratureSpec.N, None,
          f"fixed node budget (default: doubled from {_START_BUDGET} until the error "
          f"estimate is within {_QUAD_TOL:g})"),

@@ -10,7 +10,9 @@ integral is truncated at a point T where |f| has decayed below 1e-10
 and evaluated by composite Simpson rule on hybrid nodes: uniform on
 (0, 1] (a quarter of the node budget), uniform in log t on [1, T] (the
 rest).  Slowly decaying CFs that never reach that level are rejected
-rather than integrated badly.
+rather than integrated badly.  T is always measured, never set by hand:
+the error estimate below sees the rule on [0, T] only, not the tail
+past T.
 
 Each pass measures the error of every column it inverts.  Every other
 node of a pass is itself a Simpson rule with half the budget, read from
@@ -64,7 +66,7 @@ import numpy as np
 
 from .analysis import moments
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
-from .cf_core import _spec_integer, _spec_number
+from .cf_core import _spec_integer
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
 __all__ = [
@@ -111,31 +113,24 @@ DEFAULT_SCALE_GRID = tuple(np.geomspace(0.25, 4.0, 21))
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation and node budget of the inversion.
+    """Node budget of the inversion; the truncation point is always measured.
 
-    T = None picks the truncation point automatically as the first t
-    of a log-spaced probe of [1e-2, 1e6] with |f(t)| < 1e-10 (failing if
-    that never happens by t = 1e6); laws inverted together share the
-    largest of their points.  fit_stable without x_grid and
-    approx_compare read T in units of the target's length scale, and T
-    and N bind the candidates' passes (or table) as well.
+    T is the first t of a log-spaced probe of [1e-2, 1e6] with
+    |f(t)| < 1e-10, and a law that never gets there is refused with
+    QuadratureError; laws inverted together share the largest of their
+    points.
 
     N = None lets the error estimate choose the budget: passes start at
     1024 nodes and double until the estimate is within 1e-6, and a call
     that still misses it at 2^18 nodes raises QuadratureError.  An
     explicit N is a fixed budget: one pass, whose estimate is reported,
-    and refused when it is 1 or more.
+    and refused when it is 1 or more.  fit_stable and approx_compare
+    hold the candidates' passes (or table) to N as well.
     """
 
-    T: float | None = None
     N: int | None = None
 
     def __post_init__(self):
-        if self.T is not None:
-            t = _spec_number("T", self.T)
-            if not math.isfinite(t) or t <= 0.0:
-                raise ConfigError(f"T must be finite and positive, got {self.T!r}")
-            object.__setattr__(self, "T", t)
         if self.N is not None:
             n = _spec_integer("node budget N", self.N)
             if not 64 <= n <= _MAX_BUDGET:
@@ -360,12 +355,12 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
     its columns', and the passes (see _passes) run on the largest group
     error.
 
-    The laws are inverted at quad.T, else at the largest of their
-    automatic T.  Returns F (column j holds law j's CDF on xs), the
-    quadrature (T, budget N and node count of the last pass, error
-    estimate) and the gap to column 0 of each other law, then each rival.
+    The laws are inverted at the largest of their truncation points.
+    Returns F (column j holds law j's CDF on xs), the quadrature (T,
+    budget N and node count of the last pass, error estimate) and the
+    gap to column 0 of each other law, then each rival.
     """
-    T = quad.T or _auto_truncation(*laws)
+    T = _auto_truncation(*laws)
 
     def run(N):
         F, nodes, e = _simpson_pass(laws, (1.0,), xs, T, N)
@@ -478,11 +473,11 @@ def fit_stable(
     Grids are scanned in ascending order with strict improvement required,
     so ties resolve to the smallest alpha, then the smallest scale.
     Without x_grid the fit is approx_compare's: the target is read in
-    units of its length scale s (see _scale_proxy) on x in [-8, 8], as is
-    a fixed quad.T.  scale_grid = None is DEFAULT_SCALE_GRID in units of
-    s, read from the candidate table, and the fit reports c s; an
-    explicit scale_grid is absolute, inverted per call as c / s, and the
-    fit reports its entry.  With x_grid, x, scales and quad.T are absolute.
+    units of its length scale s (see _scale_proxy) on x in [-8, 8].
+    scale_grid = None is DEFAULT_SCALE_GRID in units of s, read from the
+    candidate table, and the fit reports c s; an explicit scale_grid is
+    absolute, inverted per call as c / s, and the fit reports its entry.
+    With x_grid, x and scales are absolute.
     """
     quad = quad or QuadratureSpec()
     alphas, scales = _stable_grid(alpha_grid,
@@ -503,13 +498,13 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
     """The candidates' CDF columns on _symmetric_grid(_X_SPAN_SCALES),
     alpha-major, each column's error and the quadrature (T, N, nodes).
 
-    T is quad.T, else that of min(alphas) at min(scales).  Each pass
-    after the first inverts again only the alphas from the first to the
-    last with a column error above _TOL.  The memo keeps the last key's
-    table, read-only; whatever changes _TOL must clear it.
+    T is that of min(alphas) at min(scales).  Each pass after the first
+    inverts again only the alphas from the first to the last with a
+    column error above _TOL.  The memo keeps the last key's table,
+    read-only; whatever changes _TOL must clear it.
     """
     xs = _symmetric_grid(_X_SPAN_SCALES)
-    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
+    T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units, k = [StableCF(a, 1.0) for a in alphas], len(scales)
     F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
 
@@ -534,7 +529,7 @@ def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs=None):
         _, quadrature, gaps = _cdf_matrix(laws, _symmetric_grid(_X_SPAN_SCALES), quad,
                                           lambda N: (F, e))
         return gaps, {**quadrature, "candidates": dict(candidates)}
-    T = quad.T or _auto_truncation(StableCF(alphas[0], scales[0]))
+    T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units = [StableCF(a, 1.0) for a in alphas]
     # a pass gives (F, nodes, errors), of which the rivals are F and errors
     _, quadrature, gaps = _cdf_matrix(laws, xs, quad,
@@ -561,9 +556,9 @@ def approx_compare(
 
     The candidates come from the candidate table (its T, N and nodes are
     quadrature.candidates).  The standardized sum and the gaussian share
-    quad.T, else the larger of their automatic ones, so the answer does
-    not depend on sd.  Their passes run on the reported error, the
-    sum's plus the larger of the gaussian's and the best candidate's.
+    the larger of their truncation points, so the answer does not depend
+    on sd.  Their passes run on the reported error, the sum's plus the
+    larger of the gaussian's and the best candidate's.
     """
     quad = quad or QuadratureSpec()
     m = _check_m("m", m)

@@ -35,13 +35,14 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedMeasure:
     """Atoms ``(position, mass)`` plus an optional density table.
 
     Positions must be strictly positive (a mass at zero is always
     represented separately by the owning exponent), masses and density
-    values nonnegative, and the density grid strictly increasing.
+    values nonnegative, and the density grid strictly increasing.  Two
+    measures are equal when their four arrays are, entry by entry.
     """
 
     atom_positions: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -71,8 +72,6 @@ class DiscretizedMeasure:
                 raise InputError("density grid must be strictly increasing")
             if np.min(dens) < 0.0:
                 raise InputError("density values must be nonnegative")
-        elif dens.size:
-            raise InputError("density values without a grid")
         object.__setattr__(self, "atom_positions", pos)
         object.__setattr__(self, "atom_masses", mass)
         object.__setattr__(self, "density_grid", grid)
@@ -83,6 +82,18 @@ class DiscretizedMeasure:
         trap[1:] += half
         object.__setattr__(self, "_nodes", np.concatenate([pos, grid]))
         object.__setattr__(self, "_weights", np.concatenate([mass, trap * dens]))
+
+    def _arrays(self) -> tuple:
+        return (self.atom_positions, self.atom_masses, self.density_grid, self.density_values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which array_equal holds equal
+        return hash(tuple((a + 0.0).tobytes() for a in self._arrays()))
 
     @classmethod
     def from_atoms(cls, atoms) -> "DiscretizedMeasure":

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,19 @@ class TestRemainderProfile:
         prof = dict(remainder_profile(CompoundPoissonCF(1.0, 1.0), 0.0, [3.0, two_pi]))
         assert prof[two_pi] == pytest.approx(0.0, abs=1e-12)
         assert prof[3.0] > 0.1  # decay towards zero is not monotone
+
+    @pytest.mark.parametrize("grid, match", [
+        ([], "t_grid is empty"),
+        ([1.0, math.nan], "finite and nonzero"),
+        ([1.0, 1e300], r"t\^2 finite"),
+        ([1e-170, 1.0], r"t\^2 finite and nonzero"),
+    ], ids=["empty", "non-finite", "square-overflows", "square-underflows"])
+    def test_grid_without_a_finite_nonzero_square_refused(self, grid, match):
+        # refused before any exponent is read: no NaN profile, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                remainder_profile(GaussianCF(1.0), 0.5, grid)
 
     @pytest.mark.parametrize("a_hat", [math.nan, math.inf])
     def test_non_finite_coefficient_refused(self, a_hat):

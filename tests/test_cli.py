@@ -232,6 +232,15 @@ class TestConfigMerge:
         assert code == 1
 
 
+    @pytest.mark.parametrize("key, spacing, library", [
+        ("alpha_grid", "linear", cli.DEFAULT_ALPHA_GRID),
+        ("scale_grid", "log", cli.DEFAULT_SCALE_GRID),
+    ])
+    def test_approx_compare_grid_defaults_are_the_library_grids(self, key, spacing, library):
+        default = {o[0]: o[2] for o in cli._COMMANDS["approx-compare"][3]}[key]
+        assert cli._parse_grid(default, spacing) == library
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["detect", "--family", "weibull"]) == 1

@@ -56,9 +56,10 @@ class TestQuadratureSpec:
         with pytest.raises(ConfigError):
             QuadratureSpec(N=32)
 
-    def test_truncation_positive(self):
-        with pytest.raises(ConfigError):
-            QuadratureSpec(T=-1.0)
+    def test_truncation_is_not_a_field(self):
+        # T is always measured (see _auto_truncation), never set by hand
+        with pytest.raises(TypeError):
+            QuadratureSpec(T=1.0)
 
     def test_budget_is_chosen_by_default(self):
         assert QuadratureSpec().N is None
@@ -137,12 +138,9 @@ class TestCdfFromCf:
     def test_marginally_decaying_cf_with_explicit_truncation(self):
         # (1 + t^2)^(-1/2) ~ 1/t decays too slowly for auto-truncation,
         # but the reflection identity cancels the truncation tail exactly
-        cf = SymmetrizedGammaCF(0.5)
-        quad = QuadratureSpec(T=1e4)
         xs = np.linspace(0.2, 4.0, 12)
-        np.testing.assert_allclose(
-            cdf_from_cf(cf, -xs, quad) + cdf_from_cf(cf, xs, quad), 1.0, atol=1e-8
-        )
+        F = _fixed_t([SymmetrizedGammaCF(0.5)], np.concatenate([-xs, xs]), 1e4, 4096)[0][:, 0]
+        np.testing.assert_allclose(F[:12] + F[12:], 1.0, atol=1e-8)
 
     @pytest.mark.parametrize("x", [[], [1.0, math.nan], math.inf], ids=["empty", "nan", "inf"])
     def test_empty_or_non_finite_x_rejected(self, x):
@@ -198,11 +196,6 @@ class TestCdfFromCf:
             with pytest.raises(QuadratureError, match=r"x t overflows at \|x\| = 1e\+30[78]"):
                 call()
 
-    def test_explicit_truncation_override(self):
-        auto = cdf_from_cf(GaussianCF(1.0), 1.0)
-        manual = cdf_from_cf(GaussianCF(1.0), 1.0, QuadratureSpec(T=12.0))
-        assert manual == pytest.approx(auto, abs=1e-9)
-
     @pytest.mark.parametrize(
         "cf, closed_form",
         [
@@ -227,6 +220,12 @@ class TestCdfFromCf:
                 assert cdf_from_cf(cf, x) == pytest.approx(oracle, abs=1e-8)
 
 
+def _fixed_t(laws, xs, T, N):
+    """A reference inversion at a truncation T of the caller's: (F, nodes,
+    errors) of one Simpson pass of laws on xs at budget N."""
+    return _simpson_pass(laws, (1.0,), xs, T, N)
+
+
 def _candidates(grid, xs, T):
     """The rivals fit_stable hands _cdf_matrix: one candidate pass at T and the laws' N."""
     units = [StableCF(a, 1.0) for a in grid[0]]
@@ -239,36 +238,40 @@ def _candidates(grid, xs, T):
 
 class TestCdfMatrix:
     def test_batched_columns_match_single_law(self):
-        # more candidate columns than one coefficient block, at one explicit truncation
+        # more candidate columns than one coefficient block, at the laws' truncation
         alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
         laws = [GaussianCF(1.0), SymmetrizedGammaCF(1.0)]
-        quad = QuadratureSpec(T=40.0, N=1024)
         xs = np.linspace(-6.0, 6.0, 41)
-        F, q, _ = _cdf_matrix(laws, xs, quad)
-        F = np.concatenate([F, _candidates((alphas, scales), xs, quad.T)(quad.N)[0]], axis=1)
+        F, q, _ = _cdf_matrix(laws, xs, QuadratureSpec(N=1024))
+        T = q["T"]
+        F = np.concatenate([F, _candidates((alphas, scales), xs, T)(1024)[0]], axis=1)
         laws += [StableCF(a, c) for a in alphas for c in scales]
         assert F.shape == (xs.size, len(laws))
-        assert (q["T"], q["nodes"]) == (40.0, 1025)
+        assert (T, q["nodes"]) == (inversion._auto_truncation(SymmetrizedGammaCF(1.0)), 1025)
         for j, cf in enumerate(laws):
-            np.testing.assert_allclose(F[:, j], cdf_from_cf(cf, xs, quad), rtol=0, atol=1e-12)
+            single = _fixed_t([cf], xs, T, 1024)[0][:, 0]
+            np.testing.assert_allclose(F[:, j], single, rtol=0, atol=1e-12)
 
     def test_error_rests_on_target_rivals_and_closest_candidate(self):
         # column 0 is the target and every other law is compared with it;
         # of the candidate columns only the closest counts
-        quad = QuadratureSpec(T=40.0, N=256)
+        # (the rivals, and rough beside the target, share the target's truncation)
+        quad = QuadratureSpec(N=256)
         xs = np.linspace(-6.0, 6.0, 41)
         target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
         rough, near = StableCF(1.2, 3.0), StableCF(1.7, 0.9)
         grid = ((1.0, 1.2, 1.7), (0.9, 3.0))
         candidates = [StableCF(a, c) for a in grid[0] for c in grid[1]]
-        e = [_cdf_matrix([cf], xs, quad)[1]["error"] for cf in [target, *candidates]]
+        T = inversion._auto_truncation(target)
+        assert T == inversion._auto_truncation(target, rough)
+        e = [_fixed_t([cf], xs, T, quad.N)[2][0] for cf in [target, *candidates]]
         assert max(e) == e[1 + candidates.index(rough)]
-        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs, quad.T))
-        R = _candidates(grid, xs, quad.T)(quad.N)[0]
+        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs, T))
+        R = _candidates(grid, xs, T)(quad.N)[0]
         assert np.array_equal(gaps, np.max(np.abs(R - F[:, :1]), axis=0))
         assert candidates[int(np.argmin(gaps))] == near
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
-        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, quad.T))[1]
+        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, T))[1]
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
@@ -428,6 +431,17 @@ class TestSharedTruncation:
         T = max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
         assert truncations == [inversion._T_PROBE[0], T]
 
+    @pytest.mark.parametrize("call", [
+        # |f| = exp(-t^0.05) is 0.30 at t = 50 and above 1e-10 far past 1e6
+        lambda: approx_compare(SymmetrizedGammaCF(1.0), 4, alpha_grid=(0.05, 1.5),
+                               scale_grid=(1.0,)),
+        # (1 + t^2)^(-1/2) reaches 1e-10 only at t = 1e10
+        lambda: cdf_from_cf(SymmetrizedGammaCF(0.5), 1.0),
+    ], ids=["approx_compare", "cdf_from_cf"])
+    def test_too_slow_to_decay_refused(self, call):
+        with pytest.raises(QuadratureError, match="does not decay below 1e-10 by t = 1e"):
+            call()
+
     def test_grid_too_slow_to_decay_refused_like_its_slowest_candidate(self):
         alphas, scales = (1.0, 1.5), (1e-6, 1.0)
         with pytest.raises(QuadratureError) as by_grid:
@@ -468,16 +482,17 @@ class TestCandidateTable:
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_columns_and_errors_match_one_law_at_a_time(self, empty_table):
-        # more columns than one product, at one fixed quadrature
+        # more columns than one product, at one fixed budget and the
+        # truncation of the least alpha at the least scale
         alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
-        quad = QuadratureSpec(T=40.0, N=1024)
-        F, e, q = inversion._candidate_table(alphas, scales, quad)
-        assert q == {"T": 40.0, "N": 1024, "nodes": 1025}
+        F, e, q = inversion._candidate_table(alphas, scales, QuadratureSpec(N=1024))
+        T = inversion._auto_truncation(StableCF(1.0, 0.5))
+        assert q == {"T": T, "N": 1024, "nodes": 1025}
         xs = _symmetric_grid(8.0)
         for j, cf in enumerate(StableCF(a, c) for a in alphas for c in scales):
-            G, g, _ = _cdf_matrix([cf], xs, quad)
+            G, _, g = _fixed_t([cf], xs, T, 1024)
             np.testing.assert_allclose(F[:, j], G[:, 0], rtol=0, atol=1e-12)
-            assert e[j] == pytest.approx(g["error"], rel=1e-6)
+            assert e[j] == pytest.approx(g[0], rel=1e-6)
 
     def test_passes_redo_only_the_alphas_that_miss_the_tolerance(self, empty_table):
         # at 1024 nodes only the Cauchy column at scale 1/4 misses 1e-6, so
@@ -491,14 +506,9 @@ class TestCandidateTable:
                                                QuadratureSpec(N=2048))
         assert np.array_equal(F[:, :21], F2) and np.array_equal(e[:21], e2)
 
-    @pytest.mark.parametrize("quad", [QuadratureSpec(N=512), QuadratureSpec(T=50.0, N=1024)],
-                             ids=["N", "T-and-N"])
-    def test_fixed_quadrature_binds_the_sum_and_the_table(self, quad):
-        report = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=quad)
-        q = report.quadrature
-        assert q["N"] == q["candidates"]["N"] == quad.N
-        if quad.T is not None:
-            assert q["T"] == q["candidates"]["T"] == quad.T
+    def test_fixed_budget_binds_the_sum_and_the_table(self):
+        q = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=512)).quadrature
+        assert q["N"] == q["candidates"]["N"] == 512
 
     def test_reported_error_is_the_sum_plus_the_larger_rival(self):
         family, m = SymmetrizedGammaCF(1.0), 4
@@ -521,7 +531,7 @@ class TestKeptCandidateBlocks:
     GRIDS = [((1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))),
              ((1.1, 1.5), tuple(np.geomspace(0.3, 3.0, 20))),
              ((1.2, 1.7), (0.8, 1.25))]
-    QUADS = [QuadratureSpec(N=128), QuadratureSpec(N=256), QuadratureSpec(T=40.0, N=128)]
+    QUADS = [QuadratureSpec(N=128), QuadratureSpec(N=256), QuadratureSpec()]
 
     def test_kept_matrix_is_read_only_and_keyed_without_laws(self, empty_table):
         table = inversion._candidate_table
@@ -704,17 +714,19 @@ class TestFitStable:
         assert (fit.alpha, fit.scale, fit.distance) == (1.2, 0.5, 0.0)
 
     def test_matches_per_candidate_distances(self):
+        # the target at its own truncation, every candidate at the grid's
         target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
         alphas, scales = (1.2, 1.5, 1.8), (0.5, 0.75, 1.0, 1.5)
-        quad = QuadratureSpec(T=60.0, N=1024)
         xs = np.linspace(-8.0, 8.0, 81)
+        F = _fixed_t([target], xs, inversion._auto_truncation(target), 1024)[0][:, 0]
+        T = inversion._auto_truncation(StableCF(alphas[0], scales[0]))
         best = None
         for a in alphas:
             for c in scales:
-                d = kolmogorov_distance(target, StableCF(a, c), quad, xs)
+                d = np.max(np.abs(_fixed_t([StableCF(a, c)], xs, T, 1024)[0][:, 0] - F))
                 if best is None or d < best[2]:
                     best = (a, c, d)
-        fit = fit_stable(target, alphas, scales, quad, xs)
+        fit = fit_stable(target, alphas, scales, QuadratureSpec(N=1024), xs)
         assert (fit.alpha, fit.scale) == best[:2]
         assert fit.distance == pytest.approx(best[2], abs=1e-12)
 
@@ -812,14 +824,6 @@ class TestApproxCompare:
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=alphas, scale_grid=scales)
 
-    def test_explicit_truncation_answers_where_automatic_refuses(self):
-        grid = dict(alpha_grid=(0.05, 1.5), scale_grid=(1.0,))
-        report = approx_compare(SymmetrizedGammaCF(1.0), 4, **grid,
-                                quad=QuadratureSpec(T=50.0, N=1024))
-        assert report.quadrature["T"] == 50.0
-        with pytest.raises(QuadratureError):
-            approx_compare(SymmetrizedGammaCF(1.0), 4, **grid)
-
     def test_heavy_tail_family_rejected(self):
         with pytest.raises(MomentError):
             approx_compare(StableCF(1.5, 1.0), 4)
@@ -900,9 +904,9 @@ class TestErrorEstimate:
         # gaussian at their truncation, the best candidate at the table's
         xs = _symmetric_grid(report.x_grid["max"])
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F = _cdf_matrix(pair, xs, QuadratureSpec(T=q["T"], N=16384))[0]
+        F = _fixed_t(pair, xs, q["T"], 16384)[0]
         best = StableCF(report.best_alpha, report.best_scale)
-        G = _cdf_matrix([best], xs, QuadratureSpec(T=q["candidates"]["T"], N=16384))[0]
+        G = _fixed_t([best], xs, q["candidates"]["T"], 16384)[0]
         d_gaussian, d_stable = np.max(np.abs(np.column_stack([F[:, 1], G]) - F[:, :1]), axis=0)
         assert abs(report.d_gaussian - d_gaussian) <= q["error"]
         assert abs(report.d_stable - d_stable) <= q["error"]
@@ -911,7 +915,7 @@ class TestErrorEstimate:
     def test_cdf_error_covers_the_gap_to_a_fine_run(self, cf):
         xs = np.linspace(-6.0, 6.0, 61)
         F, q, _ = _cdf_matrix([cf], xs, QuadratureSpec())
-        fine = _cdf_matrix([cf], xs, QuadratureSpec(T=q["T"], N=16384))[0]
+        fine = _fixed_t([cf], xs, q["T"], 16384)[0]
         assert q["N"] == 1024 and q["error"] <= 1e-6
         assert np.max(np.abs(F - fine)) <= q["error"]
 
@@ -928,25 +932,32 @@ class TestErrorEstimate:
         assert tight.quadrature["error"] <= 1e-10
 
     def test_unreachable_tolerance_refused(self, monkeypatch):
+        # the laplace law's truncation lies near t = 1e5
         monkeypatch.setattr(inversion, "_TOL", 1e-13)
         with pytest.raises(QuadratureError, match="exceeds 1e-13"):
-            cdf_from_cf(SymmetrizedGammaCF(0.5), 1.0, QuadratureSpec(T=1e4))
+            cdf_from_cf(SymmetrizedGammaCF(1.0), 1.0, QuadratureSpec())
 
     def test_fixed_budget_reports_its_error_without_refusing(self):
-        quad = QuadratureSpec(T=1e4, N=64)
-        F, q, _ = _cdf_matrix([SymmetrizedGammaCF(0.5)], np.array([1.0]), quad)
-        assert (q["N"], q["nodes"]) == (64, 65) and q["error"] > 1e-6
+        quad = QuadratureSpec(N=64)
+        F, q, _ = _cdf_matrix([SymmetrizedGammaCF(1.0)], np.array([1.0]), quad)
+        assert (q["N"], q["nodes"]) == (64, 65) and 1e-6 < q["error"] < 1.0
 
     def test_marginal_decay_up_to_x_8_meets_the_tolerance(self):
-        # (1 + t^2)^(-1/2) at T = 1e4: the fixed 4096-node rule was off by
-        # about 1e-4 here; the chosen budget must still answer, within 1e-6
+        # (1 + t^2)^(-1/2) at T = 1e4, through the budget loop: the fixed
+        # 4096-node rule was off by about 1e-4 here; the chosen budget must
+        # still answer, within 1e-6
         cf = SymmetrizedGammaCF(0.5)
         xs = np.linspace(0.2, 8.0, 24)
-        F, q, _ = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4))
-        assert q["error"] <= 1e-6 and q["N"] <= 2**17
-        fine = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4, N=2**18))[0]
+
+        def run(N):
+            F, _, e = _fixed_t([cf], xs, 1e4, N)
+            return F, float(e[0])
+
+        F, N, error = inversion._passes(run, QuadratureSpec())
+        assert error <= 1e-6 and N <= 2**17
+        fine = _fixed_t([cf], xs, 1e4, 2**18)[0]
         assert np.max(np.abs(F - fine)) <= 1e-6
-        coarse = _cdf_matrix([cf], xs, QuadratureSpec(T=1e4, N=4096))[0]
+        coarse = _fixed_t([cf], xs, 1e4, 4096)[0]
         assert np.max(np.abs(coarse - fine)) > 1e-5
 
     def test_former_budget_reproduces_the_fixed_rule(self):

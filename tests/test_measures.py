@@ -101,8 +101,57 @@ class TestConstruction:
         with pytest.raises(InputError, match="at least two points"):
             DiscretizedMeasure(pos, mass, density_grid=[1.0], density_values=[5.0])
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(atom_positions=[[1.0]], atom_masses=[[1.0]]), "atom_positions must be one dim"),
+        (dict(atom_positions=[1.0], atom_masses=[np.inf]), "atom_masses contains non-finite"),
+        (dict(atom_positions=[1.0, 2.0], atom_masses=[1.0]), "atom_masses differ in length"),
+        (dict(density_grid=[1.0, 2.0], density_values=[1.0]), "density_values differ in len"),
+        (dict(atom_positions=[0.0], atom_masses=[1.0]), "positions must be strictly positive"),
+        (dict(atom_positions=[1.0], atom_masses=[-1.0]), "masses must be nonnegative"),
+        (dict(density_grid=[0.0, 1.0], density_values=[1.0, 1.0]), "grid must be strictly pos"),
+        (dict(density_grid=[1.0, 1.0], density_values=[1.0, 1.0]), "strictly increasing"),
+        (dict(density_grid=[1.0, 2.0], density_values=[1.0, -1.0]), "values must be nonnegative"),
+        # values without a grid differ from it in length
+        (dict(density_values=[1.0]), "density_values differ in length"),
+    ], ids=["ndim", "non-finite", "atom-lengths", "density-lengths", "position-zero",
+            "negative-mass", "grid-zero", "grid-repeats", "negative-density", "values-only"])
+    def test_malformed_arrays_refused(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            DiscretizedMeasure(**kwargs)
+
     def test_node_set_is_not_a_field(self):
         m = _measure(2, 10, 3)
         assert [f.name for f in fields(m)] == [
             "atom_positions", "atom_masses", "density_grid", "density_values"]
         assert "_nodes" not in repr(m) and "_weights" not in repr(m)
+
+
+class TestEquality:
+    PAIRS = [
+        (lambda: _measure(3, 10, 5), lambda: _measure(3, 10, 5), True),
+        (lambda: _measure(3, 10, 5), lambda: _measure(3, 10, 6), False),
+        (lambda: DiscretizedMeasure.from_atoms([(1.0, 1.0)]),
+         lambda: DiscretizedMeasure.from_atoms([(1.0, 1.0)]), True),
+        (lambda: DiscretizedMeasure.from_atoms([(1.0, 1.0)]),
+         lambda: DiscretizedMeasure.from_atoms([(1.0, 2.0)]), False),
+        (lambda: DiscretizedMeasure.from_atoms([(1.0, 1.0)]),
+         lambda: DiscretizedMeasure.from_atoms([(1.0, 1.0), (2.0, 1.0)]), False),
+        # -0.0 and 0.0 are equal entries, so they must hash alike
+        (lambda: DiscretizedMeasure.from_atoms([(1.0, 0.0)]),
+         lambda: DiscretizedMeasure.from_atoms([(1.0, -0.0)]), True),
+    ]
+
+    @pytest.mark.parametrize("wrap", [
+        lambda m: m, lambda m: CanonicalCF(0.0, m), lambda m: CanonicalLaplace(0.5, m),
+    ], ids=["measure", "canonical-cf", "canonical-laplace"])
+    @pytest.mark.parametrize("a, b, equal", PAIRS, ids=[
+        "same-arrays", "other-seed", "one-atom", "other-mass", "other-length", "signed-zero"])
+    def test_compared_and_hashed_by_their_arrays(self, wrap, a, b, equal):
+        x, y = wrap(a()), wrap(b())
+        assert (x == y) is equal and (x != y) is not equal
+        if equal:
+            assert hash(x) == hash(y) and len({x, y}) == 1
+
+    def test_unequal_to_other_types(self):
+        m = _measure(2, 0, 1)
+        assert m != (m.atom_positions, m.atom_masses) and m != CanonicalCF(0.0, m)
