@@ -52,7 +52,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, InputError, MomentError, PositivityError
-from .measures import DiscretizedMeasure
+from .measures import DiscretizedMeasure, SeriesKernel
 
 __all__ = [
     "SymmetricCF",
@@ -456,6 +456,19 @@ class CompoundPoissonCF(SymmetricCF):
         return self.rate * h2, self.rate * h2 * h2
 
 
+def _spectral_factor(x):
+    return 1.0 + 1.0 / (x * x)
+
+
+# sin(v)^2 at v = t x / 2, times (1 + x^2) / x^2.  Its series
+# sum_k (-1)^(k+1) 2^(2k-1) v^(2k) / (2k)! stops at k = 12; the first term
+# left out is below 2e-19 of sin(v)^2 at |v| <= 1.
+_SPECTRAL_KERNEL = SeriesKernel(
+    0.5, (np.sin, np.square), _spectral_factor, 2,
+    tuple((-1) ** (k + 1) * 2.0 ** (2 * k - 1) / math.factorial(2 * k) for k in range(1, 13)),
+)
+
+
 @dataclass(frozen=True)
 class CanonicalCF(SymmetricCF):
     """CF given by a canonical exponent
@@ -466,17 +479,19 @@ class CanonicalCF(SymmetricCF):
     as a DiscretizedMeasure (exact sums over atoms, trapezoid rule over
     the density table).  Every symmetric infinitely divisible CF has
     this shape; conversely any (a, theta) here produces a valid CF.
+
+    A point with |t| x_max / 2 <= 1, x_max the measure's largest node,
+    keeps every sine argument t x / 2 within [-1, 1].  It is read from
+    the Taylor series of sin^2: one polynomial in t^2 whose coefficients
+    are moments of theta, taken once per measure.  Every other point
+    costs one sine per node.
     """
 
     gaussian_coefficient: float = _param(_check_nonneg_param)
     measure: DiscretizedMeasure = _param(_check_measure)
 
     def _log_values(self, t):
-        def kernel(tt, x):
-            s = np.sin(0.5 * tt * x)
-            return s * s * ((1.0 + x * x) / (x * x))
-
-        spectral = self.measure.integrate_outer(kernel, t)
+        spectral = self.measure.integrate_outer(_SPECTRAL_KERNEL, t)
         return -self.gaussian_coefficient * t * t - 4.0 * spectral
 
     def cumulants(self):

@@ -630,20 +630,31 @@ def _add_family_flags(p, families: dict) -> None:
 _GROUPS = {"laplace": "positive-law transforms: drift, limit, support"}
 
 
-def build_parser() -> _Parser:
+def build_parser(words=None) -> _Parser:
+    """The parser of every command, or only of those named in ``words``.
+
+    Argparse picks the command and the action from words of the command
+    line, so building the ones named there is enough to parse it; every
+    other command is a stub that carries only its name and help.
+    """
+
+    def named(word):
+        return words is None or word in words
+
     parser = _Parser(prog="iddlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     groups: dict = {}
     for name, (handler, help_text, families, options) in _COMMANDS.items():
         group, _, action = name.partition(" ")
-        if action:
-            if group not in groups:
-                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
-                    dest="action", metavar="ACTION", required=True, parser_class=_Parser
-                )
-            p = groups[group].add_parser(action, help=help_text)
-        else:
-            p = sub.add_parser(name, help=help_text)
+        if action and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="action", metavar="ACTION", required=True, parser_class=_Parser
+            )
+        word = action or name
+        p = (groups[group] if action else sub).add_parser(
+            word, help=help_text, add_help=named(word))
+        if not named(word):
+            continue
         if families is not None:
             _add_family_flags(p, families)
         if name in ("detect", "empirical"):
@@ -674,7 +685,8 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(set(argv))
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -96,9 +96,12 @@ _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
 # entries, and every pass multiplies its columns this many at a time, to
-# bound memory (the gap scan after a pass is not blocked; see _sup_gaps)
+# bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
+# the gap scan after a pass takes column blocks of at most this many
+# entries; the default grid's 401 x 420 candidate CDFs are one block
+_GAP_BLOCK = 1 << 18
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
 _START_BUDGET = 1024
@@ -317,13 +320,14 @@ def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
 
 
 def _sup_gaps(F: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Each column's largest gap to ref.
-
-    Unlike the passes, the scan is not blocked: it holds one temporary
-    the size of F, so on a large x grid the peak is F twice.
-    """
-    d = F - ref[:, None]
-    return np.abs(d, out=d).max(axis=0)
+    """Each column's largest gap to ref, scanned in blocks of columns."""
+    step = max(_GAP_BLOCK // max(F.shape[0], 1), 1)
+    gaps, buf = np.empty(F.shape[1]), np.empty((F.shape[0], min(step, F.shape[1])))
+    for c0 in range(0, F.shape[1], step):
+        block = F[:, c0:c0 + step]
+        d = np.subtract(block, ref[:, None], out=buf[:, :block.shape[1]])
+        gaps[c0:c0 + step] = np.abs(d, out=d).max(axis=0)
+    return gaps
 
 
 def _passes(run, quad: QuadratureSpec):

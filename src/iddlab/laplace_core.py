@@ -30,6 +30,7 @@ side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from .cf_core import (
     _Transform,
 )
 from .errors import InputError
-from .measures import DiscretizedMeasure
+from .measures import DiscretizedMeasure, SeriesKernel
 
 __all__ = [
     "LaplaceTransform",
@@ -143,6 +144,19 @@ class DriftTransform(LaplaceTransform):
         return -self.sigma * s
 
 
+def _jump_factor(a):
+    return 1.0 / np.expm1(-a)
+
+
+# expm1(v) at v = -a s, times 1 / expm1(-a).  Its series sum_k v^k / k!
+# stops at k = 19; the first term left out is below 1e-18 of |expm1(v)|
+# at |v| <= 1.
+_JUMP_KERNEL = SeriesKernel(
+    -1.0, (np.expm1,), _jump_factor, 1,
+    tuple(1.0 / math.factorial(k) for k in range(1, 20)),
+)
+
+
 @dataclass(frozen=True)
 class CanonicalLaplace(LaplaceTransform):
     """Exponent -sigma s - int (1 - e^(-a s)) / (1 - e^(-a)) dmu(a)."""
@@ -151,10 +165,7 @@ class CanonicalLaplace(LaplaceTransform):
     measure: DiscretizedMeasure = _param(_check_measure)
 
     def _log_values(self, s):
-        def kernel(ss, a):
-            return np.expm1(-a * ss) / np.expm1(-a)
-
-        jump_part = self.measure.integrate_outer(kernel, s)
+        jump_part = self.measure.integrate_outer(_JUMP_KERNEL, s)
         return -self.sigma * s - jump_part
 
     def describe(self):

@@ -7,22 +7,48 @@ atoms plus an optional tabulated density integrated by the trapezoid
 rule.  Instances are immutable; the arrays are copied and frozen at
 construction, and joined there into one weighted node set: the atoms
 weighted by their masses, the grid points by trapezoid weight times
-density.  Integrals against it are evaluated in blocks of bounded
-memory.
+density.
+
+Both exponents integrate a SeriesKernel, k(t, x) = g(x) h(c t x) with
+h entire and h(0) = 0.  A point t with |c t| x_max <= 1 keeps every
+argument of h within [-1, 1] and reads h from its Taylor series: with
+r = x / x_max the integral is a polynomial in c t x_max whose
+coefficients are the moments sum_j w_j g(x_j) r_j^k, taken once per
+measure and kernel, so the point costs one Horner pass and no kernel
+value.  Every other point costs one h value per node, computed in place
+in row blocks of bounded memory and contracted with the weights w g.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 
-__all__ = ["DiscretizedMeasure"]
+__all__ = ["DiscretizedMeasure", "SeriesKernel"]
 
 # kernel values held at once by integrate_outer (rows of t times nodes)
 _BLOCK = 8192
+
+
+class SeriesKernel(NamedTuple):
+    """k(t, x) = factor(x) * h(scale * t * x), with h entire and h(0) = 0.
+
+    ``ufuncs`` compute h in place, applied one after another to the
+    array scale * t * x.  ``coeffs[k - 1]`` is the Taylor coefficient of
+    v^(power * k) in h(v); there must be enough of them that the series
+    meets h to rounding for |v| <= 1.
+    """
+
+    scale: float
+    ufuncs: tuple
+    factor: Callable
+    power: int
+    coeffs: tuple
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -82,6 +108,8 @@ class DiscretizedMeasure:
         trap[1:] += half
         object.__setattr__(self, "_nodes", np.concatenate([pos, grid]))
         object.__setattr__(self, "_weights", np.concatenate([mass, trap * dens]))
+        # per kernel: scaled nodes, folded weights, reach c x_max, series
+        object.__setattr__(self, "_kernels", {})
 
     def _arrays(self) -> tuple:
         return (self.atom_positions, self.atom_masses, self.density_grid, self.density_values)
@@ -105,19 +133,56 @@ class DiscretizedMeasure:
 
     def integrate(self, fn) -> float:
         """Integrate a scalar function of the position against the measure."""
-        return float(self.integrate_outer(lambda _, x: fn(x), 0.0))
+        return float(fn(self._nodes) @ self._weights)
 
-    def integrate_outer(self, kernel, t: np.ndarray) -> np.ndarray:
-        """Integrate ``kernel(t, x)`` over x for every entry of t.
+    def _kernel_data(self, kernel: SeriesKernel) -> tuple:
+        data = self._kernels.get(kernel)
+        if data is None:
+            weights = self._weights * kernel.factor(self._nodes)
+            top = np.max(self._nodes)
+            ratio = (self._nodes / top) ** kernel.power
+            moments, rk = [], ratio
+            for _ in kernel.coeffs:
+                moments.append(rk @ weights)
+                rk = rk * ratio
+            series = (np.asarray(kernel.coeffs) * np.asarray(moments)).tolist()
+            data = (kernel.scale * self._nodes, weights, kernel.scale * top, series)
+            self._kernels[kernel] = data
+        return data
 
-        ``kernel`` must broadcast over a trailing x axis; the result has
-        the shape of ``t``.  The measure is one weighted node set, so
-        each block of rows of t is one kernel matrix contracted with
-        the weights; a block holds about _BLOCK kernel values.
+    def integrate_outer(self, kernel: SeriesKernel, t: np.ndarray) -> np.ndarray:
+        """Integrate ``kernel`` over x for every entry of t.
+
+        The result has the shape of ``t``.  A point with
+        |scale * t| * x_max <= 1 is one Horner pass over the kernel's
+        series in the moments of the measure; every other point takes
+        one kernel value per node, in row blocks of about _BLOCK values
+        contracted with the weights.
         """
         t = np.asarray(t, dtype=float)
-        rows, out = t.reshape(-1), np.empty(t.size)
-        step = max(_BLOCK // max(self._nodes.size, 1), 1)
-        for i in range(0, rows.size, step):
-            out[i:i + step] = kernel(rows[i:i + step, None], self._nodes) @ self._weights
+        rows, out = t.reshape(-1), np.zeros(t.size)
+        if not self._nodes.size:
+            return out.reshape(t.shape)
+        nodes, weights, reach, series = self._kernel_data(kernel)
+        near = np.abs(rows) <= 1.0 / abs(reach)
+        count = np.count_nonzero(near)
+        if count:
+            y = (rows[near] * reach) ** kernel.power
+            # Horner; out of place, which numpy does faster on a few points
+            acc = series[-1] * y
+            for d in series[-2::-1]:
+                acc = (acc + d) * y
+            out[near] = acc
+        if count < rows.size:
+            far = np.logical_not(near, out=near)
+            rows = rows[far]
+            step = max(_BLOCK // nodes.size, 1)
+            values, buf = np.empty(rows.size), np.empty((min(step, rows.size), nodes.size))
+            for i in range(0, rows.size, step):
+                block = buf[:rows[i:i + step].size]
+                np.multiply(rows[i:i + step, None], nodes, out=block)
+                for ufunc in kernel.ufuncs:
+                    ufunc(block, out=block)
+                values[i:i + step] = block @ weights
+            out[far] = values
         return out.reshape(t.shape)

@@ -481,6 +481,41 @@ class TestExitCodes:
         assert err.startswith(f"iddlab: unrecognized arguments: {' '.join(argv[-2:])}")
 
 
+# every help text and a usage error of each kind, for every command and action
+PARSER_TEXTS = [
+    [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["-1", "detect"],
+    ["--bogus", "detect", "--family", "gauss"], ["laplace"], ["laplace", "bogus"],
+    ["laplace", "--help"], ["laplace", "drift", "--m", "3"],
+    ["laplace", "support", "--family", "drift"], ["detect", "--family"],
+    ["detect", "--family", "nope"], ["detect", "extra"], ["rescale", "--transform", "x"],
+    ["kurtosis", "--method", "x", "--m"],
+    *([*name.split(), "--help"] for name in cli._COMMANDS),
+    *([*name.split(), "--bogus", "1"] for name in cli._COMMANDS),
+]
+
+
+class TestParserTexts:
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = f"exit {exc.code}"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSER_TEXTS, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # main builds only the commands its words name; what it prints must
+        # not tell that from the parser of every command
+        monkeypatch.setenv("COLUMNS", "80")
+        lazy = self._outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda words=None: full())
+        assert self._outcome(capsys, argv) == lazy
+        assert lazy[0] in (1, "exit 0")
+
+
 class TestDeterminism:
     def test_repeated_runs_identical_result(self, capsys):
         argv = ["detect", "--family", "symgamma", "--shape", "1"]

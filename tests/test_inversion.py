@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,6 +274,30 @@ class TestCdfMatrix:
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
         q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, T))[1]
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
+
+    def test_gap_scan_in_blocks_equals_one_scan(self, monkeypatch):
+        # the default grid's candidate CDFs are one block of the scan
+        default = (inversion._X_GRID_SIZE * len(inversion.DEFAULT_ALPHA_GRID)
+                   * len(inversion.DEFAULT_SCALE_GRID))
+        assert default <= inversion._GAP_BLOCK
+        rng = np.random.default_rng(3)
+        F, ref = rng.uniform(size=(41, 101)), rng.uniform(size=41)
+        whole = np.max(np.abs(F[:, 1:] - ref[:, None]), axis=0)
+        for block in (41 * 100, 41 * 24, 40, 1):
+            monkeypatch.setattr(inversion, "_GAP_BLOCK", block)
+            assert inversion._sup_gaps(F[:, 1:], ref).tobytes() == whole.tobytes()
+
+    def test_gap_scan_holds_one_block(self):
+        F, ref = np.ones((8001, 64)), np.zeros(8001)
+        tracemalloc.start()
+        try:
+            gaps = inversion._sup_gaps(F, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(gaps, np.ones(64))
+        # the whole scan would hold a temporary of F's 4.1 MB
+        assert peak < 8 * inversion._GAP_BLOCK + 1e5
 
     def test_shared_truncation_is_the_largest_automatic_one(self):
         quad = QuadratureSpec()

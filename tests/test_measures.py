@@ -1,8 +1,10 @@
-"""DiscretizedMeasure: one weighted node set, integrated in row blocks.
+"""DiscretizedMeasure: one weighted node set, integrated in two branches.
 
-The canonical exponents are checked against a direct reference that
-sums the atoms and applies np.trapezoid to the density table on the
-whole points × nodes kernel matrix at once.
+Points that keep every kernel argument within [-1, 1] read a moment
+polynomial, the rest a kernel matrix in row blocks.  The canonical exponents are checked
+against a direct reference that sums the atoms and applies np.trapezoid
+to the density table on the whole points × nodes kernel matrix at once,
+and against 40-digit mpmath sums on both sides of the cut.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iddlab import CanonicalCF, CanonicalLaplace, DiscretizedMeasure, InputError
+from iddlab import CanonicalCF, CanonicalLaplace, DiscretizedMeasure, InputError, sum_rescale
 from iddlab import measures
 
 
@@ -47,15 +49,21 @@ def _laplace_reference(m, s):
     return -0.7 * s - _reference(kernel, m, s)
 
 
+# law, reference, draw range, and the cut |t| <= cut / x_max as (cut, range
+# of draws in units of cut / x_max)
 LAWS = {
-    "canonical-cf": (lambda m: CanonicalCF(0.3, m), _cf_reference, (-50.0, 50.0)),
-    "canonical-laplace": (lambda m: CanonicalLaplace(0.7, m), _laplace_reference, (0.01, 50.0)),
+    "canonical-cf": (lambda m: CanonicalCF(0.3, m), _cf_reference, (-50.0, 50.0), (2.0, (-2.0, 2.0))),
+    "canonical-laplace": (lambda m: CanonicalLaplace(0.7, m), _laplace_reference, (0.01, 50.0),
+                          (1.0, (0.5, 1.5))),
 }
 
 
 def _shapes(step):
-    # scalar, on and straddling a block boundary, two dimensional
-    return [(), (1,), (step,), (step + 1,), (2 * step - 1,), (3, step + 1)]
+    # scalar, on and straddling a block boundary, two dimensional; the
+    # last two draw around the cut, so both branches share one call
+    return [((), False), ((1,), False), ((step,), False), ((step + 1,), False),
+            ((2 * step - 1,), False), ((3, step + 1), False),
+            ((2 * step + 1,), True), ((2, step), True)]
 
 
 class TestIntegrateOuter:
@@ -67,12 +75,14 @@ class TestIntegrateOuter:
     @example(n_atoms=0, n_grid=0, seed=0, law="canonical-laplace")
     @settings(max_examples=40, deadline=None)
     def test_matches_atoms_plus_trapezoid(self, n_atoms, n_grid, seed, law):
-        build, reference, (lo, hi) = LAWS[law]
+        build, reference, span, (cut, around) = LAWS[law]
         m = _measure(n_atoms, n_grid, seed)
         cf = build(m)
         step = max(measures._BLOCK // max(n_atoms + n_grid, 1), 1)
+        x_max = max(np.max(m.atom_positions, initial=0.0), np.max(m.density_grid, initial=0.0))
         rng = np.random.default_rng(seed + 1)
-        for shape in _shapes(step):
+        for shape, straddle in _shapes(step):
+            lo, hi = np.multiply(around, cut / x_max) if straddle and x_max else span
             t = rng.uniform(lo, hi, shape)
             got = cf.log_evaluate(t)
             assert np.shape(got) == shape
@@ -92,6 +102,99 @@ class TestIntegrateOuter:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+
+def _mp_nodes(mp, m):
+    # the measure's node set in exact arithmetic: atoms, then trapezoid weights
+    nodes = [(mp.mpf(x), mp.mpf(w)) for x, w in zip(m.atom_positions, m.atom_masses)]
+    grid = [mp.mpf(x) for x in m.density_grid]
+    for j, (x, d) in enumerate(zip(grid, m.density_values)):
+        h = (x - grid[j - 1] if j else 0) + (grid[j + 1] - x if j + 1 < len(grid) else 0)
+        nodes.append((x, h / 2 * mp.mpf(d)))
+    return nodes
+
+
+def _mp_cf(mp, m, t):
+    t = mp.mpf(t)
+    spectral = mp.fsum(w * mp.sin(t * x / 2) ** 2 * (1 + x * x) / (x * x)
+                       for x, w in _mp_nodes(mp, m))
+    return -mp.mpf(0.3) * t * t - 4 * spectral
+
+
+def _mp_laplace(mp, m, s):
+    s = mp.mpf(s)
+    jump = mp.fsum(w * mp.expm1(-a * s) / mp.expm1(-a) for a, w in _mp_nodes(mp, m))
+    return -mp.mpf(0.7) * s - jump
+
+
+SEAM_MEASURES = {
+    "atoms": lambda k: DiscretizedMeasure.from_atoms([(0.5 * k, 0.7), (10.0 * k, 1.3)]),
+    "density": lambda k: DiscretizedMeasure(density_grid=np.geomspace(0.01, 10.0, 40) * k,
+                                            density_values=np.exp(-np.geomspace(0.01, 10.0, 40))),
+    "mixed": lambda k: DiscretizedMeasure(
+        atom_positions=[0.5 * k, 3.0 * k], atom_masses=[0.7, 1.3],
+        density_grid=np.geomspace(0.01, 10.0, 40) * k,
+        density_values=np.exp(-np.geomspace(0.01, 10.0, 40))),
+}
+
+# |t| in units of the cut: just below, at and just above it, then further out
+AROUND_CUT = np.array([0.5, 1.0 - 1e-9, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 2.0])
+# x_max = 10 k; the cut is where |t| x_max / 2 (CF) or s x_max (Laplace) is
+# 1.  Only t = 0, read from the series at every scale, is not in these units.
+SEAM_SCALES = {
+    "straddles": (1.0, AROUND_CUT),
+    "all-series": (1e-6, np.array([0.01, 0.3, 0.7, 1.0])),
+    "no-series": (1e6, np.array([1.5, 3.0, 7.0, 20.0])),
+}
+
+
+class TestSeriesSeam:
+    """Both branches, and the cut between them, against 40-digit sums."""
+
+    @pytest.mark.parametrize("scale", sorted(SEAM_SCALES))
+    @pytest.mark.parametrize("kind", sorted(SEAM_MEASURES))
+    def test_canonical_cf_matches_mpmath(self, kind, scale):
+        mp = pytest.importorskip("mpmath")
+        k, units = SEAM_SCALES[scale]
+        m = SEAM_MEASURES[kind](k)
+        t = 2.0 / (10.0 * k) * units
+        t = np.concatenate([[0.0], t, -t])
+        got = CanonicalCF(0.3, m).log_evaluate(t)
+        with mp.workdps(40):
+            want = np.array([float(_mp_cf(mp, m, v)) for v in t])
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scale", sorted(SEAM_SCALES))
+    @pytest.mark.parametrize("kind", sorted(SEAM_MEASURES))
+    def test_canonical_laplace_matches_mpmath(self, kind, scale):
+        mp = pytest.importorskip("mpmath")
+        k, units = SEAM_SCALES[scale]
+        m = SEAM_MEASURES[kind](k)
+        s = 1.0 / (10.0 * k) * units
+        got = CanonicalLaplace(0.7, m).log_evaluate(s)
+        with mp.workdps(40):
+            want = np.array([float(_mp_laplace(mp, m, v)) for v in s])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_laws_call_the_measure_positionally(self, monkeypatch):
+        # a tracer that wraps integrate_outer may take positional arguments
+        # only and read the points at index 2
+        original = DiscretizedMeasure.integrate_outer
+        sizes = []
+
+        def positional(*args):
+            sizes.append(np.size(args[2]))
+            return original(*args)
+
+        monkeypatch.setattr(DiscretizedMeasure, "integrate_outer", positional)
+        m = SEAM_MEASURES["mixed"](1.0)
+        t = np.linspace(0.01, 5.0, 7)
+        cf = CanonicalCF(0.3, m)
+        cf.log_evaluate(t)
+        CanonicalLaplace(0.7, m).log_evaluate(t)
+        sum_rescale(cf, 4).evaluate(t)
+        assert sizes == [t.size] * 3
 
 
 class TestConstruction:
