@@ -52,7 +52,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, InputError, MomentError, PositivityError
-from .measures import DiscretizedMeasure, SeriesKernel
+from .measures import DiscretizedMeasure, _SeriesKernel
 
 __all__ = [
     "SymmetricCF",
@@ -457,13 +457,15 @@ class CompoundPoissonCF(SymmetricCF):
 
 
 def _spectral_factor(x):
-    return 1.0 + 1.0 / (x * x)
+    # (1 + x^2) / x^2 times min(x, 1)^2, with no overflow at either end
+    r = np.minimum(x, 1.0) / np.maximum(x, 1.0)
+    return 1.0 + r * r
 
 
 # sin(v)^2 at v = t x / 2, times (1 + x^2) / x^2.  Its series
 # sum_k (-1)^(k+1) 2^(2k-1) v^(2k) / (2k)! stops at k = 12; the first term
 # left out is below 2e-19 of sin(v)^2 at |v| <= 1.
-_SPECTRAL_KERNEL = SeriesKernel(
+_SPECTRAL_KERNEL = _SeriesKernel(
     0.5, (np.sin, np.square), _spectral_factor, 2,
     tuple((-1) ** (k + 1) * 2.0 ** (2 * k - 1) / math.factorial(2 * k) for k in range(1, 13)),
 )
@@ -480,11 +482,13 @@ class CanonicalCF(SymmetricCF):
     the density table).  Every symmetric infinitely divisible CF has
     this shape; conversely any (a, theta) here produces a valid CF.
 
-    A point with |t| x_max / 2 <= 1, x_max the measure's largest node,
-    keeps every sine argument t x / 2 within [-1, 1].  It is read from
-    the Taylor series of sin^2: one polynomial in t^2 whose coefficients
-    are moments of theta, taken once per measure.  Every other point
-    costs one sine per node.
+    The nodes x with |t| x / 2 <= 1 are read from the Taylor series of
+    sin^2: the measure's nodes are kept in groups an octave wide, and a
+    point reads one polynomial in t^2 for every group whose top node
+    keeps the sine argument within [-1, 1], with coefficients that are
+    moments of theta taken once per measure.  Each node above those
+    groups costs one sine.  A node near 0, where the weight
+    (1 + x^2) / x^2 overflows, stays finite in the series.
     """
 
     gaussian_coefficient: float = _param(_check_nonneg_param)

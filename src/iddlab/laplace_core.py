@@ -53,7 +53,7 @@ from .cf_core import (
     _Transform,
 )
 from .errors import InputError
-from .measures import DiscretizedMeasure, SeriesKernel
+from .measures import DiscretizedMeasure, _SeriesKernel
 
 __all__ = [
     "LaplaceTransform",
@@ -145,13 +145,14 @@ class DriftTransform(LaplaceTransform):
 
 
 def _jump_factor(a):
-    return 1.0 / np.expm1(-a)
+    # 1 / expm1(-a) times min(a, 1), which tends to -1 as a -> 0
+    return np.minimum(a, 1.0) / np.expm1(-a)
 
 
 # expm1(v) at v = -a s, times 1 / expm1(-a).  Its series sum_k v^k / k!
 # stops at k = 19; the first term left out is below 1e-18 of |expm1(v)|
 # at |v| <= 1.
-_JUMP_KERNEL = SeriesKernel(
+_JUMP_KERNEL = _SeriesKernel(
     -1.0, (np.expm1,), _jump_factor, 1,
     tuple(1.0 / math.factorial(k) for k in range(1, 20)),
 )

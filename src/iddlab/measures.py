@@ -9,14 +9,18 @@ construction, and joined there into one weighted node set: the atoms
 weighted by their masses, the grid points by trapezoid weight times
 density.
 
-Both exponents integrate a SeriesKernel, k(t, x) = g(x) h(c t x) with
-h entire and h(0) = 0.  A point t with |c t| x_max <= 1 keeps every
-argument of h within [-1, 1] and reads h from its Taylor series: with
-r = x / x_max the integral is a polynomial in c t x_max whose
-coefficients are the moments sum_j w_j g(x_j) r_j^k, taken once per
-measure and kernel, so the point costs one Horner pass and no kernel
-value.  Every other point costs one h value per node, computed in place
-in row blocks of bounded memory and contracted with the weights w g.
+Both exponents integrate a kernel k(t, x) = g(x) h(c t x) with h entire
+and h(0) = 0.  Where |c t x| <= 1, h is read from its Taylor series.
+The nodes are sorted once and split into groups, each spanning a ratio
+of _GROUP_RATIO below its top node T_b, and the series of all groups up
+to b is kept as one polynomial in c t T_b whose coefficients are
+moments of those nodes taken relative to T_b (a prefix table, built
+once per measure and kernel; every ratio in it is at most 1).  A point t
+reads the last group b with |c t| T_b <= 1: one Horner pass on that
+group's row, plus one h value for each node above the group, computed
+in place in row blocks of bounded memory and contracted with the
+weights w g.  A point below the cut of the top group takes no h value
+at all; a point above the cut of the lowest group takes one per node.
 """
 
 from __future__ import annotations
@@ -29,19 +33,24 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["DiscretizedMeasure", "SeriesKernel"]
+__all__ = ["DiscretizedMeasure"]
 
 # kernel values held at once by integrate_outer (rows of t times nodes)
 _BLOCK = 8192
+# each node group spans this ratio below its top node
+_GROUP_RATIO = 2.0
 
 
-class SeriesKernel(NamedTuple):
-    """k(t, x) = factor(x) * h(scale * t * x), with h entire and h(0) = 0.
+class _SeriesKernel(NamedTuple):
+    """k(t, x) = g(x) h(scale * t * x), with h entire and h(0) = 0.
 
     ``ufuncs`` compute h in place, applied one after another to the
-    array scale * t * x.  ``coeffs[k - 1]`` is the Taylor coefficient of
-    v^(power * k) in h(v); there must be enough of them that the series
-    meets h to rounding for |v| <= 1.
+    array scale * t * x.  ``factor(x)`` is g(x) min(x, 1)^power, which
+    must stay bounded where g does not (at x -> 0): the series is then
+    (scale t)^power times a polynomial whose moments never hold g alone.
+    ``coeffs[k - 1]`` is the Taylor coefficient of v^(power * k) in
+    h(v); there must be enough of them that the series meets h to
+    rounding for |v| <= 1.
     """
 
     scale: float
@@ -49,6 +58,111 @@ class SeriesKernel(NamedTuple):
     factor: Callable
     power: int
     coeffs: tuple
+
+
+class _Tables(NamedTuple):
+    """One measure read through one kernel: nodes ascending, in groups."""
+
+    nodes: np.ndarray  # scale * x
+    weights: np.ndarray  # w g(x), contracted with the kernel values
+    starts: list  # starts[b + 1]: number of nodes in groups 0..b
+    limits: np.ndarray  # ascending; limits[last - b] = 1 / |scale T_b|
+    reach: list  # scale T_b, T_b the top node of group b
+    front: list  # scale max(T_b, 1)
+    series: list  # per group, coeffs[k] * P[b, k]
+    floor: int  # last group with a node whose weight overflows, else -1
+
+
+def _tables(nodes, weights, kernel: _SeriesKernel) -> _Tables | None:
+    """The _Tables of the nodes that carry weight; None if none does."""
+    p = kernel.power
+    q = weights * kernel.factor(nodes)
+    order = np.argsort(nodes, kind="stable")
+    order = order[q[order] != 0.0]
+    if not order.size:
+        return None
+    x, q = nodes[order], q[order]
+    # groups counted down from the top node; x is ascending, so each is a run
+    level = np.floor((np.log2(x[-1]) - np.log2(x)) / np.log2(_GROUP_RATIO))
+    ends = np.append(np.flatnonzero(np.diff(level)) + 1, x.size)
+    firsts, counts = np.append(0, ends[:-1]), np.diff(ends, prepend=0)
+    top = x[ends - 1]
+    top_or_1 = np.maximum(top, 1.0)
+    # P[b, k] = sum over nodes of groups <= b of
+    #   q (max(x, 1) / max(T_b, 1))^p (x / T_b)^(p k),
+    # so that w g(x) (c t x)^(p (k + 1)) sums to (c t max(T_b, 1))^p
+    # (c t T_b)^(p k) P[b, k]; q = w g(x) min(x, 1)^p is bounded
+    moment = q * (np.maximum(x, 1.0) / np.repeat(top_or_1, counts)) ** p
+    ratio = (x / np.repeat(top, counts)) ** p
+    prefix = np.empty((top.size, len(kernel.coeffs)))
+    for k in range(prefix.shape[1]):
+        prefix[:, k] = np.add.reduceat(moment, firsts)
+        moment = moment * ratio
+    powers = np.arange(prefix.shape[1])
+    for b in range(1, top.size):
+        step = (top_or_1[b - 1] / top_or_1[b]) ** p * ((top[b - 1] / top[b]) ** p) ** powers
+        prefix[b] += prefix[b - 1] * step
+    with np.errstate(over="ignore", divide="ignore"):
+        # w g(x) overflows only for x below about 1e-154 (CF) or 1e-308;
+        # _batches gives such a node a kernel value only where
+        # |c t| x > 1 / _GROUP_RATIO, and so |c t| is above 1e153
+        far = q / np.minimum(x, 1.0) ** p
+        limits = 1.0 / np.abs(kernel.scale * top[::-1])
+    bad = np.flatnonzero(~np.isfinite(far))
+    return _Tables(
+        nodes=kernel.scale * x,
+        weights=far,
+        starts=np.append(0, ends).tolist(),
+        limits=limits,
+        reach=(kernel.scale * top).tolist(),
+        front=(kernel.scale * top_or_1).tolist(),
+        series=(np.asarray(kernel.coeffs) * prefix).tolist(),
+        floor=int(np.searchsorted(ends, bad[-1], side="right")) if bad.size else -1,
+    )
+
+
+def _batches(tables: _Tables, t: np.ndarray) -> list:
+    """(group, points) pairs, the points as a mask or at most _BLOCK indices."""
+    last = len(tables.reach) - 1
+    far = np.abs(t) > tables.limits[0]
+    count = np.count_nonzero(far)
+    if not count:
+        return [(last, None)]
+    if count * tables.nodes.size <= _BLOCK and tables.floor < 0:
+        # one block: a point past the top group's cut takes every node
+        return [(-1, far)] if count == t.size else [(last, ~far), (-1, far)]
+    # a point at depth d reads the series of group last - d
+    depth = np.searchsorted(tables.limits, np.abs(t))
+    order = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    return [(last - d, order[i:min(i + _BLOCK, hi)])
+            for d, (lo, hi) in enumerate(zip([0] + ends, ends)) for i in range(lo, hi, _BLOCK)]
+
+
+def _integrate_rows(tables: _Tables, kernel: _SeriesKernel, group: int, t: np.ndarray):
+    """The integral at points t that all read the series of ``group``."""
+    values, start = None, tables.starts[group + 1]
+    if start < tables.nodes.size:
+        nodes, weights = tables.nodes[start:], tables.weights[start:]
+        step = max(_BLOCK // nodes.size, 1)
+        values, buf = np.empty(t.size), np.empty(min(step, t.size) * nodes.size)
+        for i in range(0, t.size, step):
+            rows = t[i:i + step]
+            block = buf[:rows.size * nodes.size].reshape(rows.size, nodes.size)
+            np.multiply(rows[:, None], nodes, out=block)
+            for ufunc in kernel.ufuncs:
+                ufunc(block, out=block)
+            values[i:i + step] = block @ weights
+    if group >= 0:
+        series, reach, front = tables.series[group], tables.reach[group], tables.front[group]
+        y = (t * reach) ** kernel.power
+        # Horner; out of place, which numpy does faster on a few points
+        acc = series[-1] * y
+        for d in series[-2:0:-1]:
+            acc = (acc + d) * y
+        acc = (acc + series[0]) * (y if front == reach else (t * front) ** kernel.power)
+        values = acc if values is None else values + acc
+    return values
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -108,7 +222,7 @@ class DiscretizedMeasure:
         trap[1:] += half
         object.__setattr__(self, "_nodes", np.concatenate([pos, grid]))
         object.__setattr__(self, "_weights", np.concatenate([mass, trap * dens]))
-        # per kernel: scaled nodes, folded weights, reach c x_max, series
+        # per kernel: the _Tables of the nodes that carry weight, or None
         object.__setattr__(self, "_kernels", {})
 
     def _arrays(self) -> tuple:
@@ -135,54 +249,28 @@ class DiscretizedMeasure:
         """Integrate a scalar function of the position against the measure."""
         return float(fn(self._nodes) @ self._weights)
 
-    def _kernel_data(self, kernel: SeriesKernel) -> tuple:
-        data = self._kernels.get(kernel)
-        if data is None:
-            weights = self._weights * kernel.factor(self._nodes)
-            top = np.max(self._nodes)
-            ratio = (self._nodes / top) ** kernel.power
-            moments, rk = [], ratio
-            for _ in kernel.coeffs:
-                moments.append(rk @ weights)
-                rk = rk * ratio
-            series = (np.asarray(kernel.coeffs) * np.asarray(moments)).tolist()
-            data = (kernel.scale * self._nodes, weights, kernel.scale * top, series)
-            self._kernels[kernel] = data
-        return data
-
-    def integrate_outer(self, kernel: SeriesKernel, t: np.ndarray) -> np.ndarray:
+    def integrate_outer(self, kernel: _SeriesKernel, t: np.ndarray) -> np.ndarray:
         """Integrate ``kernel`` over x for every entry of t.
 
-        The result has the shape of ``t``.  A point with
-        |scale * t| * x_max <= 1 is one Horner pass over the kernel's
-        series in the moments of the measure; every other point takes
-        one kernel value per node, in row blocks of about _BLOCK values
-        contracted with the weights.
+        The result has the shape of ``t``.  A point reads the last node
+        group b whose top T_b keeps |scale * t| * T_b <= 1: one Horner
+        pass over the series of the groups up to b, plus one kernel value
+        for each node above group b, in row blocks of about _BLOCK values
+        contracted with the weights.  A call whose kernel values fit in
+        one block stays one block and at most one Horner pass: a point
+        past the top group's cut takes a kernel value at every node, as
+        long as no node's weight overflows.
         """
         t = np.asarray(t, dtype=float)
         rows, out = t.reshape(-1), np.zeros(t.size)
-        if not self._nodes.size:
+        tables = self._kernels.get(kernel)
+        if tables is None:
+            tables = self._kernels[kernel] = _tables(self._nodes, self._weights, kernel)
+        if tables is None or not rows.size:
             return out.reshape(t.shape)
-        nodes, weights, reach, series = self._kernel_data(kernel)
-        near = np.abs(rows) <= 1.0 / abs(reach)
-        count = np.count_nonzero(near)
-        if count:
-            y = (rows[near] * reach) ** kernel.power
-            # Horner; out of place, which numpy does faster on a few points
-            acc = series[-1] * y
-            for d in series[-2::-1]:
-                acc = (acc + d) * y
-            out[near] = acc
-        if count < rows.size:
-            far = np.logical_not(near, out=near)
-            rows = rows[far]
-            step = max(_BLOCK // nodes.size, 1)
-            values, buf = np.empty(rows.size), np.empty((min(step, rows.size), nodes.size))
-            for i in range(0, rows.size, step):
-                block = buf[:rows[i:i + step].size]
-                np.multiply(rows[i:i + step, None], nodes, out=block)
-                for ufunc in kernel.ufuncs:
-                    ufunc(block, out=block)
-                values[i:i + step] = block @ weights
-            out[far] = values
+        batches = _batches(tables, rows)
+        if len(batches) == 1:
+            return _integrate_rows(tables, kernel, batches[0][0], rows).reshape(t.shape)
+        for group, rows_b in batches:
+            out[rows_b] = _integrate_rows(tables, kernel, group, rows[rows_b])
         return out.reshape(t.shape)

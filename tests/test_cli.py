@@ -323,6 +323,16 @@ class TestExitCodes:
         assert abs(report["result"]["kappa_1"]) < 1e-6
         assert report["result"]["base_moments"]["mu2"] == pytest.approx(1e-20, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("variance", ["1", "1e-20"])
+    def test_gaussian_kurtosis_by_finite_differences_reads_as_exact(self, capsys, variance):
+        # kappa_1 is stencil noise of about -1e-8, so m kappa_1 is zero
+        # within the error read from a second stencil: the gap is absolute
+        report = run_json(capsys, "kurtosis", "--family", "gauss", "--variance", variance,
+                          "--m", "4", "--method", "finite-difference")
+        result = report["result"]
+        gap = abs(result["kappa_m"] - result["expected_m_times_kappa_1"])
+        assert result["relative_error"] == gap < 1e-6
+
     def test_failed_assertion_is_three(self, capsys, monkeypatch):
         failing = BoundCheck(lhs=1.0, rhs=0.5, holds=False, m=4, r=3.0)
         monkeypatch.setattr(cli, "clt_bound_check", lambda *a, **k: failing)

@@ -1,7 +1,8 @@
-"""DiscretizedMeasure: one weighted node set, integrated in two branches.
+"""DiscretizedMeasure: one weighted node set, integrated group by group.
 
-Points that keep every kernel argument within [-1, 1] read a moment
-polynomial, the rest a kernel matrix in row blocks.  The canonical exponents are checked
+A point reads a moment polynomial for the node groups whose kernel
+arguments stay within [-1, 1], and a kernel matrix in row blocks for the
+nodes above them.  The canonical exponents are checked
 against a direct reference that sums the atoms and applies np.trapezoid
 to the density table on the whole points × nodes kernel matrix at once,
 and against 40-digit mpmath sums on both sides of the cut.
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iddlab import CanonicalCF, CanonicalLaplace, DiscretizedMeasure, InputError, sum_rescale
-from iddlab import measures
+from iddlab import cf_core, laplace_core, measures
 
 
 def _measure(n_atoms, n_grid, seed):
@@ -148,6 +149,20 @@ SEAM_SCALES = {
 }
 
 
+# law, its kernel, and its 40-digit sum
+SEAM_LAWS = {
+    "canonical-cf": (lambda m: CanonicalCF(0.3, m), cf_core._SPECTRAL_KERNEL, _mp_cf),
+    "canonical-laplace": (lambda m: CanonicalLaplace(0.7, m), laplace_core._JUMP_KERNEL,
+                          _mp_laplace),
+}
+
+
+def _group_reach(m, kernel):
+    # scale * T_b for each group top T_b of m's nodes, lowest group first
+    m.integrate_outer(kernel, 0.0)
+    return m._kernels[kernel].reach
+
+
 class TestSeriesSeam:
     """Both branches, and the cut between them, against 40-digit sums."""
 
@@ -176,6 +191,60 @@ class TestSeriesSeam:
         with mp.workdps(40):
             want = np.array([float(_mp_laplace(mp, m, v)) for v in s])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(SEAM_MEASURES))
+    @pytest.mark.parametrize("law", ["canonical-cf", "canonical-laplace"])
+    def test_every_group_top_is_a_cut(self, kind, law):
+        # a point reads the series of every group whose top T keeps the
+        # kernel argument within 1: points around each such cut, tiled so
+        # that the call takes one kernel block per group
+        mp = pytest.importorskip("mpmath")
+        m = SEAM_MEASURES[kind](1.0)
+        law_of, kernel, mp_law = SEAM_LAWS[law]
+        units = np.array([1.0 - 1e-9, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9])
+        t = np.concatenate([units / abs(r) for r in _group_reach(m, kernel)])
+        reps = measures._BLOCK // (t.size * m._nodes.size) + 1
+        got = law_of(m).log_evaluate(np.tile(t, reps))
+        with mp.workdps(40):
+            want = np.array([float(mp_law(mp, m, v)) for v in t])
+        np.testing.assert_allclose(got, np.tile(want, reps), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("law, tiny", [("canonical-cf", 1e-160), ("canonical-laplace", 1e-310)])
+    def test_a_tiny_node_gives_a_finite_exponent(self, law, tiny):
+        # its weight w g(x) overflows (g = 1 + 1/x^2, or 1 / expm1(-x)), but
+        # w g(x) x^p does not; in one block and in one per group
+        mp = pytest.importorskip("mpmath")
+        law_of, _, mp_law = SEAM_LAWS[law]
+        m = DiscretizedMeasure.from_atoms([(tiny, 1.0), (1.0, 1.0)])
+        for t in (np.array([0.5, 5.0]), np.geomspace(0.5, 1e6, 5000)):
+            got = law_of(m).log_evaluate(t)
+            with mp.workdps(40):
+                want = np.array([float(mp_law(mp, m, v)) for v in t])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_far_rows_take_kernel_values_only_above_their_group(self):
+        args = []
+
+        def counting_sin(block, out):
+            args.append(np.abs(block))
+            return np.sin(block, out=out)
+
+        kernel = cf_core._SPECTRAL_KERNEL._replace(ufuncs=(counting_sin, np.square))
+        grid = np.geomspace(0.01, 10.0, 200)
+        m = DiscretizedMeasure(density_grid=grid, density_values=np.exp(-grid))
+        t = np.geomspace(1e-3, 200.0, 4096)
+        got = m.integrate_outer(kernel, t)
+        assert got.tobytes() == m.integrate_outer(cf_core._SPECTRAL_KERNEL, t).tobytes()
+        # the group of a point is the last whose top keeps 0.5 |t| T <= 1;
+        # it takes a kernel value at every node above that top
+        tops = np.abs(_group_reach(m, kernel)) / 0.5
+        group = np.count_nonzero(0.5 * t[:, None] * tops <= 1.0, axis=1) - 1
+        above = np.array([np.count_nonzero(grid > tops[b]) if b >= 0 else grid.size
+                          for b in group])
+        assert sum(a.size for a in args) == above.sum() < np.count_nonzero(above) * grid.size
+        # and so never at a node more than one group ratio below the cut
+        assert min(a.min() for a in args) > 0.999 / measures._GROUP_RATIO
 
     def test_laws_call_the_measure_positionally(self, monkeypatch):
         # a tracer that wraps integrate_outer may take positional arguments
