@@ -16,8 +16,8 @@ past T.
 
 Each pass measures the error of every column it inverts.  Every other
 node of a pass is itself a Simpson rule with half the budget, read from
-the same sine kernel and the same CF values, so the gap between the two
-rules costs one product of half the size.  Where the error falls like
+the same sines and the same CF values, so the gap between the two rules
+costs one product of half the size.  Where the error falls like
 h^p the gap is 2^p - 1 times the finer rule's error: p = 4 for a smooth
 CF and 1 + alpha at a |t|^alpha cusp at t = 0, so for every law here but
 stable ones with alpha < 1, p >= 2 and a third of the gap is reported.
@@ -25,12 +25,11 @@ Only the columns that feed a reported number enter the reported error
 (the error of a distance is the sum of its two columns' errors).
 Without a fixed budget the passes start at 1024 nodes and double while
 that estimate exceeds 1e-6, up to a cap past which the call is refused.
-A grid on which |x| T overflows is refused before a pass builds its
-kernel.
+A grid on which |x| T overflows is refused before a pass takes a sine.
 
 Every entry point inverts through one core that handles many laws at
 once: the laws share the largest of their truncation points, one node
-set and one sine kernel.  Column 0 is the target and each other law (the
+set and one set of sines.  Column 0 is the target and each other law (the
 second law in kolmogorov_distance) is compared with it.  Every column
 a pass inverts is a unit law read at c t, for each unit and each scale c
 of the pass: a law is its own unit at the one scale 1, and the stable
@@ -39,7 +38,13 @@ at c t, alpha-major.  The least alpha at the least scale sets a stable
 grid's truncation: where its (c t)^alpha first exceeds -log 1e-10,
 c t > 1, so every larger alpha or scale is below that level there too.
 A pass weights each block of CF values once per rule, flushing subnormal
-coefficients (see _weighted), and multiplies 32 columns at a time.
+coefficients (see _flushed).  Where the distinct |x| of a grid are k h,
+k = 0 .. K - 1, as on every default grid (see _symmetric_grid), a pass of
+at most 16 columns reads sin(k h t) by angle addition from the sines and
+cosines of about 2 sqrt(K) angles per node, 58 in place of 201 on the
+default grid (see _angle_sums).  Every other pass, at a caller's own x or
+with more columns (the candidate table's), builds the sine kernel
+sin(|x| t) in blocks of rows and multiplies 32 columns at a time.
 
 fit_stable and approx_compare fit through one path (_fit), which reads
 the target in units of its length scale on one x grid, so the
@@ -95,10 +100,14 @@ _TINY = np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
-# entries, and every pass multiplies its columns this many at a time, to
-# bound memory
+# entries, and multiplies its columns this many at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
+# a pass of at most this many columns on a grid k h takes its sines by
+# angle addition (see _angle_sums): per column that path does twice the
+# kernel's multiplies, which past about 16 columns cost more than the
+# sines it saves
+_ANGLE_COLUMNS = 16
 # the gap scan after a pass takes column blocks of at most this many
 # entries; the default grid's 401 x 420 candidate CDFs are one block
 _GAP_BLOCK = 1 << 18
@@ -238,17 +247,22 @@ def _nodes_and_weights(N: int, T: float):
     return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
 
 
-def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """c's rows times w / t in place, subnormal entries set to 0.
+def _flushed(c: np.ndarray) -> np.ndarray:
+    """c with its entries below the smallest normal float set to 0, in place.
 
     Every multiply by a subnormal takes a slow microcode path in the
     matrix product, and a term below the smallest normal float is far
     below the rounding of any CDF sum, so the flush changes no result.
     """
-    c *= w[:, None]
-    c /= t[:, None]
     c[np.abs(c) < _TINY] = 0.0
     return c
+
+
+def _weighted(c: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """c's rows times w / t in place, flushed (see _flushed)."""
+    c *= w[:, None]
+    c /= t[:, None]
+    return _flushed(c)
 
 
 def _columns(units, scales, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
@@ -271,28 +285,17 @@ def _columns(units, scales, c0: int, c1: int, t: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
-    """CDFs of every unit read at every scale (see _columns) on one 1-d
-    grid at node budget N.
+def _kernel_sums(half, ax, units, scales, t, w, w_half):
+    """Fill half with sin(outer(ax, t)) @ c, c the columns' coefficients
+    (see _weighted), and yield (rows, coarse) per block of kernel rows,
+    coarse being the same sums at the N/2 rule on those rows.
 
-    Returns the matrix whose column j holds F_j(xs), the node count, and
-    each column's error: a third of the largest gap over the grid to the
-    same column from every other node (see the module docstring).
-
-    The sine kernel is built over the distinct |x| only, since
-    F(-x) = 1 - F(x), in blocks of rows, each multiplying the columns
-    _LAW_BLOCK at a time.  Each block of values is weighted once per
-    rule: the N/2 rule reads the even nodes of the same kernel block and
-    of the same values, copied so that BLAS still takes both products.
+    The kernel is built in blocks of rows, each multiplying the columns
+    _LAW_BLOCK at a time.  The N/2 rule reads every other node, t[1::2],
+    of the same kernel block and the same values, copied so that BLAS
+    still takes both products.
     """
-    t, w, w_half = _nodes_and_weights(N, T)
-    w0, t, w = w[0], t[1:], w[1:]
-    w0_half, w_half, t_half = w_half[0], w_half[1:], t[1::2]
-    ax, row = np.unique(np.abs(xs), return_inverse=True)
-    if not math.isfinite(float(ax[-1]) * float(t[-1])):
-        raise QuadratureError(f"x t overflows at |x| = {ax[-1]:g} and T = {T:g}")
-    step, n = max(_KERNEL_BLOCK // t.size, 1), len(units) * len(scales)
-    half, errors = np.empty((ax.size, n)), np.zeros(n)
+    step, n = max(_KERNEL_BLOCK // t.size, 1), half.shape[1]
     for x0 in range(0, ax.size, step):
         rows = slice(x0, x0 + step)
         kernel = np.outer(ax[rows], t)
@@ -301,15 +304,81 @@ def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
         for c0 in range(0, n, _LAW_BLOCK):
             c1 = min(c0 + _LAW_BLOCK, n)
             f = _columns(units, scales, c0, c1, t)
-            coarse[:, c0:c1] = even @ _weighted(f[1::2].copy(), t_half, w_half)
+            coarse[:, c0:c1] = even @ _weighted(f[1::2].copy(), t[1::2], w_half)
             half[rows, c0:c1] = kernel @ _weighted(f, t, w)
+        yield rows, coarse
+
+
+def _angle_sums(half, ax, units, scales, t, w, w_half):
+    """_kernel_sums on a grid ax = k h, k = 0 .. K - 1, by angle addition.
+
+    With k = q Q + r, Q = ceil(sqrt(K)) and 0 <= r < Q,
+    sin(k h t) = sin(q Q h t) cos(r h t) + cos(q Q h t) sin(r h t), so
+    the rows r, r + Q, ... of the sums are one product: the table
+    (sin, cos)(q Q h t) times the coefficients times (cos, sin)(r h t),
+    flushed (see _flushed).  The two tables cost 2 (Q + ceil(K / Q))
+    sines and cosines per node (58 for K = 201) in place of K sines, and
+    the N/2 rule reads every other node of both.  Memory holds the tables
+    and a few vectors per column, with no kernel, so all rows come in one
+    block.
+    """
+    K, n = half.shape
+    Q = math.isqrt(K - 1) + 1
+    f = _columns(units, scales, 0, n, t)
+    c_half = _weighted(f[1::2].copy(), t[1::2], w_half)
+    c = _weighted(f, t, w)
+    # (sin, cos)(q Q h t) beside (cos, sin)(r h t)
+    high, low = np.empty((len(range(0, K, Q)), 2, t.size)), np.empty((Q, 2, t.size))
+    for table, angles, ufuncs in ((high, ax[::Q], (np.sin, np.cos)),
+                                  (low, ax[:Q], (np.cos, np.sin))):
+        arg = np.multiply.outer(angles, t)
+        for i, ufunc in enumerate(ufuncs):
+            ufunc(arg, out=table[:, i])
+    del arg
+    coarse, buf = np.empty_like(half), np.empty(2 * t.size * n)
+    for out, high, low, c in ((half, high, low, c),
+                              (coarse, high[..., 1::2].copy(), low[..., 1::2], c_half)):
+        high = high.reshape(high.shape[0], -1)
+        rotated, c = buf[:2 * c.size].reshape(n, 2, -1), c.T.copy()[:, None]
+        for r in range(Q):
+            # each column's coefficients times (cos, sin)(r h t)
+            np.multiply(low[r], c, out=rotated)
+            out[r::Q] = high[:len(range(r, K, Q))] @ _flushed(rotated).reshape(n, -1).T
+    yield slice(None), coarse
+
+
+def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
+    """CDFs of every unit read at every scale (see _columns) on one 1-d
+    grid at node budget N.
+
+    Returns the matrix whose column j holds F_j(xs), the node count, and
+    each column's error: a third of the largest gap over the grid to the
+    same column from every other node (see the module docstring).
+
+    The sine sums are taken over the distinct |x| only, since
+    F(-x) = 1 - F(x).  Where those are k h for k = 0 .. K - 1, K > 2, and
+    the pass has at most _ANGLE_COLUMNS columns, they come by angle addition
+    (see _angle_sums); every other pass builds the blocked sine kernel
+    (see _kernel_sums).  Both rules weight each block of CF values once.
+    """
+    t, w, w_half = _nodes_and_weights(N, T)
+    w0, t, w = w[0], t[1:], w[1:]
+    w0_half, w_half = w_half[0], w_half[1:]
+    ax, row = np.unique(np.abs(xs), return_inverse=True)
+    if not math.isfinite(float(ax[-1]) * float(t[-1])):
+        raise QuadratureError(f"x t overflows at |x| = {ax[-1]:g} and T = {T:g}")
+    half = np.empty((ax.size, len(units) * len(scales)))
+    errors = np.zeros(half.shape[1])
+    uniform = ax.size > 2 and np.array_equal(ax, np.arange(ax.size) * ax[1])
+    sums = _angle_sums if uniform and half.shape[1] <= _ANGLE_COLUMNS else _kernel_sums
+    for rows, coarse in sums(half, ax, units, scales, t, w, w_half):
         # the integrand tends to x * f(0) = x at t = 0
         half[rows] += (w0 * ax[rows])[:, None]
         coarse += (w0_half * ax[rows])[:, None]
         coarse -= half[rows]
         np.maximum(errors, np.abs(coarse, out=coarse).max(axis=0), out=errors)
     errors /= 3.0 * math.pi
-    del kernel, even, coarse
+    del coarse
     out = half[row]
     out /= math.pi
     out *= np.sign(xs)[:, None]
@@ -415,8 +484,10 @@ def _scale_proxy(cf: SymmetricCF) -> float:
 
 
 def _symmetric_grid(radius: float) -> np.ndarray:
-    # built from its nonnegative half so that x and -x pair up exactly
-    half = np.linspace(0.0, radius, _X_GRID_SIZE // 2 + 1)
+    # built from its nonnegative half so that x and -x pair up exactly, and
+    # each point is exactly k h, which _simpson_pass sums by angle addition
+    k = _X_GRID_SIZE // 2
+    half = np.arange(k + 1) * (radius / k)
     return np.concatenate([-half[:0:-1], half])
 
 

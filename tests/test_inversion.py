@@ -640,6 +640,130 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def _kernel_pass(units, scales, xs, T, N):
+    """The reference Simpson pass: the whole sine kernel sin(outer(|x|, t))
+    entry by entry, the columns multiplied _LAW_BLOCK at a time, as
+    (F, nodes, errors)."""
+    t, w, w_half = _nodes_and_weights(N, T)
+    t, (ax, row) = t[1:], np.unique(np.abs(xs), return_inverse=True)
+    kernel = np.sin(np.outer(ax, t))
+    even, n = kernel[:, 1::2].copy(), len(units) * len(scales)
+    half, coarse = np.empty((ax.size, n)), np.empty((ax.size, n))
+    for c0 in range(0, n, inversion._LAW_BLOCK):
+        c1 = min(c0 + inversion._LAW_BLOCK, n)
+        f = _columns(units, scales, c0, c1, t)
+        coarse[:, c0:c1] = even @ _weighted(f[1::2].copy(), t[1::2], w_half[1:])
+        half[:, c0:c1] = kernel @ _weighted(f, t, w[1:])
+    half += (w[0] * ax)[:, None]
+    coarse += (w_half[0] * ax)[:, None]
+    F = half[row] / math.pi * np.sign(xs)[:, None] + 0.5
+    F[(F < 0.0) & (F >= -inversion._CLAMP)] = 0.0
+    F[(F > 1.0) & (F <= 1.0 + inversion._CLAMP)] = 1.0
+    return F, t.size + 1, np.abs(coarse - half).max(axis=0) / (3.0 * math.pi)
+
+
+class TestAngleAddition:
+    """A pass on |x| = k h with at most _ANGLE_COLUMNS columns sums its sines by angle addition."""
+
+    T = 93.32543007969915  # the default candidate table's truncation
+    LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
+
+    @given(
+        K=st.integers(3, 400),
+        radius=_log_uniform(1e-2, 50.0),
+        mirrored=st.booleans(),
+        N=st.integers(64, 4096),
+        # a pass's T is always a probe point (see _auto_truncation)
+        T=st.sampled_from([T for T in inversion._T_PROBE if 0.5 <= T <= 300.0]),
+        alphas=st.lists(st.floats(0.3, 2.0), min_size=1, max_size=4),
+        scales=st.lists(_log_uniform(0.25, 4.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_sine_kernel(self, K, radius, mirrored, N, T, alphas, scales):
+        half = np.arange(K) * (radius / (K - 1))
+        xs = np.concatenate([-half[:0:-1], half]) if mirrored else half
+        units = [StableCF(a, 1.0) for a in alphas]
+        F, nodes, e = _simpson_pass(units, scales, xs, T, N)
+        G, nodes_ref, e_ref = _kernel_pass(units, scales, xs, T, N)
+        assert nodes == nodes_ref and F.shape == G.shape == (xs.size, len(alphas) * len(scales))
+        assert np.max(np.abs(F - G)) <= 1e-14
+        assert np.max(np.abs(e - e_ref)) <= 1e-14
+
+    @pytest.mark.parametrize("xs, units, scales", [
+        (np.linspace(-4.0, 7.0, 61), [StableCF(1.2, 1.0), StableCF(1.9, 1.0)], (1.0, 2.0)),
+        (_symmetric_grid(8.0), [StableCF(1.2, 1.0)], tuple(np.geomspace(0.5, 2.0, 17))),
+        (_symmetric_grid(8.0), [StableCF(1.2, 1.0), StableCF(1.9, 1.0)],
+         tuple(np.geomspace(0.5, 2.0, 17))),
+    ], ids=["non-uniform-grid", "17-columns", "two-column-blocks"])
+    def test_other_passes_keep_the_sine_kernel_bit_for_bit(self, xs, units, scales):
+        got = _simpson_pass(units, scales, xs, 40.0, 1024)
+        want = _kernel_pass(units, scales, xs, 40.0, 1024)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+
+    def test_symmetric_grid_is_k_h_at_any_radius(self):
+        # linspace's end point is not 200 h at 256 of these radii
+        for radius in np.geomspace(1e-5, 1e5, 2000):
+            xs = _symmetric_grid(radius)
+            assert np.array_equal(xs[200:], np.arange(201) * xs[201])
+            assert np.array_equal(xs, -xs[::-1])
+        # at radius 8 the grid is the former linspace one, bit for bit
+        half = np.linspace(0.0, 8.0, 201)
+        assert np.array_equal(_symmetric_grid(8.0), np.concatenate([-half[:0:-1], half]))
+
+    def test_default_grids_take_angle_addition(self, empty_table, monkeypatch):
+        approx_compare(SymmetrizedGammaCF(0.5), 10)
+        # a radius at which linspace would end off the grid k h
+        for v in np.geomspace(1e-4, 1e4, 400):
+            radius = 8.0 * inversion._scale_proxy(GaussianCF(v))
+            if not np.array_equal(np.linspace(0.0, radius, 201), np.arange(201) * (radius / 200)):
+                break
+        else:
+            pytest.fail("no radius off linspace's grid")
+
+        def refused(*args):
+            raise AssertionError("the sine kernel was built")
+
+        monkeypatch.setattr(inversion, "_kernel_sums", refused)
+        approx_compare(SymmetrizedGammaCF(1.0), 4)
+        fit_stable(StableCF(1.3, 2.0))
+        assert kolmogorov_distance(GaussianCF(v), GaussianCF(v / 2.0)) > 0.0
+
+    def test_memory_is_bounded_by_the_tables(self):
+        N, K = 16384, 201
+        Q = math.isqrt(K - 1) + 1
+        tracemalloc.start()
+        try:
+            _simpson_pass(self.LAWS, (1.0,), _symmetric_grid(8.0), self.T, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two tables of sines and cosines at every node, the N/2 rule's copy
+        # of the first and one table of angles, then O(1) vectors per column
+        bound = 8 * N * (3 * (Q + -(-K // Q)) + 16 * len(self.LAWS))
+        # one block of the sine kernel and its even nodes would take more
+        assert peak < bound < 12 * inversion._KERNEL_BLOCK
+
+    def test_no_subnormal_reaches_a_product(self, monkeypatch):
+        # every flush, the two of the coefficients and one per remainder r
+        # in each rule, leaves no subnormal; several had one to remove
+        tiny, flushed, had = np.finfo(float).tiny, inversion._flushed, []
+
+        def recording(c):
+            had.append(bool(np.any((c != 0.0) & (np.abs(c) < tiny))))
+            out = flushed(c)
+            assert not np.any((out != 0.0) & (np.abs(out) < tiny))
+            return out
+
+        monkeypatch.setattr(inversion, "_flushed", recording)
+        xs = _symmetric_grid(8.0)
+        F = _simpson_pass(self.LAWS, (1.0,), xs, self.T, 1024)[0]
+        Q = math.isqrt(201 - 1) + 1
+        assert len(had) == 2 + 2 * Q and sum(had[2:]) > Q // 2
+        monkeypatch.setattr(inversion, "_flushed", flushed)
+        assert np.array_equal(F, _simpson_pass(self.LAWS, (1.0,), xs, self.T, 1024)[0])
+
+
 class TestCandidateBlock:
     LAWS = [sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(2.0)]
 
@@ -989,8 +1113,8 @@ class TestErrorEstimate:
         # the criterion-9 case at the fixed 4096-node rule, which binds the
         # sum and the candidate table alike
         fixed = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=4096))
-        assert fixed.d_gaussian == 0.013724388741261473
-        assert fixed.d_stable == 0.0033273201359788063
+        assert fixed.d_gaussian == 0.013724388741260918
+        assert fixed.d_stable == 0.0033273201359790283
         assert (fixed.best_alpha, fixed.best_scale) == (1.85, 0.6597539553864472)
         assert (fixed.quadrature["N"], fixed.quadrature["nodes"]) == (4096, 4097)
         assert fixed.quadrature["candidates"] == {"T": 93.32543007969915, "N": 4096,
