@@ -515,7 +515,7 @@ class CanonicalCF(SymmetricCF):
         }
 
 
-_EMPIRICAL_CHUNK = 4096
+_EMPIRICAL_KERNEL = _SPECTRAL_KERNEL._replace(factor=np.square)  # weight 1 on (0, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +523,9 @@ class EmpiricalCF(SymmetricCF):
     """Symmetrized empirical CF of a sample: f(t) = mean(cos(t x_j)).
 
     This is the CF of the empirical distribution folded to be symmetric,
-    so it is real and even but not necessarily positive.
+    so it is real and even but not necessarily positive.  1 - f(t) is
+    sum_j (2 / n) sin(t x_j / 2)^2, the canonical kernel over atoms at the
+    |x_j| in units of the largest |x|; one that is 0 there carries none.
     """
 
     samples: np.ndarray
@@ -537,24 +539,22 @@ class EmpiricalCF(SymmetricCF):
             raise InputError(f"non-finite sample at index {int(bad[0])}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        unit = float(np.max(np.abs(arr))) or 1.0
+        pos = np.abs(arr) / unit
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_measure", DiscretizedMeasure(
+            pos[pos > 0.0], np.full(np.count_nonzero(pos), 2.0 / arr.size)))
 
     def _values(self, t):
-        flat = t.reshape(-1)
-        out = np.zeros(flat.shape)
-        for start in range(0, self.samples.size, _EMPIRICAL_CHUNK):
-            block = self.samples[start : start + _EMPIRICAL_CHUNK]
-            out += np.sum(np.cos(np.outer(flat, block)), axis=1)
-        return out.reshape(t.shape) / self.samples.size
+        return 1.0 - self._measure.integrate_outer(_EMPIRICAL_KERNEL, self._unit * t)
 
     def _log_values(self, t):
-        vals = self._values(t)
-        flat_vals = np.atleast_1d(vals)
-        flat_t = np.atleast_1d(t)
-        bad = np.flatnonzero(flat_vals <= 0.0)
+        gap = self._measure.integrate_outer(_EMPIRICAL_KERNEL, self._unit * t)
+        bad = np.flatnonzero(gap >= 1.0)
         if bad.size:
             i = int(bad[0])
-            raise PositivityError(float(flat_t[i]), float(flat_vals[i]))
-        return np.log(vals)
+            raise PositivityError(float(t.flat[i]), float(1.0 - gap.flat[i]))
+        return np.log1p(-gap)
 
     def cumulants(self):
         x2 = float(np.mean(self.samples**2))

@@ -230,12 +230,15 @@ def read_samples(path: str) -> list:
 def _law_from_args(args):
     """An empirical CF of --input, or --family with its --convolve parts."""
     families = args.families
+    params = {n: getattr(args, n) for names, _ in (families or {}).values() for n in names}
     if getattr(args, "input", None):
+        stray = [_flag(n) for n in ("family", *params) if getattr(args, n, None) is not None]
+        if stray:
+            raise InputError(f"{stray[0]} does not apply to --input, whose sample is the law")
         base = from_samples(read_samples(args.input))
     elif families is None:
         raise InputError("--input is required")
     elif args.family:
-        params = {n: getattr(args, n) for names, _ in families.values() for n in names}
         base = _build_family(args.family, params, families)
     else:
         hint = " (or --input for sample data)" if hasattr(args, "input") else ""
@@ -297,7 +300,8 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_config(options, args) -> dict:
-    """defaults < config file < explicit flags, with unknown keys rejected.
+    """defaults < config file < explicit flags, with unknown keys rejected,
+    and a knob rejected when another given knob leaves it unused.
 
     File and flag values pass through the same converter and choice
     check; a JSON null leaves the value unset, like an absent flag.
@@ -306,7 +310,7 @@ def _merge_config(options, args) -> dict:
     unknown = sorted(set(file_cfg) - {key for key, *_ in options})
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} for this command")
-    merged = {}
+    merged, given = {}, {}
     for key, convert, default, choices, _ in options:
         flag = _flag(key)
         value = default
@@ -316,6 +320,7 @@ def _merge_config(options, args) -> dict:
         ):
             if raw is None:
                 continue
+            given[key] = where
             try:
                 value = convert(raw)
             except (ValueError, OverflowError) as exc:
@@ -325,6 +330,10 @@ def _merge_config(options, args) -> dict:
         if value is _REQUIRED:
             raise InputError(f"{flag} is required")
         merged[key] = value
+    for key, unused in _UNUSED_WITH.items():
+        clash = [given[k] for k in unused if k in given]
+        if key in given and clash:
+            raise InputError(f"{clash[0]} is unused when {given[key]} is given")
     return merged
 
 
@@ -338,6 +347,8 @@ def _merge_config(options, args) -> dict:
 
 
 _REQUIRED = object()
+# a knob that, once given, leaves these knobs of its command unused
+_UNUSED_WITH = {"known_sigma": ("tol", "schedule")}
 
 
 def _flag(key: str) -> str:

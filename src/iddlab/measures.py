@@ -1,17 +1,19 @@
 """Discretized nonnegative measures on the positive half line.
 
-Both canonical representations in this library (the spectral measure of
-a symmetric characteristic exponent and the jump measure of a
-subordinator exponent) store a measure the same way: a finite list of
-atoms plus an optional tabulated density integrated by the trapezoid
-rule.  Instances are immutable; the arrays are copied and frozen at
-construction, and joined there into one weighted node set: the atoms
-weighted by their masses, the grid points by trapezoid weight times
-density.
+Three measures in this library are stored the same way: the spectral
+measure of a symmetric characteristic exponent, the jump measure of a
+subordinator exponent (the two canonical representations), and the
+sample of an empirical CF, mass 2 / n at each |x_j| in units of the
+largest |x|.  Each is a finite list of atoms plus an optional tabulated
+density integrated by the trapezoid rule.  Instances are immutable; the
+arrays are copied and frozen at construction, and joined there into one
+weighted node set: the atoms weighted by their masses, the grid points
+by trapezoid weight times density.
 
-Both exponents integrate a kernel k(t, x) = g(x) h(c t x) with h entire
-and h(0) = 0.  Where |c t x| <= 1, h is read from its Taylor series.
-The nodes are sorted once and split into groups, each spanning a ratio
+Each integrates a kernel k(t, x) = g(x) h(c t x) with h entire and
+h(0) = 0; for the sample h = sin^2 and g = 1, and the integral is
+1 - f(t).  Where |c t x| <= 1, h is read from its Taylor series.  The
+nodes are sorted once and split into groups, each spanning a ratio
 of _GROUP_RATIO below its top node T_b, and the series of all groups up
 to b is kept as one polynomial in c t T_b whose coefficients are
 moments of those nodes taken relative to T_b (a prefix table, built

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,9 @@ class TestLimitGaussian:
 class TestFromSamples:
     def test_degenerate_at_zero(self):
         assert np.all(from_samples([0.0]).evaluate(GRID) == 1.0)
+        t = np.array([0.0, 1e-300, 1.0, 1e10, 1e300, -1e300])
+        cf = from_samples([0.0, -0.0, 0.0])
+        assert np.all(cf.evaluate(t) == 1.0) and np.all(cf.log_evaluate(t) == 0.0)
 
     def test_symmetric_pair_is_cosine(self):
         cf = from_samples([1.0, -1.0])
@@ -250,6 +254,112 @@ class TestFromSamples:
         t = 0.7
         expect = float(np.mean(np.cos(t * xs)))
         assert cf.evaluate(t) == pytest.approx(expect, abs=1e-12)
+
+
+def _mp_gap(mp, samples, t, exact=False):
+    """1 - f(t) = (2 / n) sum_j sin(t x_j / 2)^2, summed to the working precision.
+
+    With exact, t x_j / 2 is the exact product of the floats.  Otherwise it
+    is the float product (t max|x|) (|x_j| / max|x| / 2) that the unit
+    normalization forms: at large t x_j no float evaluation avoids that
+    argument's rounding, so the sum and the series are what get compared.
+    """
+    xs = np.abs(np.asarray(samples, dtype=float))
+    unit = float(np.max(xs)) or 1.0
+    if exact:
+        args = [mp.mpf(float(t)) * mp.mpf(float(x)) / 2 for x in xs]
+    else:
+        args = [mp.mpf(float(v)) for v in (t * unit) * (0.5 * (xs / unit))]
+    return 2 * mp.fsum(mp.sin(a) ** 2 for a in args) / len(xs)
+
+
+class TestEmpiricalKernel:
+    """1 - f(t) read as (2 / n) sum sin(t x_j / 2)^2 over the sample's measure."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        decade=st.floats(-200.0, 200.0),
+        spread=st.floats(0.0, 400.0),
+        seed=st.integers(0, 2**32 - 1),
+        units=st.lists(st.one_of(st.floats(-12.0, 0.0), st.floats(0.0, 150.0)),
+                       min_size=1, max_size=4),
+    )
+    def test_matches_mpmath(self, n, decade, spread, seed, units):
+        # units are log10(t max|x|), up to 1e150: there the samples more
+        # than 1e160 below the largest, whose weight underflows, carry no
+        # term above rounding
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        xs = 10.0**decade * rng.standard_normal(n) * 10.0 ** (-spread * rng.random(n))
+        xs[rng.random(n) < 0.05] = 0.0
+        big = float(np.max(np.abs(xs)))
+        units = np.array(units)
+        logs = units - (math.log10(big) if big else 0.0)
+        units, t = units[logs < 300.0], 10.0 ** logs[logs < 300.0]
+        cf = from_samples(xs)
+        with mp.workdps(40):
+            gap = [_mp_gap(mp, xs, v) for v in t]
+            exact = [_mp_gap(mp, xs, v, exact=True) for v in t[units <= 0.0]]
+            want = np.array([float(1 - g) for g in gap])
+            near = np.array([g <= 0.5 for g in gap], dtype=bool)
+            log_want = np.array([float(mp.log1p(-g)) for g, ok in zip(gap, near) if ok])
+            exact_want = np.array([float(1 - g) for g in exact])
+        np.testing.assert_allclose(cf.evaluate(t), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(cf.log_evaluate(t[near]), log_want, rtol=1e-14, atol=0.0)
+        # where t max|x| <= 1 the argument's rounding is below 1e-15 too
+        np.testing.assert_allclose(cf.evaluate(t[units <= 0.0]), exact_want, rtol=0.0,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-100, 1e100, 1e200])
+    def test_unit_free(self, c):
+        xs = np.random.default_rng(5).standard_normal(500)
+        t = np.concatenate([[0.0], np.geomspace(1e-8, 1.0, 40)]) / np.max(np.abs(xs))
+        base, scaled = from_samples(xs), from_samples(c * xs)
+        np.testing.assert_allclose(scaled.evaluate(t / c), base.evaluate(t), rtol=0.0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(scaled.log_evaluate(t / c), base.log_evaluate(t),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_extreme_range(self):
+        # 5e-324 underflows to 0 in units of 1e300 and carries no atom; the
+        # values are those of mean(cos(t x)), whose term there is 1
+        xs = np.array([1e300, 5e-324])
+        t = np.array([0.0, 1e-300, 2e-300, 3e-300, 1e-160, 1e-10])
+        want = np.mean(np.cos(np.outer(t, xs)), axis=1)
+        cf = from_samples(xs)
+        np.testing.assert_allclose(cf.evaluate(t), want, rtol=0.0, atol=1e-15)
+        keep = want > 0.0
+        np.testing.assert_allclose(cf.log_evaluate(t[keep]), np.log(want[keep]), rtol=1e-14)
+
+    @pytest.mark.parametrize("xs, t", [
+        ([1.0, -1.0, 0.0, 2.0], [0.5, 2.5, 1.0, 3.0]),
+        ([1.0, 2.0], [1.0, math.pi, 4.0]),
+        ([1.0, -1.0], [[1.0, 3.0], [0.5, 2.0]]),
+    ], ids=["first-negative", "exact-zero", "two-dimensional"])
+    def test_positivity_error_names_the_first_point(self, xs, t):
+        # the first t, in flat argument order, where mean(cos(t x)) <= 0
+        t = np.array(t)
+        vals = np.mean(np.cos(t[..., None] * np.array(xs)), axis=-1).reshape(-1)
+        first = int(np.flatnonzero(vals <= 0.0)[0])
+        with pytest.raises(PositivityError) as err:
+            from_samples(xs).log_evaluate(t)
+        assert err.value.t == t.flat[first]
+        assert np.sign(err.value.value) == np.sign(vals[first])
+        assert err.value.value == pytest.approx(vals[first], abs=1e-15)
+
+    def test_memory_is_bounded(self):
+        # row blocks of the kernel: a points x samples matrix would be 655 MB
+        xs = np.random.default_rng(2).standard_normal(20000)
+        t = np.linspace(0.0, 10.0, 4096)
+        tracemalloc.start()
+        try:
+            values = from_samples(xs).evaluate(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == t.shape
+        assert peak < 8e6
 
 
 class TestConvolve:

@@ -300,6 +300,49 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--family", "gauss", "--variance", "1"], "--family"),
+        (["--variance", "1"], "--variance"),
+        (["--scale", "2", "--convolve", "gauss:variance=1"], "--scale"),
+    ], ids=["family", "parameter", "parameter-with-convolve"])
+    def test_family_flags_with_input_are_one(self, capsys, tmp_path, flags, name):
+        # the sample file is the law: a family flag beside it would go unused
+        path = tmp_path / "s.txt"
+        path.write_text("0.1\n-0.2\n0.3\n")
+        code, out, err = run(capsys, "detect", "--input", str(path), *flags)
+        assert code == 1 and out == ""
+        assert err == f"iddlab: input error: {name} does not apply to --input, " \
+                      "whose sample is the law\n"
+
+    def test_convolve_with_input_is_used(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("0.1\n-0.2\n0.3\n")
+        argv = ["detect", "--input", str(path), "--schedule", "0.05,0.5,5", "--tol", "1e-3"]
+        alone = run_json(capsys, *argv)["result"]["a_hat"]
+        both = run_json(capsys, *argv, "--convolve", "gauss:variance=1")["result"]["a_hat"]
+        assert both == pytest.approx(alone + 0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("flags, config, unused, given", [
+        (["--known-sigma", "0", "--tol", "7", "--schedule", "1,2,3"], None, "--tol",
+         "--known-sigma"),
+        (["--known-sigma", "0", "--schedule", "1,10,100"], None, "--schedule", "--known-sigma"),
+        (["--known-sigma", "0"], {"tol": 7}, "config key 'tol'", "--known-sigma"),
+        (["--schedule", "1,10,100"], {"known_sigma": 0}, "--schedule",
+         "config key 'known_sigma'"),
+    ], ids=["flags", "schedule", "config-tol", "config-sigma"])
+    def test_estimator_knobs_with_known_sigma_are_one(self, capsys, tmp_path, flags, config,
+                                                       unused, given):
+        # a known drift skips the estimate, so its tolerance and schedule go unused
+        extra = []
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            extra = ["--config", str(path)]
+        code, out, err = run(capsys, "laplace", "limit", "--family", "gammasub", "--shape", "1",
+                             "--m", "4", *flags, *extra)
+        assert code == 1 and out == ""
+        assert err == f"iddlab: input error: {unused} is unused when {given} is given\n"
+
     def test_quadrature_error_is_two(self, capsys):
         # a fixed-jump compound Poisson CF never decays: no truncation point
         code, out, err = run(
