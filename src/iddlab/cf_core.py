@@ -676,9 +676,11 @@ def from_samples(samples) -> EmpiricalCF:
 
 
 def scale_argument(cf: SymmetricCF, factor: float) -> SymmetricCF:
-    """CF of factor * X, i.e. t -> f(factor * t); a gaussian stays one
-    while its variance is finite."""
+    """CF of factor * X, i.e. t -> f(factor * t); factor 1 gives cf back,
+    and a gaussian stays one while its variance is finite."""
     c = _check_positive_param("factor", factor)
+    if c == 1.0:
+        return cf
     if isinstance(cf, GaussianCF) and math.isfinite(cf.variance * c * c):
         return GaussianCF(cf.variance * c * c)
     return ScaledCF(cf, factor)

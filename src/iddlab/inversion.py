@@ -544,27 +544,25 @@ def fit_stable(
 ) -> StableFit:
     """Best symmetric stable law by Kolmogorov distance, exhaustively.
 
-    All candidates are measured against the target on one shared x grid.
-    Grids are scanned in ascending order with strict improvement required,
-    so ties resolve to the smallest alpha, then the smallest scale.
-    Without x_grid the fit is approx_compare's: the target is read in
-    units of its length scale s (see _scale_proxy) on x in [-8, 8].
-    scale_grid = None is DEFAULT_SCALE_GRID in units of s, read from the
-    candidate table, and the fit reports c s; an explicit scale_grid is
-    absolute, inverted per call as c / s, and the fit reports its entry.
-    With x_grid, x and scales are absolute.
+    All candidates are measured against the target on one shared x grid;
+    ties resolve to the smallest alpha, then the smallest scale.  The
+    target is read in units of s: its length scale (see _scale_proxy) on
+    x in [-8, 8] without x_grid, else s = 1 on x_grid.  scale_grid = None
+    is DEFAULT_SCALE_GRID in units of s (without x_grid, the candidate
+    table) and the fit reports c s; an explicit scale_grid is inverted per
+    call as c / s and the fit reports its entry.
     """
     quad = quad or QuadratureSpec()
     alphas, scales = _stable_grid(alpha_grid,
                                   DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
-    if x_grid is not None:
-        gaps = _fit([target], alphas, scales, quad, _x_values(x_grid))[0]
-        return _best_fit(gaps, alphas, scales)
-    s = _scale_proxy(target)
+    if x_grid is None:
+        s = _scale_proxy(target)
+        xs = None if scale_grid is None else _symmetric_grid(_X_SPAN_SCALES)
+    else:
+        s, xs = 1.0, _x_values(x_grid)
     laws = [scale_argument(target, 1.0 / s)]
-    if scale_grid is None:
+    if xs is None:
         return _best_fit(_fit(laws, alphas, scales, quad)[0], alphas, [c * s for c in scales])
-    xs = _symmetric_grid(_X_SPAN_SCALES)
     return _best_fit(_fit(laws, alphas, [c / s for c in scales], quad, xs)[0], alphas, scales)
 
 

@@ -72,7 +72,7 @@ class _Tables(NamedTuple):
     reach: list  # scale T_b, T_b the top node of group b
     front: list  # scale max(T_b, 1)
     series: list  # per group, coeffs[k] * P[b, k]
-    floor: int  # last group with a node whose weight overflows, else -1
+    overflow: bool  # some node's weight overflows
 
 
 def _tables(nodes, weights, kernel: _SeriesKernel) -> _Tables | None:
@@ -110,7 +110,6 @@ def _tables(nodes, weights, kernel: _SeriesKernel) -> _Tables | None:
         # |c t| x > 1 / _GROUP_RATIO, and so |c t| is above 1e153
         far = q / np.minimum(x, 1.0) ** p
         limits = 1.0 / np.abs(kernel.scale * top[::-1])
-    bad = np.flatnonzero(~np.isfinite(far))
     return _Tables(
         nodes=kernel.scale * x,
         weights=far,
@@ -119,7 +118,7 @@ def _tables(nodes, weights, kernel: _SeriesKernel) -> _Tables | None:
         reach=(kernel.scale * top).tolist(),
         front=(kernel.scale * top_or_1).tolist(),
         series=(np.asarray(kernel.coeffs) * prefix).tolist(),
-        floor=int(np.searchsorted(ends, bad[-1], side="right")) if bad.size else -1,
+        overflow=not np.all(np.isfinite(far)),
     )
 
 
@@ -130,7 +129,7 @@ def _batches(tables: _Tables, t: np.ndarray) -> list:
     count = np.count_nonzero(far)
     if not count:
         return [(last, None)]
-    if count * tables.nodes.size <= _BLOCK and tables.floor < 0:
+    if count * tables.nodes.size <= _BLOCK and not tables.overflow:
         # one block: a point past the top group's cut takes every node
         return [(-1, far)] if count == t.size else [(last, ~far), (-1, far)]
     # a point at depth d reads the series of group last - d

@@ -123,9 +123,9 @@ class TestLimitDeviation:
         with pytest.raises(InputError):
             limit_deviation(GaussianCF(1.0), 2, -1.0)
 
-    @pytest.mark.parametrize("grid_size", [2.7, math.nan, math.inf, True, "64", None])
+    @pytest.mark.parametrize("grid_size", [2.7, math.nan, math.inf, True, "64", None, 1])
     def test_grid_size_validation(self, grid_size):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="grid_size"):
             limit_deviation(GaussianCF(1.0), 2, 5.0, grid_size=grid_size)
 
 

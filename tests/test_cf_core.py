@@ -14,6 +14,7 @@ from iddlab import (
     GaussianCF,
     InputError,
     PositivityError,
+    ProductCF,
     RootRescaledCF,
     ScaledCF,
     StableCF,
@@ -384,6 +385,10 @@ class TestConvolve:
         with pytest.raises(InputError):
             convolve(GaussianCF(1.0), 3.0)
 
+    def test_rejects_zero_factors(self):
+        with pytest.raises(InputError, match="product of zero factors"):
+            ProductCF(())
+
 
 class TestScaleArgument:
     def test_closed_form(self):
@@ -392,6 +397,10 @@ class TestScaleArgument:
         np.testing.assert_allclose(
             cf.evaluate(ts), SymmetrizedGammaCF(1.0).evaluate(2.0 * ts), rtol=1e-14
         )
+
+    def test_unit_factor_gives_the_law_back(self):
+        law = StableCF(1.5, 1.0)
+        assert scale_argument(law, 1.0) is law
 
     def test_gaussian_stays_gaussian_while_its_variance_is_finite(self):
         # standardizing a gaussian gives the unit gaussian bit for bit here

@@ -957,6 +957,8 @@ class TestApproxCompare:
             quad=QuadratureSpec(N=1024),
         )
         assert 2.0 not in report.alpha_grid
+        with pytest.raises(InputError, match="alpha grid is empty after removing alpha = 2"):
+            approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=(2.0,))
 
     @pytest.mark.parametrize("alpha", [math.nan, 2.5, 7.0])
     def test_alpha_outside_the_stable_range_rejected(self, alpha):

@@ -42,6 +42,8 @@ class TestValues:
             GammaSubordinator(1.0).evaluate(0.0)
         with pytest.raises(InputError):
             GammaSubordinator(1.0).evaluate(np.array([1.0, -2.0]))
+        with pytest.raises(InputError, match="s must be finite"):
+            GammaSubordinator(1.0).evaluate(np.inf)
 
     @pytest.mark.parametrize(
         "build",
@@ -75,6 +77,10 @@ class TestValues:
     def test_bad_parameters_rejected(self, build):
         with pytest.raises(InputError):
             build()
+
+    def test_single_argument_passthrough(self):
+        lt = GammaSubordinator(1.0)
+        assert convolve_L(lt) is lt
 
     def test_canonical_matches_poisson(self):
         # one atom at a=1 with mass rate*(1-e^-1) reproduces the Poisson

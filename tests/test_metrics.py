@@ -266,10 +266,11 @@ class TestForwardBoundProperty:
         assert clt_bound_check(cf, m, r).holds
 
     @pytest.mark.xfail(strict=True, reason="lambda_r reads rounding noise at small t near r = 4")
-    def test_holds_next_to_r_4(self):
+    @pytest.mark.parametrize("r", [3.999999999999999, 4.0])
+    def test_holds_next_to_r_4(self, r):
         cf = CanonicalCF(0.0, DiscretizedMeasure(atom_positions=np.array([1.0, 1.0]),
                                                  atom_masses=np.array([1.0, 1.0])))
-        assert clt_bound_check(cf, 2, 3.999999999999999).holds
+        assert clt_bound_check(cf, 2, r).holds
 
 
 class TestBackwardBound:

@@ -69,6 +69,27 @@ def test_family_describes_its_fields(family):
     assert all(type(described[n]) is float for n in names)
 
 
+MEASURE = iddlab.DiscretizedMeasure(atom_positions=[1.0], atom_masses=[0.5],
+                                    density_grid=[0.5, 1.5], density_values=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("law, expected", [
+    (iddlab.CanonicalCF(0.25, MEASURE),
+     {"kind": "canonical", "gaussian_coefficient": 0.25, "atoms": [[1.0, 0.5]],
+      "density_points": 2}),
+    (iddlab.CanonicalLaplace(0.25, MEASURE),
+     {"kind": "canonical", "sigma": 0.25, "atoms": [[1.0, 0.5]], "density_points": 2}),
+    (iddlab.root_rescale(iddlab.SymmetrizedGammaCF(0.5), 4),
+     {"kind": "root_rescale", "m": 4, "base": {"kind": "symgamma", "shape": 0.5}}),
+    (iddlab.root_rescale_L(iddlab.GammaSubordinator(0.5), 4),
+     {"kind": "root_rescale", "m": 4, "base": {"kind": "gammasub", "shape": 0.5}}),
+    (iddlab.sum_rescale(iddlab.SymmetrizedGammaCF(0.5), 4),
+     {"kind": "sum_rescale", "m": 4, "base": {"kind": "symgamma", "shape": 0.5}}),
+], ids=["canonical", "canonical_laplace", "root_rescale", "root_rescale_L", "sum_rescale"])
+def test_composite_law_describes_its_parts(law, expected):
+    assert law.describe() == expected
+
+
 # test extras: installed beside the package, never imported by it
 EXTRAS = ("scipy", "mpmath", "hypothesis")
 
