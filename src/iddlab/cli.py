@@ -273,8 +273,11 @@ def _parse_grid(text: str, spacing: str) -> tuple:
     if count == 1:
         return (start,)
     if spacing == "log":
-        return tuple(np.geomspace(start, stop, count))
-    return tuple(np.round(np.linspace(start, stop, count), 12))
+        return tuple(np.geomspace(start, stop, count).tolist())
+    grid = np.linspace(start, stop, count)
+    # 12 decimals clear linspace's rounding noise, but turn no entry into 0
+    rounded = np.round(grid, 12)
+    return tuple(np.where(rounded == 0.0, grid, rounded).tolist())
 
 
 def _grid_spec(grid: tuple) -> str:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +122,15 @@ def _ratio(cf_u: SymmetricCF, cf_v: SymmetricCF, ts: np.ndarray, r: float) -> np
         return np.divide(diff, ts**r, out=np.zeros(ts.shape), where=diff != 0.0)
 
 
+@lru_cache(maxsize=8)
+def _start_grid(t_min: float, t_max: float, grid_size: int) -> np.ndarray:
+    """lambda_r's starting grid, read-only and kept per span and size;
+    an extension builds new arrays and leaves it as it is."""
+    ts = np.geomspace(t_min, t_max, grid_size)
+    ts.flags.writeable = False
+    return ts
+
+
 def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> float:
     """sup over the grid of |f_U - f_V| / |t|^r, possibly +inf.
 
@@ -134,7 +144,7 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
         max(int(round(config.grid_size / math.log10(config.t_max / config.t_min))), 8),
         config.grid_size,
     )
-    ts = np.geomspace(config.t_min, config.t_max, config.grid_size)
+    ts = _start_grid(config.t_min, config.t_max, config.grid_size)
     vals = _ratio(cf_u, cf_v, ts, r)
 
     # extend the end holding a still-growing supremum a decade at a

@@ -240,6 +240,36 @@ class TestConfigMerge:
         default = {o[0]: o[2] for o in cli._COMMANDS["approx-compare"][3]}[key]
         assert cli._parse_grid(default, spacing) == library
 
+    @pytest.mark.parametrize("spec, spacing, want", [
+        ("1e-13:1.5:3", "linear", (1e-13, 0.75, 1.5)),
+        ("-1e-13:1e-13:3", "linear", (-1e-13, 0.0, 1e-13)),
+        ("0.1:0.3:3", "linear", (0.1, 0.2, 0.3)),
+        ("1:100:3", "log", (1.0, 10.0, 100.0)),
+    ])
+    def test_grid_entries_are_plain_floats_and_none_rounds_to_zero(self, spec, spacing, want):
+        got = cli._parse_grid(spec, spacing)
+        assert got == want and all(type(v) is float for v in got)
+
+    def test_tiny_grid_start_reaches_the_library_unrounded(self, capsys):
+        # alpha = 1e-13 is in range: its candidate never decays within the
+        # probe, which is a numerical refusal, not an alpha of 0
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "symgamma", "--shape", "0.5", "--m", "10",
+            "--alpha-grid", "1e-13:1.5:3", "--scale-grid", "1:1:1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("iddlab: numerical error:") and "alpha" not in err
+
+    def test_grid_error_names_only_the_offending_entries(self, capsys):
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "symgamma", "--shape", "0.5", "--m", "10",
+            "--alpha-grid=-0.5:1.5:5",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("iddlab: input error:") and err.count("\n") == 1
+        assert err.rstrip().endswith("got alpha -0.5, alpha 0.0")
+        assert "np.float64" not in err and "0.25" not in err
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

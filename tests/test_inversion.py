@@ -739,7 +739,8 @@ class TestAngleAddition:
         finally:
             tracemalloc.stop()
         # two tables of sines and cosines at every node, the N/2 rule's copy
-        # of the first and one table of angles, then O(1) vectors per column
+        # of the first and the complex powers a table is read from, then
+        # O(1) vectors per column
         bound = 8 * N * (3 * (Q + -(-K // Q)) + 16 * len(self.LAWS))
         # one block of the sine kernel and its even nodes would take more
         assert peak < bound < 12 * inversion._KERNEL_BLOCK
@@ -762,6 +763,54 @@ class TestAngleAddition:
         assert len(had) == 2 + 2 * Q and sum(had[2:]) > Q // 2
         monkeypatch.setattr(inversion, "_flushed", flushed)
         assert np.array_equal(F, _simpson_pass(self.LAWS, (1.0,), xs, self.T, 1024)[0])
+
+    def test_four_sines_and_cosines_per_node(self, monkeypatch):
+        counted = []
+        for name in ("sin", "cos"):
+            def counting(x, *args, ufunc=getattr(np, name), **kwargs):
+                counted.append(np.size(x))
+                return ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        _simpson_pass(self.LAWS, (1.0,), _symmetric_grid(8.0), self.T, 1024)
+        # e^(i Q h t) and e^(i h t) at each of the 1024 nodes past t = 0
+        assert sum(counted) <= 4 * 1024
+
+    def test_tables_hold_their_angles_where_a_golden_reaches_furthest(self, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        # the target pass of the approx-compare-unit-free golden, whose
+        # angles |x| t reach 8 T on the default grid
+        T, N = 144543.97707459281, 16384
+        assert T in inversion._T_PROBE
+        powers, recorded = inversion._powers, []
+
+        def recording(z, n):
+            recorded.append((z, powers(z, n)))
+            return recorded[-1][1]
+
+        monkeypatch.setattr(inversion, "_powers", recording)
+        xs = _symmetric_grid(8.0)
+        _simpson_pass(self.LAWS, (1.0,), xs, T, N)
+        ax, t = xs[200:], _nodes_and_weights(N, T)[0][1:]
+        Q = math.isqrt(200) + 1
+        # the high table is the powers of e^(i Q h t), the low of e^(i h t)
+        bases = [ax[Q] * t, ax[1] * t]
+        assert [table.shape[0] for _, table in recorded] == [-(-201 // Q), Q]
+        for (z, _), angle in zip(recorded, bases):
+            assert np.array_equal(z, np.cos(angle) + 1j * np.sin(angle))
+        rng, worst = np.random.default_rng(32), 0.0
+        with mp.workdps(40):
+            for _ in range(300):
+                i = int(rng.integers(2))
+                table = recorded[i][1]
+                j, node = int(rng.integers(table.shape[0])), int(rng.integers(N))
+                # j times the table's float base angle
+                a = j * mp.mpf(float(bases[i][node]))
+                got = table[j, node]
+                worst = max(worst, float(max(abs(got.real - mp.cos(a)),
+                                             abs(got.imag - mp.sin(a)))))
+        # observed: 4.6 eps over these draws, 6.3 eps over 30000
+        assert worst <= 32 * np.finfo(float).eps
 
 
 class TestCandidateBlock:

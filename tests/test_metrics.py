@@ -163,6 +163,18 @@ class TestLambdaR:
         # 16 points a decade still find the supremum to within 1%
         assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, rel=1e-2)
 
+    def test_start_grid_is_kept_read_only(self):
+        # repeated calls read one geomspace grid; the answer is the same bits
+        cfg, a, b = LambdaConfig(r=3.0), SymmetrizedGammaCF(1.0), GaussianCF(2.0)
+        metrics._start_grid.cache_clear()
+        first = lambda_r(a, b, cfg)
+        assert lambda_r(a, b, cfg) == first and lambda_r(b, a, cfg) == first
+        info = metrics._start_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        ts = metrics._start_grid(cfg.t_min, cfg.t_max, cfg.grid_size)
+        assert not ts.flags.writeable
+        assert np.array_equal(ts, np.geomspace(cfg.t_min, cfg.t_max, cfg.grid_size))
+
     def test_cf_that_crosses_zero_is_subtracted_directly(self):
         # cos(t) has no logarithm past pi / 2, so the ratio falls back to
         # |f_U - f_V| / t^r
