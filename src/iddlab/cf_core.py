@@ -94,18 +94,29 @@ _DEFAULT_SCHEDULE = (10.0, 31.6, 100.0, 316.0, 1000.0, 3162.0, 10000.0)
 _DEFAULT_TOL = 1e-4
 
 
-def _check_positive_param(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InputError(f"{name} must be finite and strictly positive, got {value!r}")
-    return value
+def _real(name: str, value) -> float:
+    """value as a float; a value that float() refuses raises InputError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a real number, got {value!r}") from None
 
 
-def _check_nonneg_param(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise InputError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value
+def _check_param(what: str, test):
+    """The check of a real parameter: InputError unless test(value), saying what it must."""
+
+    def check(name: str, value) -> float:
+        value = _real(name, value)
+        if not test(value):
+            raise InputError(f"{name} must {what}, got {value!r}")
+        return value
+
+    return check
+
+
+_check_positive_param = _check_param("be finite and strictly positive",
+                                     lambda v: 0.0 < v < math.inf)
+_check_nonneg_param = _check_param("be finite and nonnegative", lambda v: 0.0 <= v < math.inf)
 
 
 def _check_m(name: str, value) -> int:
@@ -131,6 +142,15 @@ def _spec_number(name: str, value) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
+def _spec_record(name: str, value, kind: type, default=None):
+    """value if a kind (QuadratureSpec, LambdaConfig), or default for None; else ConfigError."""
+    if value is None and default is not None:
+        return default
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _spec_integer(name: str, value) -> int:
     """value as an int, for config record fields; like _spec_number, and
     a non-finite or non-integral value also raises ConfigError."""
@@ -142,15 +162,8 @@ def _spec_integer(name: str, value) -> int:
 
 def _check_index(upper: float, closed: bool):
     """The check of an index in (0, upper], or in (0, upper) unless closed."""
-    interval = f"(0, {upper:g}{']' if closed else ')'}"
-
-    def check(name: str, value) -> float:
-        value = float(value)
-        if not (0.0 < value < upper or closed and value == upper):
-            raise InputError(f"{name} must lie in {interval}, got {value!r}")
-        return value
-
-    return check
+    return _check_param(f"lie in (0, {upper:g}{']' if closed else ')'}",
+                        lambda v: 0.0 < v < upper or closed and v == upper)
 
 
 def _check_measure(name: str, value) -> DiscretizedMeasure:

@@ -7,12 +7,12 @@ integral,
 
 whose integrand extends continuously to the value x at t = 0.  The
 integral is truncated at a point T where |f| has decayed below 1e-10
-and evaluated by composite Simpson rule on hybrid nodes: uniform on
-(0, 1] (a quarter of the node budget), uniform in log t on [1, T] (the
-rest).  Slowly decaying CFs that never reach that level are rejected
-rather than integrated badly.  T is always measured, never set by hand:
-the error estimate below sees the rule on [0, T] only, not the tail
-past T.
+and evaluated by composite Simpson rule in u = log(1 + 4 t), uniform on
+[0, log(1 + 4 T)]: nodes about evenly spaced below t = 1/4 and
+geometrically above it, by one smooth map for every T.  Slowly decaying
+CFs that never reach that level are rejected rather than integrated
+badly.  T is always measured, never set by hand: the error estimate
+below sees the rule on [0, T] only, not the tail past T.
 
 Each pass measures the error of every column it inverts.  Every other
 node of a pass is itself a Simpson rule with half the budget, read from
@@ -73,7 +73,7 @@ import numpy as np
 
 from .analysis import moments
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
-from .cf_core import _spec_integer
+from .cf_core import _spec_integer, _spec_record
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
 __all__ = [
@@ -96,6 +96,8 @@ _EPS_TAIL = 1e-10
 # first 701 are exactly geomspace(1e-2, 1e5, 701)
 _T_PROBE = np.geomspace(1e-2, _T_PROBE_MAX, 801)
 _T_PROBE.flags.writeable = False
+# Simpson nodes are uniform in log(1 + t / _TAU) (see _nodes_and_weights)
+_TAU = 0.25
 _CLAMP = 1e-9
 # coefficients below the smallest normal float are flushed to 0
 _TINY = np.finfo(float).tiny
@@ -194,8 +196,8 @@ def _auto_truncation(*cfs: SymmetricCF) -> float:
         with np.errstate(over="ignore"):
             below = np.flatnonzero(np.abs(cf.evaluate(_T_PROBE)) < _EPS_TAIL)
         if below.size == 0:
-            raise QuadratureError(
-                f"|f(t)| does not decay below {_EPS_TAIL:g} by t = {_T_PROBE_MAX:g}")
+            raise QuadratureError(f"|f(t)| does not decay below {_EPS_TAIL:g} by"
+                                  f" t = {_T_PROBE_MAX:g} for {cf.describe()}")
         k = max(k, int(below[0]))
     return float(_T_PROBE[k])
 
@@ -207,12 +209,6 @@ def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _quarters(n: float) -> int:
-    """n rounded to a positive multiple of 4, so that every other node
-    of a Simpson rule over n intervals is again a Simpson rule."""
-    return 4 * max(int(round(n / 4)), 1)
-
-
 def _frozen(*arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
@@ -221,32 +217,21 @@ def _frozen(*arrays) -> tuple:
 
 @lru_cache(maxsize=8)
 def _nodes_and_weights(N: int, T: float):
-    """Hybrid Simpson nodes on [0, T], the t = 0 endpoint being node 0.
+    """Simpson nodes on [0, T] uniform in u = log(1 + t / _TAU), node 0 at
+    t = 0: about evenly spaced below _TAU, where a stable law's cusp at
+    t = 0 needs them, and geometrically above it.
 
-    Returns the nodes, their weights at budget N, and the weights of the
-    rule on every other node (budget N/2), which share both segments'
-    endpoints.  The arrays are read-only and cached: repeated calls on
-    one law, and every pass at the candidates' truncation, reuse them.
+    Returns the nodes, their weights at budget N (Simpson's in u times
+    dt/du = _TAU + t) and those of the rule on every other node (budget
+    N/2), read-only and cached for repeated calls at one (N, T).
     """
-    if T > 1.0:
-        n_lin = _quarters(N / 4)
-        n_log = _quarters(N - n_lin)
-        u = np.linspace(0.0, math.log(T), n_log + 1)
-        t_log = np.exp(u)
-        t = np.concatenate([np.linspace(0.0, 1.0, n_lin + 1), t_log[1:]])
-
-        def weights(step):
-            w_lin = _simpson_weights(n_lin // step, step / n_lin)
-            # d t = t d u, so log-segment weights pick up a factor t
-            w_log = _simpson_weights(n_log // step, step * (u[1] - u[0])) * t_log[::step]
-            # t = 1 ends one segment and starts the next: one node, both weights
-            w_lin[-1] += w_log[0]
-            return np.concatenate([w_lin, w_log[1:]])
-
-        return _frozen(t, weights(1), weights(2))
-    n = _quarters(N)
-    t = np.linspace(0.0, T, n + 1)
-    return _frozen(t, _simpson_weights(n, T / n), _simpson_weights(n // 2, 2.0 * T / n))
+    # a multiple of 4 intervals, so that every other node is again a Simpson rule
+    n = 4 * max(round(N / 4), 1)
+    u = np.linspace(0.0, math.log1p(T / _TAU), n + 1)
+    t = _TAU * np.expm1(u)
+    dt = _TAU + t
+    return _frozen(t, _simpson_weights(n, u[1]) * dt,
+                   _simpson_weights(n // 2, 2.0 * u[1]) * dt[::2])
 
 
 def _flushed(c: np.ndarray) -> np.ndarray:
@@ -474,7 +459,7 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
 
     Without quad the budget is a fixed 4096 nodes (see _POINTWISE).
     """
-    quad = quad or _POINTWISE
+    quad = _spec_record("quad", quad, QuadratureSpec, _POINTWISE)
     arr = np.asarray(x, dtype=float)
     vals = _cdf_matrix([cf], _x_values(arr), quad)[0][:, 0]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
@@ -530,7 +515,7 @@ def kolmogorov_distance(
 ) -> float:
     """max over the grid of |F_a(x) - F_b(x)|; the default grid has 401
     points and reaches 8 length scales (see _scale_proxy) of the wider law."""
-    quad = quad or QuadratureSpec()
+    quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     return float(_cdf_matrix([cf_a, cf_b], _x_values(x_grid, cf_a, cf_b), quad)[2][0])
 
 
@@ -575,7 +560,7 @@ def fit_stable(
     table) and the fit reports c s; an explicit scale_grid is inverted per
     call as c / s and the fit reports its entry.
     """
-    quad = quad or QuadratureSpec()
+    quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     alphas, scales = _stable_grid(alpha_grid,
                                   DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
     if x_grid is None:
@@ -656,7 +641,7 @@ def approx_compare(
     on sd.  Their passes run on the reported error, the sum's plus the
     larger of the gaussian's and the best candidate's.
     """
-    quad = quad or QuadratureSpec()
+    quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     m = _check_m("m", m)
     mu2 = moments(family_cf).mu2
     if mu2 <= 0.0:

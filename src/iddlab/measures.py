@@ -264,9 +264,9 @@ class DiscretizedMeasure:
         """
         t = np.asarray(t, dtype=float)
         rows, out = t.reshape(-1), np.zeros(t.size)
-        tables = self._kernels.get(kernel)
-        if tables is None:
-            tables = self._kernels[kernel] = _tables(self._nodes, self._weights, kernel)
+        if kernel not in self._kernels:  # also when _tables gives None: no weighted node
+            self._kernels[kernel] = _tables(self._nodes, self._weights, kernel)
+        tables = self._kernels[kernel]
         if tables is None or not rows.size:
             return out.reshape(t.shape)
         batches = _batches(tables, rows)

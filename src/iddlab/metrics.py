@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cf_core import GaussianCF, SymmetricCF, root_rescale, sum_rescale
-from .cf_core import _spec_integer, _spec_number
+from .cf_core import _real, _spec_integer, _spec_number, _spec_record
 from .analysis import moments
 from .errors import ConfigError, PositivityError
 
@@ -137,7 +137,7 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     Both CFs are even, so the mirrored negative half of the grid repeats
     the same values and only the positive half is evaluated.
     """
-    r = config.r
+    r = _spec_record("config", config, LambdaConfig).r
     # an extension decade holds the starting grid's density, capped at
     # grid_size points so that a short starting span stays cheap
     per_decade = min(
@@ -180,9 +180,10 @@ def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     as not applicable rather than failed.  A config whose r differs from
     r raises ConfigError.
     """
-    cfg = config or LambdaConfig(r=float(r))
-    if cfg.r != float(r):
-        raise ConfigError(f"config.r = {cfg.r:g} differs from r = {float(r):g}")
+    r = _real("r", r)
+    cfg = LambdaConfig(r=r) if config is None else _spec_record("config", config, LambdaConfig)
+    if cfg.r != r:
+        raise ConfigError(f"config.r = {cfg.r:g} differs from r = {r:g}")
     z = GaussianCF(moments(cf).mu2)
     lam_base = lambda_r(cf, z, cfg)
     exponent = r / 2.0 - 1.0

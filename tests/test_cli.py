@@ -252,13 +252,14 @@ class TestConfigMerge:
 
     def test_tiny_grid_start_reaches_the_library_unrounded(self, capsys):
         # alpha = 1e-13 is in range: its candidate never decays within the
-        # probe, which is a numerical refusal, not an alpha of 0
+        # probe, which is a numerical refusal that names it, not an alpha of 0
         code, out, err = run(
             capsys, "approx-compare", "--family", "symgamma", "--shape", "0.5", "--m", "10",
             "--alpha-grid", "1e-13:1.5:3", "--scale-grid", "1:1:1",
         )
         assert code == 2 and out == ""
-        assert err.startswith("iddlab: numerical error:") and "alpha" not in err
+        assert err.startswith("iddlab: numerical error:") and "alpha in" not in err
+        assert err.rstrip().endswith("for {'kind': 'stable', 'alpha': 1e-13, 'scale': 1.0}")
 
     def test_grid_error_names_only_the_offending_entries(self, capsys):
         code, out, err = run(

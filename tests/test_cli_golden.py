@@ -28,3 +28,19 @@ def test_payload_matches_golden(name, inputs_dir, monkeypatch):
     monkeypatch.chdir(inputs_dir)
     expected = (goldens.GOLDEN_DIR / f"{name}.txt").read_text()
     assert goldens.payload(goldens.CASES[name]) == expected
+
+
+def test_check_names_every_moved_number():
+    old = ('{\n  "result": {"d": 0.5, "grid": [1, 2.5, 3], "verdict": "tie", "ok": true,\n'
+           '    "q": {"N": 1024, "error": 1e-09}},\n  "diagnostics": {}\n')
+    new = ('{\n  "result": {"d": 0.25, "grid": [1, 2.5, 4], "verdict": "stable closer",'
+           ' "ok": false,\n    "q": {"N": 2048, "error": 1e-09, "extra": 7}},\n'
+           '  "diagnostics": {}\n')
+    assert goldens.moved_numbers(old, new) == [
+        "result.d: 0.5 -> 0.25 (change -0.25)",
+        "result.grid[2]: 3 -> 4 (change +1)",
+        "result.q.N: 1024 -> 2048 (change +1.02e+03)",
+    ]
+    assert goldens.moved_numbers(old, old) == []
+    # a golden file that does not exist yet reads as empty text
+    assert goldens.moved_numbers("", new) == []

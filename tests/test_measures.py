@@ -104,6 +104,26 @@ class TestIntegrateOuter:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize("build", [
+        lambda: CanonicalCF(0.5, DiscretizedMeasure(atom_positions=[1.0, 2.0],
+                                                    atom_masses=[0.0, 0.0])),
+        lambda: cf_core.from_samples([0.0, -0.0, 0.0]),
+        lambda: CanonicalCF(0.5, DiscretizedMeasure.from_atoms([(1.0, 0.7)])),
+    ], ids=["zero-masses", "zero-samples", "weighted"])
+    def test_tables_are_built_once_per_kernel(self, build, monkeypatch):
+        # a measure without weighted nodes keeps its memo, None, as well
+        calls, tables = [], measures._tables
+
+        def counting(*args):
+            calls.append(args[-1])
+            return tables(*args)
+
+        monkeypatch.setattr(measures, "_tables", counting)
+        cf = build()
+        for _ in range(5):
+            cf.evaluate(np.array([0.5, 1.0]))
+        assert len(calls) == 1
+
 
 def _mp_nodes(mp, m):
     # the measure's node set in exact arithmetic: atoms, then trapezoid weights

@@ -3,8 +3,9 @@
 Each public name is declared once, in the module that defines it, and
 iddlab re-exports it from there; these checks catch a public function
 or class that was never added to its module's __all__.  A family's
-description is likewise read from its fields.  The package imports
-nothing beyond the standard library and numpy.
+description is likewise read from its fields.  A malformed scalar or
+config object ends in a typed error.  The package imports nothing beyond
+the standard library and numpy.
 """
 
 import ast
@@ -88,6 +89,40 @@ MEASURE = iddlab.DiscretizedMeasure(atom_positions=[1.0], atom_masses=[0.5],
 ], ids=["canonical", "canonical_laplace", "root_rescale", "root_rescale_L", "sum_rescale"])
 def test_composite_law_describes_its_parts(law, expected):
     assert law.describe() == expected
+
+
+GAUSS = iddlab.GaussianCF(1.0)
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: iddlab.GaussianCF("abc"), iddlab.InputError, "variance"),
+    (lambda: iddlab.scale_argument(GAUSS, "x"), iddlab.InputError, "factor"),
+    (lambda: iddlab.clt_bound_check(GAUSS, 2, "x"), iddlab.InputError, "r"),
+    (lambda: iddlab.GaussianCF(None), iddlab.InputError, "variance"),
+    (lambda: iddlab.StableCF(1.5, 1j), iddlab.InputError, "scale"),
+    (lambda: iddlab.StableCF(None, 1.0), iddlab.InputError, "alpha"),
+    (lambda: iddlab.has_gaussian_component(GAUSS, tol=None), iddlab.InputError, "tol"),
+    (lambda: iddlab.limit_deviation(GAUSS, 2, None), iddlab.InputError, "T"),
+    (lambda: iddlab.lambda_r(GAUSS, GAUSS, None), iddlab.ConfigError, "config"),
+    (lambda: iddlab.clt_bound_check(GAUSS, 2, 3.0, config={"r": 3.0}), iddlab.ConfigError,
+     "config"),
+    (lambda: iddlab.approx_compare(GAUSS, 2, quad=5), iddlab.ConfigError, "quad"),
+    (lambda: iddlab.cdf_from_cf(GAUSS, 0.0, quad=4096), iddlab.ConfigError, "quad"),
+], ids=["text-variance", "text-factor", "text-r", "none-variance", "complex-scale",
+        "none-alpha", "none-tol", "none-T", "none-config", "dict-config", "int-quad",
+        "int-quad-pointwise"])
+def test_malformed_scalar_or_config_is_a_typed_error(call, error, name):
+    with pytest.raises(error, match=f"^{name} must be a"):
+        call()
+
+
+def test_numeric_text_is_still_read_as_a_number():
+    assert iddlab.GaussianCF("2").variance == 2.0
+    assert iddlab.clt_bound_check(GAUSS, 2, "3").r == 3.0
+    assert iddlab.lambda_r(GAUSS, GAUSS, iddlab.LambdaConfig(r="3")) == 0.0
+    # integer arguments stay integers: text is refused there as before
+    with pytest.raises(iddlab.InputError, match="m must be"):
+        iddlab.clt_bound_check(GAUSS, "3", 3.0)
 
 
 # test extras: installed beside the package, never imported by it

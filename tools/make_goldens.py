@@ -14,8 +14,9 @@ Cases that read samples run in a scratch directory holding
     PYTHONPATH=src python tools/make_goldens.py [--check]
 
 With --check nothing is written: each case whose payload differs from
-its golden file is printed as a unified diff, and the exit code is 1 if
-any differs.
+its golden file is printed as a unified diff, followed by one line per
+JSON number that moved (its path, old -> new and the change new - old),
+and the exit code is 1 if any differs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -99,8 +101,35 @@ def payload(argv) -> str:
     return head + "\n"
 
 
+def _numbers(node, path=""):
+    """Every number in a parsed payload, keyed by its path (a.b[2].c)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numbers(value, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def moved_numbers(old: str, new: str) -> list[str]:
+    """One line per number found at the same path of both payloads with a
+    different value: path, old -> new and the absolute (not relative)
+    change, new - old.  Numbers on one side only are left to the text diff."""
+    try:
+        # a payload is its report cut before meta, so it lacks the closing brace
+        before, after = (dict(_numbers(json.loads(text.rstrip() + "\n}")))
+                         for text in (old, new))
+    except json.JSONDecodeError:
+        return []
+    return [f"{path}: {before[path]!r} -> {value!r} (change {value - before[path]:+.3g})"
+            for path, value in after.items() if path in before and value != before[path]]
+
+
 def check(texts) -> int:
-    """Print a unified diff per case whose payload differs from its golden file."""
+    """Print a unified diff per case whose payload differs from its golden
+    file, then the numbers that moved (see moved_numbers)."""
     differs = False
     for name, text in texts.items():
         path = GOLDEN_DIR / f"{name}.txt"
@@ -108,6 +137,7 @@ def check(texts) -> int:
         diff = list(difflib.unified_diff(old.splitlines(True), text.splitlines(True),
                                          f"golden/{name}.txt", f"now/{name}.txt"))
         sys.stdout.writelines(diff)
+        sys.stdout.writelines(f"{name}: {line}\n" for line in moved_numbers(old, text))
         differs = differs or bool(diff)
     return int(differs)
 
