@@ -48,6 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache
+# refusals quote the refused value by reprlib's repr, cut to a few dozen
+# characters, so that a value such as 10**400 leaves the message one line
+from reprlib import repr as _quote
 
 import numpy as np
 
@@ -99,7 +102,7 @@ def _real(name: str, value) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be a real number, got {value!r}") from None
+        raise InputError(f"{name} must be a real number, got {_quote(value)}") from None
 
 
 def _check_param(what: str, test):
@@ -108,7 +111,7 @@ def _check_param(what: str, test):
     def check(name: str, value) -> float:
         value = _real(name, value)
         if not test(value):
-            raise InputError(f"{name} must {what}, got {value!r}")
+            raise InputError(f"{name} must {what}, got {_quote(value)}")
         return value
 
     return check
@@ -127,7 +130,7 @@ def _check_m(name: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
+        raise InputError(f"{name} must be a positive integer, got {_quote(value)}")
     return int(value)
 
 
@@ -135,11 +138,11 @@ def _spec_number(name: str, value) -> float:
     """value as a float, for the fields of a config record (QuadratureSpec,
     LambdaConfig); a bool or a non-number raises ConfigError."""
     if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {_quote(value)}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {_quote(value)}") from None
 
 
 def _spec_record(name: str, value, kind: type, default=None):
@@ -147,7 +150,7 @@ def _spec_record(name: str, value, kind: type, default=None):
     if value is None and default is not None:
         return default
     if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {_quote(value)}")
     return value
 
 
@@ -156,7 +159,7 @@ def _spec_integer(name: str, value) -> int:
     a non-finite or non-integral value also raises ConfigError."""
     n = _spec_number(name, value)
     if not (math.isfinite(n) and n.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_quote(value)}")
     return int(n)
 
 

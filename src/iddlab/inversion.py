@@ -37,16 +37,20 @@ candidate of index alpha and scale c is the unit StableCF(alpha, 1) read
 at c t, alpha-major.  The least alpha at the least scale sets a stable
 grid's truncation: where its (c t)^alpha first exceeds -log 1e-10,
 c t > 1, so every larger alpha or scale is below that level there too.
-A pass weights each block of CF values once per rule, flushing subnormal
-coefficients (see _flushed).  Where the distinct |x| of a grid are k h,
-k = 0 .. K - 1, as on every default grid (see _symmetric_grid), a pass of
-at most 16 columns reads sin(k h t) by angle addition from tables of
-the powers of e^(i h t) and e^(i Q h t), Q = ceil(sqrt(K)): 4 sines and
-cosines per node in place of 201 on the default grid, the sums agreeing
-with the sine kernel's within 1e-14 (see _angle_sums).  Every other
-pass, at a caller's own x or with more columns (the candidate table's),
-builds the sine kernel sin(|x| t) in blocks of rows and multiplies 32
-columns at a time.
+A pass weights each block of CF values once per rule, flushing to 0 the
+coefficients below 2^60 times the smallest normal float, so that no
+product it forms has a subnormal factor (see _flushed).  Every gap is
+read on the distinct |x| of its grid, since |F_a - F_b| is the same at x
+and -x: on the default grid, its 201 points x >= 0 (see _half_grid).
+Only cdf_from_cf maps a pass back to the caller's x.  Where the distinct
+|x| are k h, k = 0 .. K - 1, as on every default grid, a pass of at most
+24 columns reads sin(k h t) by angle addition from tables of the powers
+of e^(i h t) and e^(i Q h t), Q about sqrt(K / 2) (10 on the default
+grid, see _low_rows): 4 sines and cosines per node in place of 201, the
+sums agreeing with the sine kernel's within 1e-14 (see _angle_sums).
+Every other pass, at a caller's own x or with more columns (the
+candidate table's first), builds the sine kernel sin(|x| t) in blocks of
+rows and multiplies 32 columns at a time.
 
 fit_stable and approx_compare fit through one path (_fit), which reads
 the target in units of its length scale on one x grid, so the
@@ -73,7 +77,7 @@ import numpy as np
 
 from .analysis import moments
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
-from .cf_core import _spec_integer, _spec_record
+from .cf_core import _quote, _spec_integer, _spec_record
 from .errors import ConfigError, InputError, MomentError, QuadratureError
 
 __all__ = [
@@ -99,8 +103,9 @@ _T_PROBE.flags.writeable = False
 # Simpson nodes are uniform in log(1 + t / _TAU) (see _nodes_and_weights)
 _TAU = 0.25
 _CLAMP = 1e-9
-# coefficients below the smallest normal float are flushed to 0
-_TINY = np.finfo(float).tiny
+# coefficients below 2^60 times the smallest normal float are flushed to 0
+# (see _flushed)
+_FLUSH_BELOW = 2.0**60 * np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
 # the sine kernel is built in blocks of rows holding at most this many
@@ -109,11 +114,11 @@ _KERNEL_BLOCK = 512 * 4096
 _LAW_BLOCK = 32
 # a pass of at most this many columns on a grid k h takes its sines by
 # angle addition (see _angle_sums): per column that path does twice the
-# kernel's multiplies, which past about 16 columns cost more than the
-# sines it saves
-_ANGLE_COLUMNS = 16
+# kernel's multiplies, which past about 24 columns cost more than the
+# sines it saves (timed at N = 1024 to 8192 on the default grid)
+_ANGLE_COLUMNS = 24
 # the gap scan after a pass takes column blocks of at most this many
-# entries; the default grid's 401 x 420 candidate CDFs are one block
+# entries; the default grid's 201 x 420 candidate CDFs are one block
 _GAP_BLOCK = 1 << 18
 # without a fixed budget, passes start here and double while the error
 # estimate exceeds _TOL, up to the cap, which also bounds a fixed budget
@@ -150,7 +155,8 @@ class QuadratureSpec:
         if self.N is not None:
             n = _spec_integer("node budget N", self.N)
             if not 64 <= n <= _MAX_BUDGET:
-                raise ConfigError(f"node budget N must lie in [64, {_MAX_BUDGET}], got {self.N!r}")
+                raise ConfigError(f"node budget N must lie in [64, {_MAX_BUDGET}],"
+                                  f" got {_quote(self.N)}")
             object.__setattr__(self, "N", n)
 
 
@@ -235,13 +241,18 @@ def _nodes_and_weights(N: int, T: float):
 
 
 def _flushed(c: np.ndarray) -> np.ndarray:
-    """c with its entries below the smallest normal float set to 0, in place.
+    """c with its entries below 2^60 times the smallest normal float set
+    to 0, in place.
 
     Every multiply by a subnormal takes a slow microcode path in the
-    matrix product, and a term below the smallest normal float is far
-    below the rounding of any CDF sum, so the flush changes no result.
+    matrix product.  Above that threshold, a coefficient's product with
+    any sine or cosine table entry above 2^-60 in magnitude is itself a
+    normal float, so one flush per rule covers every product the angle
+    addition forms from it (see _angle_sums).  The terms dropped lie
+    below 3e-290, far below the rounding of any CDF sum (of order 1), so
+    the flush changes no result.
     """
-    c[np.abs(c) < _TINY] = 0.0
+    c[np.abs(c) < _FLUSH_BELOW] = 0.0
     return c
 
 
@@ -313,21 +324,34 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _low_rows(K: int) -> int:
+    """Q of the angle-addition split k = q Q + r of K rows: about sqrt(K / 2).
+
+    Each remainder r costs one rotation of the coefficients and one
+    matrix product, each quotient q one row of the high table, so fewer,
+    taller products than at Q = sqrt(K) run faster: 10 low rows beside
+    21 high ones on the default grid's K = 201.  A smaller Q grows the
+    high table, which sets a pass's peak memory at large N.
+    """
+    return max(math.isqrt(K // 2), 1)
+
+
 def _angle_sums(half, ax, units, scales, t, w, w_half):
     """_kernel_sums on a grid ax = k h, k = 0 .. K - 1, by angle addition.
 
-    With k = q Q + r, Q = ceil(sqrt(K)) and 0 <= r < Q,
+    With k = q Q + r, Q = _low_rows(K) and 0 <= r < Q,
     sin(k h t) = sin(q Q h t) cos(r h t) + cos(q Q h t) sin(r h t), so
     the rows r, r + Q, ... of the sums are one product: the table
-    (sin, cos)(q Q h t) times the coefficients times (cos, sin)(r h t),
-    flushed (see _flushed).  The tables are the powers of e^(i Q h t) and
-    e^(i h t) (see _powers), so a node costs 4 sines and cosines in place
-    of K (201 on the default grid), and the N/2 rule reads every other
-    node of both.  Memory holds the tables and a few vectors per column,
-    with no kernel, so all rows come in one block.
+    (sin, cos)(q Q h t) times the coefficients times (cos, sin)(r h t).
+    The coefficients are flushed once per rule (see _flushed), so no
+    factor of these products is subnormal.  The tables are the powers of
+    e^(i Q h t) and e^(i h t) (see _powers), so a node costs 4 sines and
+    cosines in place of K (201 on the default grid), and the N/2 rule
+    reads every other node of both.  Memory holds the tables and a few
+    vectors per column, with no kernel, so all rows come in one block.
     """
     K, n = half.shape
-    Q = math.isqrt(K - 1) + 1
+    Q = _low_rows(K)
     f = _columns(units, scales, 0, n, t)
     c_half = _weighted(f[1::2].copy(), t[1::2], w_half)
     c = _weighted(f, t, w)
@@ -349,7 +373,7 @@ def _angle_sums(half, ax, units, scales, t, w, w_half):
         for r in range(Q):
             # each column's coefficients times (cos, sin)(r h t)
             np.multiply(low[r], c, out=rotated)
-            out[r::Q] = high[:len(range(r, K, Q))] @ _flushed(rotated).reshape(n, -1).T
+            out[r::Q] = high[:len(range(r, K, Q))] @ rotated.reshape(n, -1).T
     yield slice(None), coarse
 
 
@@ -362,10 +386,12 @@ def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
     same column from every other node (see the module docstring).
 
     The sine sums are taken over the distinct |x| only, since
-    F(-x) = 1 - F(x).  Where those are k h for k = 0 .. K - 1, K > 2, and
-    the pass has at most _ANGLE_COLUMNS columns, they come by angle addition
-    (see _angle_sums); every other pass builds the blocked sine kernel
-    (see _kernel_sums).  Both rules weight each block of CF values once.
+    F(-x) = 1 - F(x); every caller but cdf_from_cf passes only those (see
+    _abs_grid), so its rows map back to xs one to one.  Where they are
+    k h for k = 0 .. K - 1, K > 2, and the pass has at most _ANGLE_COLUMNS
+    columns, they come by angle addition (see _angle_sums); every other
+    pass builds the blocked sine kernel (see _kernel_sums).  Both rules
+    weight each block of CF values once.
     """
     t, w, w_half = _nodes_and_weights(N, T)
     w0, t, w = w[0], t[1:], w[1:]
@@ -489,22 +515,29 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     return 1.0 / hi
 
 
-def _symmetric_grid(radius: float) -> np.ndarray:
-    # built from its nonnegative half so that x and -x pair up exactly, and
-    # each point is exactly k h, which _simpson_pass sums by angle addition
+def _half_grid(radius: float) -> np.ndarray:
+    """The x >= 0 half of the default grid of _X_GRID_SIZE points on
+    [-radius, radius]: each point is exactly k h, which _simpson_pass sums
+    by angle addition."""
     k = _X_GRID_SIZE // 2
-    half = np.arange(k + 1) * (radius / k)
-    return np.concatenate([-half[:0:-1], half])
+    return np.arange(k + 1) * (radius / k)
 
 
-def _x_values(x_grid, *cfs: SymmetricCF) -> np.ndarray:
-    if x_grid is None:
-        radius = _X_SPAN_SCALES * max(_scale_proxy(cf) for cf in cfs)
-        return _symmetric_grid(radius)
-    xs = np.asarray(x_grid, dtype=float).reshape(-1)
+def _x_values(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float).reshape(-1)
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise InputError("x must be nonempty and finite")
     return xs
+
+
+def _abs_grid(x_grid, *cfs: SymmetricCF) -> np.ndarray:
+    """The distinct |x| of x_grid, or without it the x >= 0 half of the
+    default grid reaching 8 length scales (see _scale_proxy) of the widest
+    of cfs: every Kolmogorov gap is read there, since for symmetric laws
+    |F_a - F_b| is the same at x and -x."""
+    if x_grid is None:
+        return _half_grid(_X_SPAN_SCALES * max(_scale_proxy(cf) for cf in cfs))
+    return np.unique(np.abs(_x_values(x_grid)))
 
 
 def kolmogorov_distance(
@@ -513,10 +546,11 @@ def kolmogorov_distance(
     quad: QuadratureSpec | None = None,
     x_grid=None,
 ) -> float:
-    """max over the grid of |F_a(x) - F_b(x)|; the default grid has 401
-    points and reaches 8 length scales (see _scale_proxy) of the wider law."""
+    """max over the grid of |F_a(x) - F_b(x)|, read on its distinct |x|;
+    the default grid has 401 points and reaches 8 length scales (see
+    _scale_proxy) of the wider law."""
     quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
-    return float(_cdf_matrix([cf_a, cf_b], _x_values(x_grid, cf_a, cf_b), quad)[2][0])
+    return float(_cdf_matrix([cf_a, cf_b], _abs_grid(x_grid, cf_a, cf_b), quad)[2][0])
 
 
 def _stable_grid(alpha_grid, scale_grid):
@@ -565,9 +599,9 @@ def fit_stable(
                                   DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
     if x_grid is None:
         s = _scale_proxy(target)
-        xs = None if scale_grid is None else _symmetric_grid(_X_SPAN_SCALES)
+        xs = None if scale_grid is None else _half_grid(_X_SPAN_SCALES)
     else:
-        s, xs = 1.0, _x_values(x_grid)
+        s, xs = 1.0, _abs_grid(x_grid)
     laws = [scale_argument(target, 1.0 / s)]
     if xs is None:
         return _best_fit(_fit(laws, alphas, scales, quad)[0], alphas, [c * s for c in scales])
@@ -576,15 +610,18 @@ def fit_stable(
 
 @lru_cache(maxsize=1)
 def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
-    """The candidates' CDF columns on _symmetric_grid(_X_SPAN_SCALES),
+    """The candidates' CDF columns on _half_grid(_X_SPAN_SCALES), the
+    201 rows x >= 0 of the default grid (0.68 MB at 420 columns),
     alpha-major, each column's error and the quadrature (T, N, nodes).
 
     T is that of min(alphas) at min(scales).  Each pass after the first
     inverts again only the alphas from the first to the last with a
-    column error above _TOL.  The memo keeps the last key's table,
+    column error above _TOL: on the default grid the first pass builds
+    the sine kernel for all 420 columns, and the second takes alpha = 1's
+    21 columns by angle addition.  The memo keeps the last key's table,
     read-only; whatever changes _TOL must clear it.
     """
-    xs = _symmetric_grid(_X_SPAN_SCALES)
+    xs = _half_grid(_X_SPAN_SCALES)
     T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units, k = [StableCF(a, 1.0) for a in alphas], len(scales)
     F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
@@ -602,12 +639,13 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
 
 def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs=None):
     """The gaps to laws[0] of the other laws, then of the candidates, and
-    the quadrature: without xs on _symmetric_grid(_X_SPAN_SCALES) against
-    the candidate table (its T, N and nodes under "candidates"), else on
-    xs against candidates inverted at each budget, at the table's T."""
+    the quadrature: without xs on _half_grid(_X_SPAN_SCALES) against the
+    candidate table (its T, N and nodes under "candidates"), else on xs,
+    distinct |x|, against candidates inverted at each budget, at the
+    table's T."""
     if xs is None:
         F, e, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
-        _, quadrature, gaps = _cdf_matrix(laws, _symmetric_grid(_X_SPAN_SCALES), quad,
+        _, quadrature, gaps = _cdf_matrix(laws, _half_grid(_X_SPAN_SCALES), quad,
                                           lambda N: (F, e))
         return gaps, {**quadrature, "candidates": dict(candidates)}
     T = _auto_truncation(StableCF(alphas[0], scales[0]))

@@ -1,0 +1,72 @@
+"""tools/bench_pairs.py's verdict on one metric over paired runs, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+judge = bench_pairs._judge
+
+# a lower-is-better metric: parent quartiles 1.0225 and 1.0675, a spread of 0.045
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def _losing(pairs):
+    """A change 30% below the parent, except in the given pairs, where it is 0.5 above."""
+    return [p + 0.5 if i in pairs else 0.7 * p for i, p in enumerate(PARENT)]
+
+
+def test_better_at_nine_wins_in_ten_with_a_gap_above_the_parent_spread():
+    s = judge(PARENT, _losing({3}), "lower", 0.25)
+    assert (s["wins"], s["pairs"], s["verdict"]) == (9, 10, "better")
+    # medians 1.045 and 0.7385, between 0.7 times 1.05 and 1.06
+    assert s["relative_change"] == pytest.approx(0.7385 / 1.045 - 1.0)
+
+
+def test_not_better_at_eight_wins_in_ten():
+    s = judge(PARENT, _losing({3, 6}), "lower", 0.25)
+    assert (s["wins"], s["verdict"]) == (8, "flat")
+
+
+def test_not_better_when_the_gap_is_within_the_parent_spread():
+    change = [p - 0.02 for p in PARENT]
+    s = judge(PARENT, change, "lower", 0.25)
+    assert (s["wins"], s["verdict"]) == (10, "flat")
+
+
+def test_worse_past_the_bound_and_flat_within_it():
+    assert judge(PARENT, [1.3 * p for p in PARENT], "lower", 0.25)["verdict"] == "worse"
+    assert judge(PARENT, [1.2 * p for p in PARENT], "lower", 0.25)["verdict"] == "flat"
+
+
+# a higher-is-better metric whose parent quartile distance (112.5 to 187.5)
+# exceeds the bound's 25% of its median 150
+WIDE = [100.0, 200.0, 100.0, 150.0, 200.0, 150.0, 100.0, 150.0, 200.0, 150.0]
+
+
+def test_flat_when_every_change_run_beats_every_parent_run():
+    s = judge(WIDE, [201.0] * 10, "higher", 0.25)
+    assert s["parent"]["q3"] - s["parent"]["q1"] == 75.0
+    # ten wins, but a gain of 51 within the parent's spread
+    assert (s["wins"], s["verdict"]) == (10, "flat")
+
+
+def test_unresolved_when_one_change_run_does_not_beat_every_parent_run():
+    change = [201.0] * 10
+    change[0] = 199.0  # still beats its own pair's 100
+    s = judge(WIDE, change, "higher", 0.25)
+    assert (s["wins"], s["verdict"]) == (10, "unresolved")
+
+
+def test_the_sign_follows_the_metric_direction():
+    change = _losing(set())
+    lower = judge(PARENT, change, "lower", 0.25)
+    higher = judge(PARENT, change, "higher", 0.25)
+    assert (lower["wins"], lower["verdict"]) == (10, "better")
+    # the same runs read as 30% fewer of something wanted more of
+    assert (higher["wins"], higher["verdict"]) == (0, "worse")
+    assert lower["relative_change"] == higher["relative_change"] == pytest.approx(-0.3)

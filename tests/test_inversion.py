@@ -37,15 +37,25 @@ from iddlab import cf_core, inversion
 from iddlab.inversion import (
     _cdf_matrix,
     _columns,
+    _half_grid,
     _nodes_and_weights,
     _simpson_pass,
-    _symmetric_grid,
     _weighted,
 )
 
 # dense-grid closed-form CDF suprema from tools/make_oracles.py
 KS_LAPLACE_VS_GAUSS2 = 0.062021369217940658
 KS_GAUSS1_VS_GAUSS121 = 0.0230448321373804
+
+
+def _symmetric_grid(radius):
+    """The default grid of 401 points on [-radius, radius], mirrored from its x >= 0 half."""
+    half = _half_grid(radius)
+    return np.concatenate([-half[:0:-1], half])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 def normal_cdf(x, variance=1.0):
@@ -519,7 +529,7 @@ class TestCandidateTable:
         F, e, q = inversion._candidate_table(alphas, scales, QuadratureSpec(N=1024))
         T = inversion._auto_truncation(StableCF(1.0, 0.5))
         assert q == {"T": T, "N": 1024, "nodes": 1025}
-        xs = _symmetric_grid(8.0)
+        xs = _half_grid(8.0)
         for j, cf in enumerate(StableCF(a, c) for a in alphas for c in scales):
             G, _, g = _fixed_t([cf], xs, T, 1024)
             np.testing.assert_allclose(F[:, j], G[:, 0], rtol=0, atol=1e-12)
@@ -547,7 +557,7 @@ class TestCandidateTable:
         q = report.quadrature
         table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _symmetric_grid(8.0), q["T"], q["N"])
+        F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _half_grid(8.0), q["T"], q["N"])
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
         alphas, scales = DEFAULT_GRID
         assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
@@ -571,7 +581,10 @@ class TestKeptCandidateBlocks:
         kept = table(*DEFAULT_GRID, QuadratureSpec())
         assert table.cache_info().hits == 1
         F, e, q = kept
-        assert (F.shape, e.shape) == ((401, 420), (420,))
+        # the 201 rows x >= 0 of the default grid: 0.68 MB, about half the
+        # 401 rows of the whole grid
+        assert (F.shape, e.shape) == ((201, 420), (420,))
+        assert F.nbytes == 201 * 420 * 8
         assert q == {"T": 93.32543007969915, "N": 2048, "nodes": 2049}
         for a in (F, e):
             with pytest.raises(ValueError):
@@ -611,6 +624,58 @@ class TestKeptCandidateBlocks:
             table.cache_clear()
 
 
+class TestHalfGridGaps:
+    """Every Kolmogorov gap is read on the distinct |x| of its grid: the rows x >= 0."""
+
+    FAMILIES = [SymmetrizedGammaCF(0.5), SymmetrizedGammaCF(2.0),
+                convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0))]
+
+    @given(f=st.sampled_from(range(len(FAMILIES))), m=st.sampled_from([4, 10, 25]),
+           radius=st.one_of(st.none(), _log_uniform(0.5, 20.0)))
+    @settings(max_examples=15, deadline=None)
+    def test_distances_are_the_largest_gap_over_the_rows_x_nonnegative(self, f, m, radius):
+        family, table = self.FAMILIES[f], inversion._candidate_table
+        target = sum_rescale(family, m)
+        gauss = GaussianCF(moments(target).mu2)
+        x_grid = None if radius is None else _symmetric_grid(radius)
+        simpson_pass, passes = _simpson_pass, []
+
+        def recording(*args):
+            passes.append(simpson_pass(*args))
+            return passes[-1]
+
+        try:
+            table.cache_clear()
+            F_table = table(*DEFAULT_GRID, QuadratureSpec())[0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inversion, "_simpson_pass", recording)
+                d = kolmogorov_distance(target, gauss, x_grid=x_grid)
+                F_d = passes[-1][0]
+                report = approx_compare(family, m)
+                F_r = passes[-1][0]
+            # each distance is the exact largest gap of its last pass, whose
+            # rows are the 201 points x >= 0
+            assert F_d.shape == F_r.shape == (201, 2) and F_table.shape[0] == 201
+            assert d == np.max(np.abs(F_d[:, 1] - F_d[:, 0]))
+            assert report.d_gaussian == np.max(np.abs(F_r[:, 1] - F_r[:, 0]))
+            assert report.d_stable == np.min(np.max(np.abs(F_table - F_r[:, :1]), axis=0))
+            # and within rounding of the largest gap over the whole grid,
+            # whose rows x < 0 hold 1/2 - S/pi where the rows x > 0 hold 1/2 + S/pi
+            half = inversion._abs_grid(x_grid, target, gauss)
+            full_xs = np.concatenate([-half[:0:-1], half])
+            d_full = _cdf_matrix([target, gauss], full_xs, QuadratureSpec())[2][0]
+            assert abs(d - d_full) <= 2.3e-16
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inversion, "_half_grid", _symmetric_grid)
+                table.cache_clear()
+                full = approx_compare(family, m)
+            assert table(*DEFAULT_GRID, QuadratureSpec())[0].shape[0] == 401
+            assert abs(report.d_gaussian - full.d_gaussian) <= 2.3e-16
+            assert abs(report.d_stable - full.d_stable) <= 2.3e-16
+        finally:
+            table.cache_clear()
+
+
 def _layout(laws, grid, t, w):
     """The coefficient columns of a fit's two passes: each law, then the candidates alpha-major."""
     units, n = [StableCF(a, 1.0) for a in grid[0]], len(grid[0]) * len(grid[1])
@@ -637,13 +702,9 @@ class TestCoefficientFlush:
         t, w = t[1:], w[1:]
         raw = np.stack([w * cf.evaluate(t) / t for cf in self.COLUMNS], axis=1)
         assert np.any((raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny))
-        kernel = np.sin(np.outer(np.abs(_symmetric_grid(8.0)), t))
+        kernel = np.sin(np.outer(_half_grid(8.0), t))
         c = _layout(self.LAWS, self.GRID, t, w)
         assert np.array_equal(kernel @ c, kernel @ raw)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 def _kernel_pass(units, scales, xs, T, N):
@@ -697,10 +758,11 @@ class TestAngleAddition:
 
     @pytest.mark.parametrize("xs, units, scales", [
         (np.linspace(-4.0, 7.0, 61), [StableCF(1.2, 1.0), StableCF(1.9, 1.0)], (1.0, 2.0)),
-        (_symmetric_grid(8.0), [StableCF(1.2, 1.0)], tuple(np.geomspace(0.5, 2.0, 17))),
+        # one column past the angle-addition path
+        (_symmetric_grid(8.0), [StableCF(1.2, 1.0)], tuple(np.geomspace(0.5, 2.0, 25))),
         (_symmetric_grid(8.0), [StableCF(1.2, 1.0), StableCF(1.9, 1.0)],
          tuple(np.geomspace(0.5, 2.0, 17))),
-    ], ids=["non-uniform-grid", "17-columns", "two-column-blocks"])
+    ], ids=["non-uniform-grid", "25-columns", "two-column-blocks"])
     def test_other_passes_keep_the_sine_kernel_bit_for_bit(self, xs, units, scales):
         got = _simpson_pass(units, scales, xs, 40.0, 1024)
         want = _kernel_pass(units, scales, xs, 40.0, 1024)
@@ -708,14 +770,13 @@ class TestAngleAddition:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
 
     def test_symmetric_grid_is_k_h_at_any_radius(self):
-        # linspace's end point is not 200 h at 256 of these radii
+        # the default grid is held as its x >= 0 half; linspace's end point
+        # is not 200 h at 256 of these radii
         for radius in np.geomspace(1e-5, 1e5, 2000):
-            xs = _symmetric_grid(radius)
-            assert np.array_equal(xs[200:], np.arange(201) * xs[201])
-            assert np.array_equal(xs, -xs[::-1])
-        # at radius 8 the grid is the former linspace one, bit for bit
-        half = np.linspace(0.0, 8.0, 201)
-        assert np.array_equal(_symmetric_grid(8.0), np.concatenate([-half[:0:-1], half]))
+            xs = _half_grid(radius)
+            assert xs.size == 201 and np.array_equal(xs, np.arange(201) * xs[1])
+        # at radius 8 the half is the former linspace one, bit for bit
+        assert np.array_equal(_half_grid(8.0), np.linspace(0.0, 8.0, 201))
 
     def test_default_grids_take_angle_addition(self, empty_table, monkeypatch):
         approx_compare(SymmetrizedGammaCF(0.5), 10)
@@ -752,26 +813,47 @@ class TestAngleAddition:
         assert peak < bound < 12 * inversion._KERNEL_BLOCK
 
     def test_no_subnormal_reaches_a_product(self, monkeypatch):
-        # every flush, the two of the coefficients and one per remainder r
-        # in each rule, leaves no subnormal; several had one to remove
-        tiny, flushed, had = np.finfo(float).tiny, inversion._flushed, []
-
-        def recording(c):
-            had.append(bool(np.any((c != 0.0) & (np.abs(c) < tiny))))
-            out = flushed(c)
-            assert not np.any((out != 0.0) & (np.abs(out) < tiny))
-            return out
-
-        monkeypatch.setattr(inversion, "_flushed", recording)
         # at T = 1000 some nodes' gaussian coefficients lie just above the
-        # smallest normal float, so their products with (cos, sin)(r h t)
-        # fall below it
+        # smallest normal float, so a flush at that float alone would leave
+        # their products with (cos, sin)(r h t) subnormal
+        tiny = np.finfo(float).tiny
+        weighted, powers, coefficients, tables = inversion._weighted, inversion._powers, [], []
+
+        def subnormal(a):
+            return bool(np.any((a != 0.0) & (np.abs(a) < tiny)))
+
+        def recording_weighted(*args):
+            coefficients.append(weighted(*args))
+            return coefficients[-1]
+
+        def recording_powers(z, n):
+            tables.append(powers(z, n))
+            return tables[-1]
+
+        def products():
+            """Whether any factor pair of the last pass's products is subnormal:
+            a table entry and a coefficient, then a high table entry and the
+            coefficients rotated by the low table."""
+            (c_half, c), (high, low) = coefficients[-2:], tables[-2:]
+            seen = False
+            for c, nodes in ((c_half, slice(1, None, 2)), (c, slice(None))):
+                parts = [p[:, nodes] for table in (high, low) for p in (table.real, table.imag)]
+                seen |= subnormal(c) or any(subnormal(p) for p in parts)
+                for p in parts[2:]:
+                    seen |= any(subnormal(p * column) for column in c.T)
+            return seen
+
+        monkeypatch.setattr(inversion, "_weighted", recording_weighted)
+        monkeypatch.setattr(inversion, "_powers", recording_powers)
         xs, T = _symmetric_grid(8.0), 1000.0
-        F = _simpson_pass(self.LAWS, (1.0,), xs, T, 1024)[0]
-        Q = math.isqrt(201 - 1) + 1
-        assert len(had) == 2 + 2 * Q and sum(had[2:]) > Q // 2
-        monkeypatch.setattr(inversion, "_flushed", flushed)
-        assert np.array_equal(F, _simpson_pass(self.LAWS, (1.0,), xs, T, 1024)[0])
+        F, _, e = _simpson_pass(self.LAWS, (1.0,), xs, T, 1024)
+        assert not products()
+        # unflushed, the same pass forms subnormal products and gives the
+        # same bits
+        monkeypatch.setattr(inversion, "_FLUSH_BELOW", 0.0)
+        G, _, g = _simpson_pass(self.LAWS, (1.0,), xs, T, 1024)
+        assert products()
+        assert np.array_equal(F, G) and np.array_equal(e, g)
 
     def test_four_sines_and_cosines_per_node(self, monkeypatch):
         counted = []
@@ -801,7 +883,7 @@ class TestAngleAddition:
         xs = _symmetric_grid(8.0)
         _simpson_pass(self.LAWS, (1.0,), xs, T, N)
         ax, t = xs[200:], _nodes_and_weights(N, T)[0][1:]
-        Q = math.isqrt(200) + 1
+        Q = inversion._low_rows(201)
         # the high table is the powers of e^(i Q h t), the low of e^(i h t)
         bases = [ax[Q] * t, ax[1] * t]
         assert [table.shape[0] for _, table in recorded] == [-(-201 // Q), Q]
@@ -818,7 +900,7 @@ class TestAngleAddition:
                 got = table[j, node]
                 worst = max(worst, float(max(abs(got.real - mp.cos(a)),
                                              abs(got.imag - mp.sin(a)))))
-        # observed: 3.6 eps over these draws, 5.7 eps over 30000
+        # observed with 21 high rows: 8.0 eps over these draws, 8.2 eps over 30000
         assert worst <= 32 * np.finfo(float).eps
 
 
@@ -1186,8 +1268,8 @@ class TestErrorEstimate:
         # the criterion-9 case at the fixed 4096-node rule, which binds the
         # sum and the candidate table alike
         fixed = approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=4096))
-        assert fixed.d_gaussian == 0.013724388741262028
-        assert fixed.d_stable == 0.003327320129197009
+        assert fixed.d_gaussian == 0.013724388741261917
+        assert fixed.d_stable == 0.003327320129196343
         assert (fixed.best_alpha, fixed.best_scale) == (1.85, 0.6597539553864472)
         assert (fixed.quadrature["N"], fixed.quadrature["nodes"]) == (4096, 4097)
         assert fixed.quadrature["candidates"] == {"T": 93.32543007969915, "N": 4096,
@@ -1266,13 +1348,15 @@ class TestStableOracle:
         from scipy.stats import levy_stable
 
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
-        xs = _symmetric_grid(8.0)
+        xs = _half_grid(8.0)
         scales = DEFAULT_GRID[1]
         for c in (scales[0], scales[10], scales[20]):
             j = DEFAULT_GRID[0].index(alpha) * len(scales) + scales.index(c)
             for x in (-2.0, 0.12, 0.68, 2.0, 5.0, 8.0):
-                i = int(np.flatnonzero(xs == x)[0])
-                assert abs(F[i, j] - levy_stable.cdf(x, alpha, 0.0, scale=c)) <= e[j]
+                # the table holds the rows x >= 0, and F(-x) = 1 - F(x)
+                i = int(np.flatnonzero(xs == abs(x))[0])
+                got = F[i, j] if x >= 0.0 else 1.0 - F[i, j]
+                assert abs(got - levy_stable.cdf(x, alpha, 0.0, scale=c)) <= e[j]
 
     def test_table_columns_against_the_power_series(self):
         # F(x) = 1/2 + 1/(pi alpha) sum_k (-1)^k Gamma((2k+1)/alpha) z^(2k+1)/(2k+1)!,
@@ -1280,7 +1364,7 @@ class TestStableOracle:
         # for alpha >= 1.5 and z <= 4
         mp = pytest.importorskip("mpmath")
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
-        xs = _symmetric_grid(8.0)
+        xs = _half_grid(8.0)
         alphas, scales = DEFAULT_GRID
         with mp.workdps(40):
             for a, alpha in enumerate(alphas):
@@ -1318,5 +1402,5 @@ class TestStableOracle:
         assert levy_stable.cdf(2.0, 1.5, 0.0) == pytest.approx(exact, abs=1e-15)
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         j = DEFAULT_GRID[0].index(1.5) * 21 + 10
-        gap = abs(F[int(np.flatnonzero(_symmetric_grid(8.0) == 2.0)[0]), j] - exact)
+        gap = abs(F[int(np.flatnonzero(_half_grid(8.0) == 2.0)[0]), j] - exact)
         assert 1e-10 < gap <= e[j]

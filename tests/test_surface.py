@@ -116,6 +116,21 @@ def test_malformed_scalar_or_config_is_a_typed_error(call, error, name):
         call()
 
 
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: iddlab.GaussianCF(10**400), iddlab.InputError, "variance"),
+    (lambda: iddlab.sum_rescale(GAUSS, 10**400), iddlab.InputError, "m"),
+    (lambda: iddlab.QuadratureSpec(N=10**400), iddlab.ConfigError, "node budget N"),
+    (lambda: iddlab.LambdaConfig(r=10**400), iddlab.ConfigError, "r"),
+    # a float-sized integer passes the number check and fails the range
+    (lambda: iddlab.QuadratureSpec(N=10**300), iddlab.ConfigError, "node budget N"),
+], ids=["variance", "m", "budget", "r", "budget-range"])
+def test_refusal_quotes_a_huge_value_in_one_short_line(call, error, name):
+    # the full repr of 10**400 made these messages over 420 characters
+    with pytest.raises(error, match=f"^{name} must ") as refused:
+        call()
+    assert len(str(refused.value)) < 120 and "..." in str(refused.value)
+
+
 def test_numeric_text_is_still_read_as_a_number():
     assert iddlab.GaussianCF("2").variance == 2.0
     assert iddlab.clt_bound_check(GAUSS, 2, "3").r == 3.0
