@@ -41,9 +41,9 @@ A pass weights each block of CF values once per rule, flushing to 0 the
 coefficients below 2^60 times the smallest normal float, so that no
 product it forms has a subnormal factor (see _flushed).  Every gap is
 read on the distinct |x| of its grid, since |F_a - F_b| is the same at x
-and -x: on the default grid, its 201 points x >= 0 (see _half_grid).
+and -x: on the default grid, its 201 points x >= 0 (see _HALF_GRID).
 Only cdf_from_cf maps a pass back to the caller's x.  Where the distinct
-|x| are k h, k = 0 .. K - 1, as on every default grid, a pass of at most
+|x| are k h, k = 0 .. K - 1, as on the default grid, a pass of at most
 24 columns reads sin(k h t) by angle addition from tables of the powers
 of e^(i h t) and e^(i Q h t), Q about sqrt(K / 2) (10 on the default
 grid, see _low_rows): 4 sines and cosines per node in place of 201, the
@@ -52,19 +52,20 @@ Every other pass, at a caller's own x or with more columns (the
 candidate table's first), builds the sine kernel sin(|x| t) in blocks of
 rows and multiplies 32 columns at a time.
 
-fit_stable and approx_compare fit through one path (_fit), which reads
-the target in units of its length scale on one x grid, so the
-candidates' CDF columns there are a process constant (see
-_candidate_table) and a call inverts only the target, beside the unit
-gaussian in approx_compare.  Against an x or scale grid of the caller's,
-the candidates are inverted afresh at the target's budget, and only the
-closest counts.
-
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
 stable law to a target CF, and approx_compare, which asks whether the
 normalized m-fold sum of a family is closer to its matched gaussian or
-to the best stable law with alpha < 2.
+to the best stable law with alpha < 2.  All three read their laws by one
+unit rule (see _in_units): without an x grid of the caller's, in units
+of the largest of their length scales on the one default grid, so no
+default distance depends on the unit of measurement; an explicit x grid
+is absolute.  The two fits share one path (_fit), so the candidates' CDF
+columns on the default grid are a process constant (see
+_candidate_table) and a call inverts only the target, beside the unit
+gaussian in approx_compare.  Against an x or scale grid of the caller's,
+the candidates are inverted afresh at the target's budget, and only the
+closest counts.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import moments
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
 from .cf_core import _quote, _spec_integer, _spec_record
 from .errors import ConfigError, InputError, MomentError, QuadratureError
@@ -108,6 +108,10 @@ _CLAMP = 1e-9
 _FLUSH_BELOW = 2.0**60 * np.finfo(float).tiny
 _X_GRID_SIZE = 401
 _X_SPAN_SCALES = 8.0
+# the x >= 0 half of the default grid, 401 points on [-8, 8]: each is
+# exactly k h, which _simpson_pass sums by angle addition
+_HALF_GRID = np.arange(_X_GRID_SIZE // 2 + 1) * (_X_SPAN_SCALES / (_X_GRID_SIZE // 2))
+_HALF_GRID.flags.writeable = False
 # the sine kernel is built in blocks of rows holding at most this many
 # entries, and multiplies its columns this many at a time, to bound memory
 _KERNEL_BLOCK = 512 * 4096
@@ -387,7 +391,7 @@ def _simpson_pass(units, scales, xs: np.ndarray, T: float, N: int):
 
     The sine sums are taken over the distinct |x| only, since
     F(-x) = 1 - F(x); every caller but cdf_from_cf passes only those (see
-    _abs_grid), so its rows map back to xs one to one.  Where they are
+    _in_units), so its rows map back to xs one to one.  Where they are
     k h for k = 0 .. K - 1, K > 2, and the pass has at most _ANGLE_COLUMNS
     columns, they come by angle addition (see _angle_sums); every other
     pass builds the blocked sine kernel (see _kernel_sums).  Both rules
@@ -496,8 +500,9 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     where f(t) = 1/e (exactly c for exp(-|c t|^alpha)); refused unless
     that t lies in [1e-9, 1e5]."""
     try:
-        mu2 = moments(cf).mu2
-        if mu2 > 0.0:
+        # the variance alone: the fourth cumulant may overflow where it does not
+        mu2 = cf.cumulants()[0]
+        if 0.0 < mu2 < math.inf:
             return math.sqrt(mu2)
     except MomentError:
         pass
@@ -515,14 +520,6 @@ def _scale_proxy(cf: SymmetricCF) -> float:
     return 1.0 / hi
 
 
-def _half_grid(radius: float) -> np.ndarray:
-    """The x >= 0 half of the default grid of _X_GRID_SIZE points on
-    [-radius, radius]: each point is exactly k h, which _simpson_pass sums
-    by angle addition."""
-    k = _X_GRID_SIZE // 2
-    return np.arange(k + 1) * (radius / k)
-
-
 def _x_values(x) -> np.ndarray:
     xs = np.asarray(x, dtype=float).reshape(-1)
     if xs.size == 0 or not np.all(np.isfinite(xs)):
@@ -530,14 +527,15 @@ def _x_values(x) -> np.ndarray:
     return xs
 
 
-def _abs_grid(x_grid, *cfs: SymmetricCF) -> np.ndarray:
-    """The distinct |x| of x_grid, or without it the x >= 0 half of the
-    default grid reaching 8 length scales (see _scale_proxy) of the widest
-    of cfs: every Kolmogorov gap is read there, since for symmetric laws
-    |F_a - F_b| is the same at x and -x."""
-    if x_grid is None:
-        return _half_grid(_X_SPAN_SCALES * max(_scale_proxy(cf) for cf in cfs))
-    return np.unique(np.abs(_x_values(x_grid)))
+def _in_units(x_grid, *cfs: SymmetricCF):
+    """(s, xs, laws): cfs in units of s on xs, the distinct |x| at which
+    every Kolmogorov gap is read (|F_a - F_b| is the same at x and -x).
+    Without x_grid, s is the largest length scale of cfs (see _scale_proxy)
+    and xs is _HALF_GRID; with it, s = 1 and xs is x_grid's, absolute."""
+    if x_grid is not None:
+        return 1.0, np.unique(np.abs(_x_values(x_grid))), list(cfs)
+    s = max(_scale_proxy(cf) for cf in cfs)
+    return s, _HALF_GRID, [scale_argument(cf, 1.0 / s) for cf in cfs]
 
 
 def kolmogorov_distance(
@@ -546,26 +544,35 @@ def kolmogorov_distance(
     quad: QuadratureSpec | None = None,
     x_grid=None,
 ) -> float:
-    """max over the grid of |F_a(x) - F_b(x)|, read on its distinct |x|;
-    the default grid has 401 points and reaches 8 length scales (see
-    _scale_proxy) of the wider law."""
+    """max over the grid of |F_a(x) - F_b(x)|, read on its distinct |x|:
+    without x_grid in units of the wider law's length scale on x in
+    [-8, 8] (401 points, see _in_units), so the distance does not depend
+    on the unit of measurement."""
     quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
-    return float(_cdf_matrix([cf_a, cf_b], _abs_grid(x_grid, cf_a, cf_b), quad)[2][0])
+    _, xs, laws = _in_units(x_grid, cf_a, cf_b)
+    return float(_cdf_matrix(laws, xs, quad)[2][0])
 
 
 def _stable_grid(alpha_grid, scale_grid):
-    """Both candidate grids, parsed once into sorted floats (NaN fails the range checks)."""
-    try:
-        alphas = sorted(float(a) for a in alpha_grid)
-        scales = sorted(float(c) for c in scale_grid)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("alpha_grid and scale_grid must hold numbers,"
-                         f" got {alpha_grid!r} and {scale_grid!r}") from None
+    """Both candidate grids, parsed once into sorted floats (NaN fails the
+    range checks).  A refusal quotes the first entries at fault (the grid
+    itself where it holds none) and counts the rest, never the whole grid."""
+    grids = []
+    for name, grid in (("alpha_grid", alpha_grid), ("scale_grid", scale_grid)):
+        entry, values = grid, []
+        try:
+            for entry in grid:
+                values.append(float(entry))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"{name} must hold numbers, got {_quote(entry)}") from None
+        grids.append(sorted(values))
+    alphas, scales = grids
     bad = [f"alpha {a!r}" for a in alphas if not 0.0 < a <= 2.0]
     bad += [f"scale {c!r}" for c in scales if not 0.0 < c < math.inf]
     if bad or not alphas or not scales:
+        more = f" and {len(bad) - 2} more" if len(bad) > 2 else ""
         raise InputError("alpha_grid and scale_grid must be nonempty, alpha in (0, 2] and"
-                         f" scale in (0, inf), got {', '.join(bad) or 'an empty grid'}")
+                         f" scale in (0, inf), got {', '.join(bad[:2]) or 'an empty grid'}{more}")
     return alphas, scales
 
 
@@ -588,30 +595,25 @@ def fit_stable(
 
     All candidates are measured against the target on one shared x grid;
     ties resolve to the smallest alpha, then the smallest scale.  The
-    target is read in units of s: its length scale (see _scale_proxy) on
-    x in [-8, 8] without x_grid, else s = 1 on x_grid.  scale_grid = None
-    is DEFAULT_SCALE_GRID in units of s (without x_grid, the candidate
-    table) and the fit reports c s; an explicit scale_grid is inverted per
-    call as c / s and the fit reports its entry.
+    target is read in units of s by kolmogorov_distance's rule (see
+    _in_units): its length scale on x in [-8, 8] without x_grid, else
+    s = 1 on x_grid.  scale_grid = None is DEFAULT_SCALE_GRID in units of
+    s (without x_grid, the candidate table) and the fit reports c s; an
+    explicit scale_grid is inverted per call as c / s and the fit reports
+    its entry.
     """
     quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     alphas, scales = _stable_grid(alpha_grid,
                                   DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
-    if x_grid is None:
-        s = _scale_proxy(target)
-        xs = None if scale_grid is None else _half_grid(_X_SPAN_SCALES)
-    else:
-        s, xs = 1.0, _abs_grid(x_grid)
-    laws = [scale_argument(target, 1.0 / s)]
-    if xs is None:
+    s, xs, laws = _in_units(x_grid, target)
+    if x_grid is None and scale_grid is None:
         return _best_fit(_fit(laws, alphas, scales, quad)[0], alphas, [c * s for c in scales])
     return _best_fit(_fit(laws, alphas, [c / s for c in scales], quad, xs)[0], alphas, scales)
 
 
 @lru_cache(maxsize=1)
 def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
-    """The candidates' CDF columns on _half_grid(_X_SPAN_SCALES), the
-    201 rows x >= 0 of the default grid (0.68 MB at 420 columns),
+    """The candidates' CDF columns on _HALF_GRID (0.68 MB at 420 columns),
     alpha-major, each column's error and the quadrature (T, N, nodes).
 
     T is that of min(alphas) at min(scales).  Each pass after the first
@@ -621,16 +623,15 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
     21 columns by angle addition.  The memo keeps the last key's table,
     read-only; whatever changes _TOL must clear it.
     """
-    xs = _half_grid(_X_SPAN_SCALES)
     T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units, k = [StableCF(a, 1.0) for a in alphas], len(scales)
-    F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
+    F, e = np.empty((_HALF_GRID.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
 
     def run(N):
         redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
         a0, a1 = int(redo[0]), int(redo[-1]) + 1
         cols = slice(k * a0, k * a1)
-        F[:, cols], nodes, e[cols] = _simpson_pass(units[a0:a1], scales, xs, T, N)
+        F[:, cols], nodes, e[cols] = _simpson_pass(units[a0:a1], scales, _HALF_GRID, T, N)
         return nodes, float(e.max())
 
     nodes, N, _ = _passes(run, quad)
@@ -639,14 +640,12 @@ def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
 
 def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs=None):
     """The gaps to laws[0] of the other laws, then of the candidates, and
-    the quadrature: without xs on _half_grid(_X_SPAN_SCALES) against the
-    candidate table (its T, N and nodes under "candidates"), else on xs,
-    distinct |x|, against candidates inverted at each budget, at the
-    table's T."""
+    the quadrature: without xs on _HALF_GRID against the candidate table
+    (its T, N and nodes under "candidates"), else on xs, distinct |x|,
+    against candidates inverted at each budget, at the table's T."""
     if xs is None:
         F, e, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
-        _, quadrature, gaps = _cdf_matrix(laws, _half_grid(_X_SPAN_SCALES), quad,
-                                          lambda N: (F, e))
+        _, quadrature, gaps = _cdf_matrix(laws, _HALF_GRID, quad, lambda N: (F, e))
         return gaps, {**quadrature, "candidates": dict(candidates)}
     T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units = [StableCF(a, 1.0) for a in alphas]
@@ -681,9 +680,9 @@ def approx_compare(
     """
     quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     m = _check_m("m", m)
-    mu2 = moments(family_cf).mu2
-    if mu2 <= 0.0:
-        raise InputError("family must have strictly positive variance")
+    mu2 = family_cf.cumulants()[0]
+    if not 0.0 < mu2 < math.inf:
+        raise InputError(f"family must have a strictly positive, finite variance, got {mu2!r}")
     alphas, scales = _stable_grid(alpha_grid, scale_grid)
     alphas = [a for a in alphas if a != 2.0]
     if not alphas:

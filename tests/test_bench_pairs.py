@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's verdict on one metric over paired runs, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,51 @@ def test_the_sign_follows_the_metric_direction():
     # the same runs read as 30% fewer of something wanted more of
     assert (higher["wins"], higher["verdict"]) == (0, "worse")
     assert lower["relative_change"] == higher["relative_change"] == pytest.approx(-0.3)
+
+
+def _runs(parent, change):
+    """Paired runs as (failed, attempted) per run and side."""
+    return {side: [{"failed": f, "attempted": a} for f, a in pairs]
+            for side, pairs in (("parent", parent), ("change", change))}
+
+
+def test_failed_share_rose_when_the_change_fails_a_larger_share():
+    s = bench_pairs._failures(_runs([(1, 100), (0, 100)], [(2, 100), (1, 100)]))
+    assert s["failed"] == {"parent": 1, "change": 3}
+    assert s["attempted"] == {"parent": 200, "change": 200}
+    assert s["failed_share"] == {"parent": 0.005, "change": 0.015}
+    assert s["failed_share_rose"] is True
+
+
+def test_failed_share_is_a_share_not_a_count():
+    # more failures, but of more attempts: the share fell
+    s = bench_pairs._failures(_runs([(2, 100), (2, 100)], [(3, 400), (3, 400)]))
+    assert s["failed"] == {"parent": 4, "change": 6}
+    assert s["failed_share_rose"] is False
+
+
+def test_failed_share_flat_without_failures_or_attempts():
+    assert not bench_pairs._failures(_runs([(0, 50)] * 2, [(0, 80)] * 2))["failed_share_rose"]
+    s = bench_pairs._failures(_runs([(0, 0)] * 2, [(0, 0)] * 2))
+    assert s["failed_share"] == {"parent": 0.0, "change": 0.0} and not s["failed_share_rose"]
+
+
+def test_main_prints_and_stores_a_rise_in_the_failed_share(tmp_path, monkeypatch, capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        # equal timings; the change fails 2 of its 10 operations a run
+        return {"seed": seed, "correct": True, "attempted": 10,
+                "failed": 0 if checkout == parent else 2, "environment": None,
+                "metrics": {"ops_per_s": 100.0}}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--out", str(out), "--pairs", "2"]) == 0
+    assert "failed share rose: parent 0, change 0.2" in capsys.readouterr().out
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert summary["failed_share_rose"] is True and summary["failed"]["change"] == 4

@@ -271,6 +271,15 @@ class TestConfigMerge:
         assert err.rstrip().endswith("got alpha -0.5, alpha 0.0")
         assert "np.float64" not in err and "0.25" not in err
 
+    def test_grid_error_of_a_long_grid_stays_short(self, capsys):
+        # 5000 bad entries: the first two by name, then how many more
+        code, out, err = run(
+            capsys, "approx-compare", "--family", "symgamma", "--shape", "0.5", "--m", "10",
+            "--alpha-grid", "2.5:4:5000",
+        )
+        assert code == 1 and out == "" and err.count("\n") == 1 and len(err) < 200
+        assert err.rstrip().endswith("got alpha 2.5, alpha 2.500300060012 and 4998 more")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

@@ -35,9 +35,9 @@ from iddlab import (
 )
 from iddlab import cf_core, inversion
 from iddlab.inversion import (
+    _HALF_GRID,
     _cdf_matrix,
     _columns,
-    _half_grid,
     _nodes_and_weights,
     _simpson_pass,
     _weighted,
@@ -49,8 +49,8 @@ KS_GAUSS1_VS_GAUSS121 = 0.0230448321373804
 
 
 def _symmetric_grid(radius):
-    """The default grid of 401 points on [-radius, radius], mirrored from its x >= 0 half."""
-    half = _half_grid(radius)
+    """401 points k h on [-radius, radius], h = radius / 200, mirrored from the x >= 0 half."""
+    half = np.arange(201) * (radius / 200)
     return np.concatenate([-half[:0:-1], half])
 
 
@@ -352,23 +352,17 @@ class TestOverflowedProbes:
         (lambda: approx_compare(GaussianCF(1e300), 2, quad=QuadratureSpec(N=1024)).d_gaussian,
          lambda: 0.0),
         (lambda: kolmogorov_distance(GaussianCF(1e300), GaussianCF(2e300), QuadratureSpec(N=1024)),
-         None),
+         lambda: kolmogorov_distance(GaussianCF(0.5), GaussianCF(1.0), QuadratureSpec(N=1024))),
         (lambda: _fit_scaled(fit_stable(GaussianCF(1e300), quad=QuadratureSpec(N=1024)), 1e-150),
          lambda: _fit_scaled(fit_stable(GaussianCF(1.0), quad=QuadratureSpec(N=1024)), 1.0)),
     ], ids=["approx_compare", "kolmogorov_distance", "fit_stable"])
     def test_overflowed_exponent_in_a_probe_warns_nothing(self, call, expected):
-        # an exponent past the float range means f = 0 at that probe; in
-        # absolute units the x grid then reaches 8e150 against T = 93.3, and
-        # the fixed budget's error estimate (about 1e147) is refused rather
-        # than reported; approx_compare and the default fit_stable read the
-        # law in units of its sd, where it is the unit gaussian
+        # an exponent past the float range means f = 0 at that probe; every
+        # default reading takes the laws in units of the wider one's sd,
+        # where they are the gaussians of variance 1/2 and 1, or the unit one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if expected is None:
-                with pytest.raises(QuadratureError, match="not below 1"):
-                    call()
-            else:
-                assert call() == pytest.approx(expected(), rel=1e-12, abs=0.0)
+            assert call() == pytest.approx(expected(), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("call", [
         lambda: approx_compare(SymmetrizedGammaCF(1.0), 4, (1.5,), (1e300,)).d_stable,
@@ -529,7 +523,7 @@ class TestCandidateTable:
         F, e, q = inversion._candidate_table(alphas, scales, QuadratureSpec(N=1024))
         T = inversion._auto_truncation(StableCF(1.0, 0.5))
         assert q == {"T": T, "N": 1024, "nodes": 1025}
-        xs = _half_grid(8.0)
+        xs = _HALF_GRID
         for j, cf in enumerate(StableCF(a, c) for a in alphas for c in scales):
             G, _, g = _fixed_t([cf], xs, T, 1024)
             np.testing.assert_allclose(F[:, j], G[:, 0], rtol=0, atol=1e-12)
@@ -557,7 +551,7 @@ class TestCandidateTable:
         q = report.quadrature
         table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
-        F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _half_grid(8.0), q["T"], q["N"])
+        F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _HALF_GRID, q["T"], q["N"])
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
         alphas, scales = DEFAULT_GRID
         assert closest == alphas.index(report.best_alpha) * len(scales) + scales.index(
@@ -659,14 +653,15 @@ class TestHalfGridGaps:
             assert d == np.max(np.abs(F_d[:, 1] - F_d[:, 0]))
             assert report.d_gaussian == np.max(np.abs(F_r[:, 1] - F_r[:, 0]))
             assert report.d_stable == np.min(np.max(np.abs(F_table - F_r[:, :1]), axis=0))
-            # and within rounding of the largest gap over the whole grid,
-            # whose rows x < 0 hold 1/2 - S/pi where the rows x > 0 hold 1/2 + S/pi
-            half = inversion._abs_grid(x_grid, target, gauss)
+            # and within rounding of the largest gap over the whole grid, read
+            # through the same laws in units, whose rows x < 0 hold 1/2 - S/pi
+            # where the rows x > 0 hold 1/2 + S/pi
+            _, half, laws = inversion._in_units(x_grid, target, gauss)
             full_xs = np.concatenate([-half[:0:-1], half])
-            d_full = _cdf_matrix([target, gauss], full_xs, QuadratureSpec())[2][0]
+            d_full = _cdf_matrix(laws, full_xs, QuadratureSpec())[2][0]
             assert abs(d - d_full) <= 2.3e-16
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(inversion, "_half_grid", _symmetric_grid)
+                mp.setattr(inversion, "_HALF_GRID", _symmetric_grid(8.0))
                 table.cache_clear()
                 full = approx_compare(family, m)
             assert table(*DEFAULT_GRID, QuadratureSpec())[0].shape[0] == 401
@@ -702,7 +697,7 @@ class TestCoefficientFlush:
         t, w = t[1:], w[1:]
         raw = np.stack([w * cf.evaluate(t) / t for cf in self.COLUMNS], axis=1)
         assert np.any((raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny))
-        kernel = np.sin(np.outer(_half_grid(8.0), t))
+        kernel = np.sin(np.outer(_HALF_GRID, t))
         c = _layout(self.LAWS, self.GRID, t, w)
         assert np.array_equal(kernel @ c, kernel @ raw)
 
@@ -769,14 +764,12 @@ class TestAngleAddition:
         assert got[1] == want[1]
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
 
-    def test_symmetric_grid_is_k_h_at_any_radius(self):
-        # the default grid is held as its x >= 0 half; linspace's end point
-        # is not 200 h at 256 of these radii
-        for radius in np.geomspace(1e-5, 1e5, 2000):
-            xs = _half_grid(radius)
-            assert xs.size == 201 and np.array_equal(xs, np.arange(201) * xs[1])
-        # at radius 8 the half is the former linspace one, bit for bit
-        assert np.array_equal(_half_grid(8.0), np.linspace(0.0, 8.0, 201))
+    def test_default_grid_is_k_h(self):
+        # the one default grid, read-only, is held as its x >= 0 half: the
+        # former linspace half, bit for bit
+        xs = _HALF_GRID
+        assert xs.size == 201 and np.array_equal(xs, np.arange(201) * xs[1])
+        assert np.array_equal(xs, np.linspace(0.0, 8.0, 201)) and not xs.flags.writeable
 
     def test_default_grids_take_angle_addition(self, empty_table, monkeypatch):
         approx_compare(SymmetrizedGammaCF(0.5), 10)
@@ -957,6 +950,33 @@ class TestKolmogorovDistance:
         d_ac = kolmogorov_distance(a, c, quad, xs)
         assert d_ac <= d_ab + d_bc + 2e-8
 
+    def test_identical_laws_at_an_extreme_scale_answer_at_once(self):
+        # in units of their sd both are the unit gaussian
+        start = time.perf_counter()
+        assert kolmogorov_distance(GaussianCF(1e300), GaussianCF(1e300)) == 0.0
+        assert time.perf_counter() - start < 0.25
+
+    # pairs of laws with a variance take any c; the scale probe reads 1/c
+    # on [1e-8, 1e5], so a stable law's c times its scale stays inside it
+    PAIRS = [
+        (GaussianCF(1.0), GaussianCF(1.21), 1e-100, 1e100),
+        (sum_rescale(SymmetrizedGammaCF(0.5), 10), GaussianCF(1.0), 1e-100, 1e100),
+        (convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)), GaussianCF(3.3), 1e-100, 1e100),
+        (SymmetrizedGammaCF(1.0), sum_rescale(SymmetrizedGammaCF(1.0), 4), 1e-100, 1e100),
+        (StableCF(1.5, 1.0), StableCF(1.2, 0.7), 1e-4, 1e7),
+        (StableCF(1.8, 2.0), GaussianCF(2.0), 1e-4, 1e7),
+    ]
+
+    @given(pair=st.sampled_from(range(len(PAIRS))), u=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_distance_does_not_depend_on_the_unit(self, pair, u):
+        a, b, lo, hi = self.PAIRS[pair]
+        c = lo * (hi / lo) ** u
+        start = time.perf_counter()
+        d = kolmogorov_distance(scale_argument(a, c), scale_argument(b, c))
+        assert time.perf_counter() - start < 1.0
+        assert d == pytest.approx(kolmogorov_distance(a, b), rel=0.0, abs=1e-12)
+
 
 class TestFitStable:
     def test_self_fit(self):
@@ -994,6 +1014,19 @@ class TestFitStable:
     def test_bad_grid_entry_rejected(self, alphas, scales):
         with pytest.raises(InputError):
             fit_stable(GaussianCF(1.0), alpha_grid=alphas, scale_grid=scales)
+
+    @pytest.mark.parametrize("alphas, scales, got", [
+        ([3.0] * 5000, (1.0,), "got alpha 3.0, alpha 3.0 and 4998 more"),
+        ((1.5,), [-1.0] * 5000, "got scale -1.0, scale -1.0 and 4998 more"),
+        ((0.5, 2.5, 3.0), (1.0, math.inf), "got alpha 2.5, alpha 3.0 and 1 more"),
+        (["x" * 1000] * 5000, (1.0,), "alpha_grid must hold numbers, got 'xxxxxxxxxxxx..."),
+        ((1.5,), tuple(np.geomspace(1.0, 2.0, 5000)) + ("y",),
+         "scale_grid must hold numbers, got 'y'"),
+    ], ids=["alphas", "scales", "both", "strings", "one-string"])
+    def test_grid_refusal_is_short_and_names_the_first_bad_entry(self, alphas, scales, got):
+        with pytest.raises(InputError) as info:
+            fit_stable(GaussianCF(1.0), alpha_grid=alphas, scale_grid=scales)
+        assert got in str(info.value) and len(str(info.value)) < 200
 
     def test_ties_resolve_to_smallest_alpha_then_scale(self):
         # every symmetric CDF is 1/2 at x = 0, so all candidates tie there
@@ -1040,6 +1073,16 @@ class TestDefaultFit:
         assert fit.alpha == alpha
         assert fit.scale == pytest.approx(c, rel=1e-12)
         assert fit.distance < 1e-8
+
+    def test_variance_is_read_where_the_fourth_cumulant_overflows(self):
+        # kappa4 c^4 overflows at c = 1e150, the variance 2 c^2 does not
+        law, unit = scale_argument(SymmetrizedGammaCF(1.0), 1e150), SymmetrizedGammaCF(1.0)
+        _assert_scaled_fit(fit_stable(law), fit_stable(unit), 1e150)
+        report, ref = approx_compare(law, 4), approx_compare(unit, 4)
+        assert report.sd == pytest.approx(ref.sd * 1e150, rel=1e-15)
+        assert report.d_gaussian == pytest.approx(ref.d_gaussian, rel=0.0, abs=2.3e-16)
+        assert report.d_stable == pytest.approx(ref.d_stable, rel=0.0, abs=2.3e-16)
+        assert (report.best_alpha, report.best_scale) == (ref.best_alpha, ref.best_scale)
 
     def test_scale_below_the_probe_refused(self):
         # f(1e-9) is already below 1/e: the crossing at 1e-10 is not bracketed
@@ -1114,6 +1157,12 @@ class TestApproxCompare:
     def test_malformed_grid_rejected(self, alphas, scales):
         with pytest.raises(InputError):
             approx_compare(SymmetrizedGammaCF(1.0), 2, alpha_grid=alphas, scale_grid=scales)
+
+    @pytest.mark.parametrize("family", [scale_argument(SymmetrizedGammaCF(1.0), 1e160),
+                                        scale_argument(GaussianCF(1e300), 1e10)])
+    def test_overflowing_variance_rejected(self, family):
+        with pytest.raises(InputError, match="finite variance, got inf"):
+            approx_compare(family, 4)
 
     def test_heavy_tail_family_rejected(self):
         with pytest.raises(MomentError):
@@ -1348,7 +1397,7 @@ class TestStableOracle:
         from scipy.stats import levy_stable
 
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
-        xs = _half_grid(8.0)
+        xs = _HALF_GRID
         scales = DEFAULT_GRID[1]
         for c in (scales[0], scales[10], scales[20]):
             j = DEFAULT_GRID[0].index(alpha) * len(scales) + scales.index(c)
@@ -1364,7 +1413,7 @@ class TestStableOracle:
         # for alpha >= 1.5 and z <= 4
         mp = pytest.importorskip("mpmath")
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
-        xs = _half_grid(8.0)
+        xs = _HALF_GRID
         alphas, scales = DEFAULT_GRID
         with mp.workdps(40):
             for a, alpha in enumerate(alphas):
@@ -1402,5 +1451,5 @@ class TestStableOracle:
         assert levy_stable.cdf(2.0, 1.5, 0.0) == pytest.approx(exact, abs=1e-15)
         F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
         j = DEFAULT_GRID[0].index(1.5) * 21 + 10
-        gap = abs(F[int(np.flatnonzero(_half_grid(8.0) == 2.0)[0]), j] - exact)
+        gap = abs(F[int(np.flatnonzero(_HALF_GRID == 2.0)[0]), j] - exact)
         assert 1e-10 < gap <= e[j]

@@ -24,6 +24,10 @@ a verdict:
   exceeds the bound, unless every change run beats every parent run;
 - ``flat`` otherwise.
 
+Each workload also sums both sides' failed and attempted operations and
+prints ``failed share rose`` when the change's share of failed operations
+exceeds the parent's, a regression whatever the timings say.
+
 Every run's metrics, failures and seed go to ``--out`` with the summary.
 The runs are sequential: run nothing else heavy on the host meanwhile.
 """
@@ -82,6 +86,17 @@ def _judge(parent, change, better: str, bound: float) -> dict:
             c["median"] / p["median"] - 1.0 if p["median"] else None, "verdict": verdict}
 
 
+def _failures(runs: dict) -> dict:
+    """Each side's failed and attempted operations over its runs, its failed
+    share, and whether the change's share rose above the parent's."""
+    s = {key: {side: sum(r[key] for r in runs[side]) for side in SIDES}
+         for key in ("failed", "attempted")}
+    s["failed_share"] = {side: s["failed"][side] / s["attempted"][side]
+                         if s["attempted"][side] else 0.0 for side in SIDES}
+    s["failed_share_rose"] = s["failed_share"]["change"] > s["failed_share"]["parent"]
+    return s
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -116,8 +131,7 @@ def main(argv=None) -> int:
             summary[name] = _judge([r["metrics"][name] for r in runs["parent"]],
                                    [r["metrics"][name] for r in runs["change"]],
                                    metric["better"], metric["bound"])
-        summary["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
-        summary["attempted"] = {side: sum(r["attempted"] for r in runs[side]) for side in SIDES}
+        summary.update(_failures(runs))
         summary["all_correct"] = all(r["correct"] for side in SIDES for r in runs[side])
         record["workloads"][workload] = {"runs": runs, "summary": summary}
 
@@ -130,6 +144,9 @@ def main(argv=None) -> int:
             print(f"  {metric['name']:12s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
                   f"  wins {s['wins']}/{s['pairs']}  {s['verdict']}")
+        if summary["failed_share_rose"]:
+            share = summary["failed_share"]
+            print(f"  failed share rose: parent {share['parent']:.3g}, change {share['change']:.3g}")
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
