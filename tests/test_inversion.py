@@ -216,8 +216,11 @@ class TestCdfFromCf:
                 convolve(GaussianCF(1.0), CompoundPoissonCF(2.0, 1.0)),
                 lambda mp, t: mp.exp(-t * t / 2 + 2 * (mp.cos(t) - 1)),
             ),
+            # the fixed budget is kept for these two (see inversion._POINTWISE)
+            (StableCF(0.8, 1.0), lambda mp, t: mp.exp(-(t ** mp.mpf(0.8)))),
+            (StableCF(1.0, 1.0), lambda mp, t: mp.exp(-t)),
         ],
-        ids=["stable", "symgamma-sum", "gauss-cpoisson"],
+        ids=["stable", "symgamma-sum", "gauss-cpoisson", "stable-0.8", "cauchy"],
     )
     def test_against_high_precision_quadrature(self, cf, closed_form):
         # F(x) = 1/2 + (1/pi) int_0^inf f(t) sin(t x) / t dt from the
@@ -772,36 +775,43 @@ class TestAngleAddition:
         assert np.array_equal(xs, np.linspace(0.0, 8.0, 201)) and not xs.flags.writeable
 
     def test_default_grids_take_angle_addition(self, empty_table, monkeypatch):
+        # the candidate table's first pass, 420 columns, is the one to build
+        # the sine kernel
         approx_compare(SymmetrizedGammaCF(0.5), 10)
-        # a radius at which linspace would end off the grid k h
-        for v in np.geomspace(1e-4, 1e4, 400):
-            radius = 8.0 * inversion._scale_proxy(GaussianCF(v))
-            if not np.array_equal(np.linspace(0.0, radius, 201), np.arange(201) * (radius / 200)):
-                break
-        else:
-            pytest.fail("no radius off linspace's grid")
 
         def refused(*args):
             raise AssertionError("the sine kernel was built")
 
         monkeypatch.setattr(inversion, "_kernel_sums", refused)
-        approx_compare(SymmetrizedGammaCF(1.0), 4)
-        fit_stable(StableCF(1.3, 2.0))
-        assert kolmogorov_distance(GaussianCF(v), GaussianCF(v / 2.0)) > 0.0
+        # every default reading is in units, on the one grid k h, whatever
+        # the variance of its laws
+        unit = SymmetrizedGammaCF(1.0)
+        for v in np.geomspace(1e-6, 1e6, 5):
+            law = scale_argument(unit, math.sqrt(v / unit.cumulants()[0]))
+            assert law.cumulants()[0] == pytest.approx(v, rel=1e-12)
+            approx_compare(law, 4)
+            fit_stable(law)
+            assert kolmogorov_distance(law, GaussianCF(v)) > 0.0
 
     def test_memory_is_bounded_by_the_tables(self):
         N, K = 16384, 201
-        Q = math.isqrt(K - 1) + 1
+        Q = inversion._low_rows(K)
+        high = len(range(0, K, Q))
+        assert (Q, high) == (10, 21)
         tracemalloc.start()
         try:
             _simpson_pass(self.LAWS, (1.0,), _symmetric_grid(8.0), self.T, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two tables of sines and cosines at every node, the N/2 rule's copy
-        # of the first and the complex powers a table is read from, then
-        # O(1) vectors per column
-        bound = 8 * N * (3 * (Q + -(-K // Q)) + 16 * len(self.LAWS))
+        # in floats per node: each table row's complex powers (2), beside
+        # which the high table is stacked as (sin, cos) (2) and then copied
+        # at the N/2 rule's nodes (1), so at most 4 per high row and 2 per
+        # low row at once; the nodes and both rules' weights (2.5); per
+        # column its values f from _columns, weighted in place, their copy
+        # at every other node (0.5), the rotated buffer (2) and the
+        # transposed copies of both rules' coefficients (1.5)
+        bound = 8 * N * (4 * high + 2 * Q + 2.5 + 5 * len(self.LAWS))
         # one block of the sine kernel and its even nodes would take more
         assert peak < bound < 12 * inversion._KERNEL_BLOCK
 
@@ -1202,6 +1212,25 @@ class TestApproxCompare:
     def test_degenerate_family_rejected(self):
         with pytest.raises(InputError):
             approx_compare(limit_gaussian(0.0), 4)
+
+    @pytest.mark.parametrize("pairs, d_gaussian, d_stable, alpha, verdict", [
+        ([(0.5, 10), (1.0, 5), (2.5, 2), (5.0, 1)], 0.0137244, 0.0033273, 1.85, "stable closer"),
+        ([(0.5, 40), (1.0, 20), (2.0, 10), (4.0, 5), (20.0, 1)], 0.0034441, 0.0100752, 1.75,
+         "gaussian closer"),
+    ], ids=["m-g-5", "m-g-20"])
+    def test_symgamma_claim_depends_on_m_times_g(self, pairs, d_gaussian, d_stable, alpha,
+                                                 verdict):
+        # the rescaled m-fold sum of symgamma(g) is symgamma(m g), rescaled,
+        # and every number is read in units of its standard deviation
+        first, *rest = [approx_compare(SymmetrizedGammaCF(g), m) for g, m in pairs]
+        assert first.d_gaussian == pytest.approx(d_gaussian, abs=5e-8)
+        assert first.d_stable == pytest.approx(d_stable, abs=5e-8)
+        assert (first.best_alpha, first.verdict) == (alpha, verdict)
+        for report in rest:
+            assert abs(report.d_gaussian - first.d_gaussian) <= 1e-12
+            assert abs(report.d_stable - first.d_stable) <= 1e-12
+            assert ((report.best_alpha, report.best_scale, report.verdict)
+                    == (first.best_alpha, first.best_scale, first.verdict))
 
     def test_gaussian_distance_against_the_density_oracle(self):
         # sum_rescale(symgamma 0.5, 10) is symgamma 5 scaled by 1/sqrt(10),
