@@ -36,6 +36,7 @@ from .cf_core import (
     _clears,
     _ladder_estimate,
     _limit_sup,
+    _reals,
     limit_gaussian,
     root_rescale,
 )
@@ -299,7 +300,7 @@ def remainder_profile(cf: SymmetricCF, a_hat: float, t_grid) -> list[tuple[float
     The profile shows what is left of the exponent after the gaussian
     part is removed; for infinitely divisible laws it decays to zero.
     """
-    grid = np.asarray(t_grid, dtype=float)
+    grid = _reals("t_grid", t_grid)
     if grid.size == 0:
         raise InputError("t_grid is empty")
     with np.errstate(over="ignore"):

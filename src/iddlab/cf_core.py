@@ -46,6 +46,7 @@ class-level _kind plus their fields.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cache
 # refusals quote the refused value by reprlib's repr, cut to a few dozen
@@ -103,6 +104,14 @@ def _real(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} must be a real number, got {_quote(value)}") from None
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array; a value that numpy cannot read as reals raises InputError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be an array of real numbers, got {_quote(value)}") from None
 
 
 def _check_param(what: str, test):
@@ -187,7 +196,7 @@ def _field_checks(cls) -> tuple:
 
 
 def _check_schedule(schedule, name: str, power: int) -> np.ndarray:
-    sched = np.asarray(tuple(schedule), dtype=float)
+    sched = _reals(name, schedule).reshape(-1)
     if sched.size < 3:
         raise InputError(f"{name} needs at least 3 points")
     with np.errstate(over="ignore"):
@@ -547,7 +556,7 @@ class EmpiricalCF(SymmetricCF):
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float).reshape(-1).copy()
+        arr = _reals("samples", self.samples).reshape(-1).copy()
         if arr.size == 0:
             raise InputError("sample set is empty")
         bad = np.flatnonzero(~np.isfinite(arr))
@@ -693,13 +702,42 @@ def from_samples(samples) -> EmpiricalCF:
 
 def scale_argument(cf: SymmetricCF, factor: float) -> SymmetricCF:
     """CF of factor * X, i.e. t -> f(factor * t); factor 1 gives cf back,
-    and a gaussian stays one while its variance is finite."""
+    a gaussian stays one while its variance is finite, and a scaled law
+    takes one factor while their product is a positive normal float."""
     c = _check_positive_param("factor", factor)
     if c == 1.0:
         return cf
     if isinstance(cf, GaussianCF) and math.isfinite(cf.variance * c * c):
         return GaussianCF(cf.variance * c * c)
-    return ScaledCF(cf, factor)
+    if isinstance(cf, ScaledCF) and sys.float_info.min <= cf.factor * c < math.inf:
+        return scale_argument(cf.base, cf.factor * c)
+    return ScaledCF(cf, c)
+
+
+def _scale_proxy(cf: SymmetricCF) -> float:
+    """A length scale: the standard deviation (0 for the point mass at 0),
+    or 1/t for laws without one, where f(t) = 1/e (exactly c for
+    exp(-|c t|^alpha)); refused unless that t lies in [1e-9, 1e5]."""
+    try:
+        # the variance alone: the fourth cumulant may overflow where it does not
+        mu2 = cf.cumulants()[0]
+        if mu2 < math.inf:
+            return math.sqrt(mu2)
+    except MomentError:
+        pass
+    probe, level = np.geomspace(1e-8, 1e5, 1301), math.exp(-1.0)
+    with np.errstate(over="ignore"):
+        below = np.flatnonzero(cf.evaluate(probe) < level)
+    # a crossing before the probe's first point is bracketed by [1e-9, 1e-8] or refused
+    i = int(below[0]) if below.size else None
+    if i is None or (i == 0 and cf.evaluate(1e-9) < level):
+        raise InputError("found no length scale for this CF: no finite variance, and f(t) "
+                         "does not cross 1/e for t in [1e-9, 1e5]")
+    lo, hi = float(probe[i - 1]) if i else 1e-9, float(probe[i])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if cf.evaluate(mid) < level else (mid, hi)
+    return 1.0 / hi
 
 
 def compound_poisson_canonical(rate: float, jump: float) -> CanonicalCF:

@@ -47,7 +47,6 @@ from .analysis import (
     DEFAULT_T_SCHEDULE,
     has_gaussian_component,
     kurtosis_scaling_check,
-    moments,
     remainder_profile,
 )
 from .cf_core import (
@@ -80,7 +79,7 @@ from .laplace_core import (
     limit_deviation_L,
     support_touches_zero,
 )
-from .metrics import LambdaConfig, backward_bound, clt_bound_check, lambda_r
+from .metrics import LambdaConfig, _variance, backward_bound, clt_bound_check, lambda_r
 
 SCHEMA = "iddlab-report/1"
 
@@ -397,15 +396,6 @@ _M = ("m", _integer, _REQUIRED, None, "rescaling order")
 _R = ("r", _number, _REQUIRED, None, "metric order, r > 2")
 _TOL = ("tol", _number, DEFAULT_DETECTION_TOL, None, "decision tolerance (default 1e-4)")
 _SCHEDULE = ("schedule", _schedule, DEFAULT_T_SCHEDULE, None, "comma-separated schedule")
-_LAMBDA = (
-    ("t_min", _number, LambdaConfig.t_min, None, "smallest grid t"),
-    ("t_max", _number, LambdaConfig.t_max, None, "largest grid t"),
-    ("grid_size", _integer, LambdaConfig.grid_size, None, "grid points"),
-)
-
-
-def _lambda_config(cfg: dict) -> LambdaConfig:
-    return LambdaConfig(r=cfg["r"], **{key: cfg[key] for key, *_ in _LAMBDA})
 
 
 def _linspace(start: float, stop: float, points: int, flags: str) -> np.ndarray:
@@ -487,20 +477,19 @@ def _cmd_distance(cf, cfg):
     if cfg["vs"]:
         other = _parse_inline_spec(cfg["vs"], _CF_FAMILIES)
     else:
-        other = GaussianCF(moments(cf).mu2)
+        other = GaussianCF(_variance(cf))
     cfg["vs"] = other.describe()
-    value = lambda_r(cf, other, _lambda_config(cfg))
+    value = lambda_r(cf, other, LambdaConfig(r=cfg["r"]))
     return {"r": cfg["r"], "lambda_r": value}, {"finite": math.isfinite(value)}
 
 
 def _cmd_bound_check(cf, cfg):
     m, r = cfg["m"], cfg["r"]
-    lam_cfg = _lambda_config(cfg)
     if cfg["backward"]:
-        chk = backward_bound(cf, m, r, lam_cfg)
+        chk = backward_bound(cf, m, r)
         bound = {"lower": chk.lower}
     else:
-        chk = clt_bound_check(cf, m, r, lam_cfg)
+        chk = clt_bound_check(cf, m, r)
         bound = {"rhs": chk.rhs}
     result = {
         "direction": "backward" if cfg["backward"] else "forward", "m": m, "r": r,
@@ -583,7 +572,6 @@ _COMMANDS = {
         ("vs", _text, None, None,
          "second CF, FAMILY:K=V,... (default: matched-variance gaussian)"),
         _R,
-        *_LAMBDA,
     )),
     "bound-check": (_cmd_bound_check, "forward or backward lambda_r rate bound", _CF_FAMILIES, (
         _M,
@@ -591,7 +579,6 @@ _COMMANDS = {
         ("backward", _switch, False, None,
          "check the divergence bound instead of the CLT bound"),
         ("assert", _switch, False, None, "exit 3 when the inequality fails"),
-        *_LAMBDA,
     )),
     "laplace drift": (_cmd_laplace_drift, "drift estimate sigma_hat", _LT_FAMILIES, (_SCHEDULE,)),
     "laplace support": (_cmd_laplace_support, "does the support touch zero", _LT_FAMILIES,

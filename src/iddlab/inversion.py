@@ -77,8 +77,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cf_core import GaussianCF, StableCF, SymmetricCF, _check_m, scale_argument, sum_rescale
-from .cf_core import _quote, _spec_integer, _spec_record
-from .errors import ConfigError, InputError, MomentError, QuadratureError
+from .cf_core import _quote, _reals, _scale_proxy, _spec_integer, _spec_record
+from .errors import ConfigError, InputError, QuadratureError
 
 __all__ = [
     "QuadratureSpec",
@@ -487,38 +487,13 @@ def cdf_from_cf(cf: SymmetricCF, x, quad: QuadratureSpec | None = None):
     error estimate stops on a stable law with alpha < 1 (see _POINTWISE).
     """
     quad = _spec_record("quad", quad, QuadratureSpec, _POINTWISE)
-    arr = np.asarray(x, dtype=float)
+    arr = _reals("x", x)
     vals = _cdf_matrix([cf], _x_values(arr), quad)[0][:, 0]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def _scale_proxy(cf: SymmetricCF) -> float:
-    """A length scale: the standard deviation, or 1/t for laws without one,
-    where f(t) = 1/e (exactly c for exp(-|c t|^alpha)); refused unless
-    that t lies in [1e-9, 1e5]."""
-    try:
-        # the variance alone: the fourth cumulant may overflow where it does not
-        mu2 = cf.cumulants()[0]
-        if 0.0 < mu2 < math.inf:
-            return math.sqrt(mu2)
-    except MomentError:
-        pass
-    probe, level = np.geomspace(1e-8, 1e5, 1301), math.exp(-1.0)
-    with np.errstate(over="ignore"):
-        below = np.flatnonzero(cf.evaluate(probe) < level)
-    # a crossing before the probe's first point is bracketed by [1e-9, 1e-8] or refused
-    i = int(below[0]) if below.size else None
-    if i is None or (i == 0 and cf.evaluate(1e-9) < level):
-        raise InputError("cannot auto-scale an x grid for this CF; pass x_grid explicitly")
-    lo, hi = float(probe[i - 1]) if i else 1e-9, float(probe[i])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if cf.evaluate(mid) < level else (mid, hi)
-    return 1.0 / hi
-
-
 def _x_values(x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float).reshape(-1)
+    xs = _reals("x_grid", x).reshape(-1)
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise InputError("x must be nonempty and finite")
     return xs
@@ -531,7 +506,13 @@ def _in_units(x_grid, *cfs: SymmetricCF):
     and xs is _HALF_GRID; with it, s = 1 and xs is x_grid's, absolute."""
     if x_grid is not None:
         return 1.0, np.unique(np.abs(_x_values(x_grid))), list(cfs)
-    s = max(_scale_proxy(cf) for cf in cfs)
+    try:
+        scales = [_scale_proxy(cf) for cf in cfs]
+    except InputError as refusal:
+        raise InputError(f"{refusal}; pass x_grid explicitly") from None
+    if not min(scales):
+        raise InputError("the point mass at 0 has no length scale; pass x_grid explicitly")
+    s = max(scales)
     return s, _HALF_GRID, [scale_argument(cf, 1.0 / s) for cf in cfs]
 
 

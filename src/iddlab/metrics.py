@@ -2,17 +2,20 @@
 
     lambda_r(U, V) = sup_{t != 0} |f_U(t) - f_V(t)| / |t|^r,  r > 2
 
-computed as a supremum over a log-spaced grid.  For CFs with matched
-variance and r < 4 the ratio vanishes at both ends, so a grid sup is
-faithful.  A supremum sitting on a grid boundary signals trouble: the
-grid is extended a decade at a time at that end.  Upward this always
-ends, since |f_U - f_V| <= 2 bounds the ratio by 2 / t^r; a ratio still
-growing at t_min after three decades downward reports +inf.  Mismatched
-variances with r = 3 are the canonical infinite case: the ratio behaves
-like t^(2-r) near zero.
+is ideal of order r, lambda_r(cU, cV) = c^r lambda_r(U, V), so it is read
+in units of s, the larger length scale of the two laws: s^r times the
+sup over one log-spaced grid of u of the ratio of the laws read at u / s,
+taken at the vertex of the parabola through the grid maximum and its two
+neighbours.  For CFs with matched variance and r < 4 the ratio vanishes
+at both ends, so a grid sup is faithful.  A supremum sitting on a grid
+boundary signals trouble: the grid is extended a decade at a time at
+that end.  Upward this always ends, since |f_U - f_V| <= 2 bounds the
+ratio by 2 / u^r; a ratio still growing at the bottom after three
+decades downward reports +inf.  Mismatched variances with r = 3 are the
+canonical infinite case: the ratio behaves like u^(2-r) near zero.
 
 Two inequalities are checked at matched variance, with Z the gaussian
-law with the variance of the input:
+law with the variance s^2 of the input, and decided in units of s:
 
   forward:   lambda_r(S_m, Z) <= m^-(r/2-1) lambda_r(X, Z)
              for S_m the normalized m-fold sum of X, and
@@ -28,14 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cf_core import GaussianCF, SymmetricCF, root_rescale, sum_rescale
-from .cf_core import _real, _spec_integer, _spec_number, _spec_record
-from .analysis import moments
-from .errors import ConfigError, PositivityError
+from .cf_core import GaussianCF, SymmetricCF, root_rescale, scale_argument, sum_rescale
+from .cf_core import _quote, _real, _scale_proxy, _spec_number, _spec_record
+from .errors import ConfigError, InputError, MomentError, PositivityError
 
 __all__ = [
     "LambdaConfig",
@@ -51,32 +52,28 @@ _SLACK = 1e-9
 
 _MAX_DOWN_EXTENSIONS = 3
 
+# exponents this close, relative to the smaller magnitude, are equal: each
+# carries a few roundings, as StableCF(2, c) and its matched gaussian do
+_TIE = 16.0 * np.finfo(float).eps
+
+# the grid of u, shared read-only by every call; an extension decade
+# holds its density, 872 points counting the end it extends
+_GRID = np.geomspace(1e-3, 50.0, 4096)
+_GRID.flags.writeable = False
+_DECADE = 872
+
 
 @dataclass(frozen=True)
 class LambdaConfig:
-    """Order r and the log-spaced grid on which lambda_r is evaluated.
-
-    r, t_min and t_max are stored as floats and grid_size as an int; a
-    bool, a non-number, or a non-finite or non-integral value raises
-    ConfigError.  The grid is a starting point: lambda_r extends it
-    where the supremum sits on either end.
-    """
+    """Order r of lambda_r, stored as a float; a bool, a non-number, or a
+    value that is not finite and above 2 raises ConfigError."""
 
     r: float
-    t_min: float = 1e-3
-    t_max: float = 50.0
-    grid_size: int = 4096
 
     def __post_init__(self):
-        for name in ("r", "t_min", "t_max"):
-            object.__setattr__(self, name, _spec_number(name, getattr(self, name)))
-        object.__setattr__(self, "grid_size", _spec_integer("grid_size", self.grid_size))
+        object.__setattr__(self, "r", _spec_number("r", self.r))
         if not math.isfinite(self.r) or self.r <= 2.0:
             raise ConfigError(f"r must exceed 2, got {self.r!r}")
-        if not 0.0 < self.t_min < self.t_max < math.inf:
-            raise ConfigError("need 0 < t_min < t_max, with t_max finite")
-        if self.grid_size < 16:
-            raise ConfigError("grid_size must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -108,43 +105,47 @@ def _ratio(cf_u: SymmetricCF, cf_v: SymmetricCF, ts: np.ndarray, r: float) -> np
     # tiny differences between near-one CFs from drowning in cancellation
     # noise, which matters when the grid extends to very small t.  CFs
     # without a log (empirical ones can cross zero) subtract directly.
-    # Equal exponents, -inf where both CFs underflow to 0, differ by 0; an
-    # exponent that overflows to -inf means f = 0 there.
+    # Equal exponents, -inf where both CFs underflow to 0, and exponents
+    # within rounding of each other (_TIE) differ by 0, so a law equal to V
+    # reads 0 in every unit; an exponent that overflows to -inf means f = 0.
     with np.errstate(over="ignore", divide="ignore"):
         try:
             lu = cf_u.log_evaluate(ts)
             lv = cf_v.log_evaluate(ts)
-            gap = np.subtract(lu, lv, out=np.zeros(ts.shape), where=lu != lv)
-            diff = np.exp(np.maximum(lu, lv)) * -np.expm1(-np.abs(gap))
+            top = np.maximum(lu, lv)
+            gap = np.abs(np.subtract(lu, lv, out=np.zeros(ts.shape), where=lu != lv))
+            gap[gap <= _TIE * -top] = 0.0
+            diff = np.exp(top) * -np.expm1(-gap)
         except PositivityError:
             diff = np.abs(cf_u.evaluate(ts) - cf_v.evaluate(ts))
         # 0 where the CFs agree, whatever t^r is; a gap over a t^r that underflowed is inf
         return np.divide(diff, ts**r, out=np.zeros(ts.shape), where=diff != 0.0)
 
 
-@lru_cache(maxsize=8)
-def _start_grid(t_min: float, t_max: float, grid_size: int) -> np.ndarray:
-    """lambda_r's starting grid, read-only and kept per span and size;
-    an extension builds new arrays and leaves it as it is."""
-    ts = np.geomspace(t_min, t_max, grid_size)
-    ts.flags.writeable = False
-    return ts
+def _law(name: str, value) -> SymmetricCF:
+    if not isinstance(value, SymmetricCF):
+        raise InputError(f"{name} must be a SymmetricCF, got {_quote(value)}")
+    return value
 
 
-def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> float:
-    """sup over the grid of |f_U - f_V| / |t|^r, possibly +inf.
+def _vertex(vals: np.ndarray, i: int) -> float:
+    """vals[i] moved to the vertex of the parabola through it and its
+    neighbours, evenly spaced in log t (an extension decade's spacing is
+    the grid's within 0.05%); kept at an edge, on a non-finite value, or
+    where the parabola does not open downward."""
+    if not 0 < i < vals.size - 1:
+        return float(vals[i])
+    y0, y1, y2 = vals[i - 1:i + 2].tolist()
+    curve = y0 - 2.0 * y1 + y2
+    peak = y1 - (y2 - y0) * (y2 - y0) / (8.0 * curve) if curve < 0.0 else y1
+    return peak if math.isfinite(peak) else y1
 
-    Both CFs are even, so the mirrored negative half of the grid repeats
-    the same values and only the positive half is evaluated.
-    """
-    r = _spec_record("config", config, LambdaConfig).r
-    # an extension decade holds the starting grid's density, capped at
-    # grid_size points so that a short starting span stays cheap
-    per_decade = min(
-        max(int(round(config.grid_size / math.log10(config.t_max / config.t_min))), 8),
-        config.grid_size,
-    )
-    ts = _start_grid(config.t_min, config.t_max, config.grid_size)
+
+def _sup(cf_u: SymmetricCF, cf_v: SymmetricCF, s: float, r: float) -> float:
+    """lambda_r in units of s: the sup of the ratio of the laws read at
+    u / s, possibly +inf.  Both CFs are even, so only u > 0 is read."""
+    cf_u, cf_v = scale_argument(cf_u, 1.0 / s), scale_argument(cf_v, 1.0 / s)
+    ts = _GRID
     vals = _ratio(cf_u, cf_v, ts, r)
 
     # extend the end holding a still-growing supremum a decade at a
@@ -153,49 +154,79 @@ def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> floa
     while True:
         i = int(np.argmax(vals))
         if i == vals.size - 1 and vals[-1] > vals[-2]:
-            ext = np.geomspace(ts[-1], 10.0 * ts[-1], per_decade)[1:]
+            ext = np.geomspace(ts[-1], 10.0 * ts[-1], _DECADE)[1:]
             ts = np.concatenate([ts, ext])
             vals = np.concatenate([vals, _ratio(cf_u, cf_v, ext, r)])
         elif i == 0 and vals[0] > vals[1]:
             if extended_down == _MAX_DOWN_EXTENSIONS:
                 return math.inf
             extended_down += 1
-            ext = np.geomspace(ts[0] / 10.0, ts[0], per_decade)[:-1]
+            ext = np.geomspace(ts[0] / 10.0, ts[0], _DECADE)[:-1]
             ts = np.concatenate([ext, ts])
             vals = np.concatenate([_ratio(cf_u, cf_v, ext, r), vals])
         else:
-            return float(vals[i])
+            return _vertex(vals, i)
+
+
+def _times_scale(value: float, s: float, r: float) -> float:
+    """s^r times value, read in units of s: 0 and inf stay, and a product
+    past the float range reads inf."""
+    if value in (0.0, math.inf):
+        return value
+    try:
+        return value * s ** (0.5 * r) * s ** (0.5 * r)
+    except OverflowError:
+        return math.inf
+
+
+def lambda_r(cf_u: SymmetricCF, cf_v: SymmetricCF, config: LambdaConfig) -> float:
+    """sup over t of |f_U - f_V| / |t|^r, possibly +inf, read in units of
+    the laws' larger length scale: a law without one raises InputError,
+    but for the point mass at 0."""
+    r = _spec_record("config", config, LambdaConfig).r
+    s = max(_scale_proxy(_law("cf_u", cf_u)), _scale_proxy(_law("cf_v", cf_v))) or 1.0
+    return _times_scale(_sup(cf_u, cf_v, s, r), s, r)
+
+
+def _variance(cf: SymmetricCF) -> float:
+    """cf's variance; MomentError unless it is a finite float."""
+    mu2 = _law("cf", cf).cumulants()[0]
+    if not mu2 < math.inf:
+        raise MomentError(f"variance {mu2!r} of this law is not representable")
+    return mu2
 
 
 def _rate_bound(cf, m, r, config, backward: bool) -> tuple:
     """lambda_r of the m-th rescale of cf against m^(-+(r/2-1)) lambda_r(cf).
 
-    Z is the gaussian with the (rescale-invariant) variance of cf
-    (closed-form moments), and one grid serves both distances.  Forward
-    reads the normalized m-fold sum against the upper bound
-    m^-(r/2-1) lambda_r(cf, Z); backward reads the m-th root rescale
-    against the lower bound m^(r/2-1) lambda_r(cf, Z), where an infinite
-    left side always holds.  Returns (lhs, bound, holds, applicable);
-    an infinite base distance makes the bound vacuous, which is flagged
-    as not applicable rather than failed.  A config whose r differs from
-    r raises ConfigError.
+    Z is the gaussian with the (rescale-invariant) variance s^2 of cf.
+    Every distance is read in units of s (1 for the point mass at 0),
+    where holds and applicable are decided; lhs and the bound are
+    reported times s^r.  Forward reads the normalized m-fold sum against
+    the upper bound m^-(r/2-1) lambda_r(cf, Z); backward reads the m-th
+    root rescale against the lower bound m^(r/2-1) lambda_r(cf, Z), where
+    an infinite left side always holds.  Returns (lhs, bound, holds,
+    applicable); an infinite base distance makes the bound vacuous,
+    which is flagged as not applicable rather than failed.  A config
+    whose r differs from r raises ConfigError.
     """
     r = _real("r", r)
     cfg = LambdaConfig(r=r) if config is None else _spec_record("config", config, LambdaConfig)
     if cfg.r != r:
         raise ConfigError(f"config.r = {cfg.r:g} differs from r = {r:g}")
-    z = GaussianCF(moments(cf).mu2)
-    lam_base = lambda_r(cf, z, cfg)
+    mu2 = _variance(cf)
+    s, z = math.sqrt(mu2) or 1.0, GaussianCF(mu2)
+    lam_base = _sup(cf, z, s, r)
     exponent = r / 2.0 - 1.0
     if backward:
-        lhs = lambda_r(root_rescale(cf, m), z, cfg)
-        bound = float(m) ** exponent * lam_base
+        lhs = _sup(root_rescale(cf, m), z, s, r)
+        bound = _times_scale(lam_base, float(m), exponent)
         holds = math.isinf(lhs) or lhs >= bound * (1.0 - _SLACK)
     else:
-        lhs = lambda_r(sum_rescale(cf, m), z, cfg)
+        lhs = _sup(sum_rescale(cf, m), z, s, r)
         bound = float(m) ** -exponent * lam_base
         holds = lhs <= bound * (1.0 + _SLACK)
-    return lhs, bound, bool(holds), bool(math.isfinite(lam_base))
+    return _times_scale(lhs, s, r), _times_scale(bound, s, r), holds, math.isfinite(lam_base)
 
 
 def clt_bound_check(

@@ -412,6 +412,17 @@ class TestScaleArgument:
             with pytest.raises(InputError):
                 scale_argument(GaussianCF(1.0), factor)
 
+    def test_scaled_law_takes_one_factor(self):
+        # the variance 2e-300 holds, the fourth cumulant 12e-600 does not:
+        # nested, the round trip read (2.0, nan)
+        law = SymmetrizedGammaCF(1.0)
+        assert scale_argument(scale_argument(law, 1e-150), 1e150).cumulants() == (2.0, 12.0)
+        assert scale_argument(scale_argument(law, 1e-150), 2e150).cumulants() == (8.0, 192.0)
+        assert scale_argument(scale_argument(law, 2), 3) == ScaledCF(law, 6.0)
+        # past the normal range the factors stay apart
+        tiny = scale_argument(scale_argument(law, 1e-200), 1e-200)
+        assert tiny == ScaledCF(ScaledCF(law, 1e-200), 1e-200)
+
 
 FAMILY_STRATEGY = st.one_of(
     st.floats(0.01, 10.0).map(GaussianCF),

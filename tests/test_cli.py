@@ -107,13 +107,34 @@ class TestSubcommands:
         assert report["config"]["vs"] == {"kind": "gaussian", "variance": 2.0}
         assert report["result"]["lambda_r"] == pytest.approx(0.174158, abs=1e-4)
 
-    def test_distance_on_a_short_grid_is_finite(self, capsys):
-        report = run_json(
-            capsys, "distance", "--family", "symgamma", "--shape", "1", "--r", "3",
-            "--t-max", "0.01",
-        )
-        assert report["result"]["lambda_r"] == pytest.approx(0.174158, abs=1e-4)
-        assert report["diagnostics"]["finite"] is True
+    def test_span_flags_and_keys_are_refused(self, capsys, tmp_path):
+        # lambda_r works its grid out from the laws: no span is set by hand
+        cfg = tmp_path / "cfg.json"
+        base = {"distance": ["distance", "--r", "3"],
+                "bound-check": ["bound-check", "--m", "4", "--r", "3"]}
+        for argv in base.values():
+            argv += ["--family", "symgamma", "--shape", "1"]
+            for key in ("t_min", "t_max", "grid_size"):
+                code, out, err = run(capsys, *argv, f"--{key.replace('_', '-')}", "64")
+                assert code == 1 and out == "" and "unrecognized arguments" in err
+                cfg.write_text(json.dumps({key: 64}))
+                code, out, err = run(capsys, *argv, "--config", str(cfg))
+                assert code == 1 and out == "" and key in err
+
+    def test_lambda_r_reports_do_not_depend_on_the_unit(self, capsys):
+        # the same law with jumps 1e4 times longer: lambda_3 and both sides
+        # of the rate check scale by 1e12, and the check still holds
+        reports = [run_json(capsys, "bound-check", "--family", "cpoisson", "--rate", "3",
+                            "--jump", jump, "--m", "4", "--r", "3", "--assert")["result"]
+                   for jump in ("1", "1e4")]
+        assert reports[1]["holds"] is True and reports[1]["applicable"] is True
+        for key in ("lhs", "rhs"):
+            assert reports[1][key] == pytest.approx(1e12 * reports[0][key], rel=1e-12)
+        # kappa4 overflows at jump 1e100, the variance 1e200 does not
+        values = [run_json(capsys, "distance", "--family", "cpoisson", "--rate", "1",
+                           "--jump", jump, "--r", "3")["result"]["lambda_r"]
+                  for jump in ("1", "1e100")]
+        assert values[1] == pytest.approx(1e300 * values[0], rel=1e-12)
 
     def test_distance_infinite_value_serialized(self, capsys):
         report = run_json(
@@ -332,6 +353,12 @@ class TestExitCodes:
             "--scale", "1", "--m", "2",
         )
         assert code == 2 and "variance" in err
+
+    @pytest.mark.parametrize("command", [["distance"], ["bound-check", "--m", "4"]])
+    def test_overflowing_variance_is_two(self, capsys, command):
+        code, out, err = run(capsys, *command, "--family", "cpoisson", "--rate", "1",
+                             "--jump", "1e200", "--r", "3")
+        assert code == 2 and out == "" and "variance" in err
 
     def test_positivity_error_is_two(self, capsys, tmp_path):
         # empirical CF cos(t) is negative at points of the default schedule

@@ -36,10 +36,9 @@ BASE = {
     "rescale": ["rescale", "--family", "symgamma", "--shape", "1", "--m", "2",
                 "--points", "5"],
     "kurtosis": ["kurtosis", "--family", "symgamma", "--shape", "1", "--m", "2"],
-    "distance": ["distance", "--family", "symgamma", "--shape", "1", "--r", "3",
-                 "--grid-size", "64"],
+    "distance": ["distance", "--family", "symgamma", "--shape", "1", "--r", "3"],
     "bound-check": ["bound-check", "--family", "symgamma", "--shape", "1", "--m", "2",
-                    "--r", "3", "--grid-size", "64"],
+                    "--r", "3"],
     "laplace drift": ["laplace", "drift", "--family", "gammasub", "--shape", "1"],
     "laplace support": ["laplace", "support", "--family", "gammasub", "--shape", "1"],
     "laplace limit": ["laplace", "limit", "--family", "gammasub", "--shape", "1",

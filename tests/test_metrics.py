@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +14,10 @@ from iddlab import (
     DiscretizedMeasure,
     ConfigError,
     GaussianCF,
+    InputError,
     LambdaConfig,
+    MomentError,
+    StableCF,
     SymmetrizedGammaCF,
     backward_bound,
     clt_bound_check,
@@ -40,34 +45,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LambdaConfig(r=r)
 
-    def test_bounds_ordering(self):
-        with pytest.raises(ConfigError):
-            LambdaConfig(r=3.0, t_min=2.0, t_max=1.0)
-        with pytest.raises(ConfigError):
-            LambdaConfig(r=3.0, t_min=0.0)
-
-    def test_grid_size_floor(self):
-        with pytest.raises(ConfigError):
-            LambdaConfig(r=3.0, grid_size=8)
-
     @pytest.mark.parametrize(
-        "fields",
-        [{"grid_size": 100.5}, {"grid_size": math.inf}, {"grid_size": math.nan},
-         {"grid_size": 10**400}, {"grid_size": [64]}, {"t_min": "a"}, {"t_max": True},
-         {"r": None}],
-        ids=["grid-fraction", "grid-inf", "grid-nan", "grid-overflow", "grid-list",
-             "t-min-text", "t-max-bool", "r-none"],
+        "r", [math.nan, 10**400, [3.0], "a", True, None],
+        ids=["r-nan", "r-overflow", "r-list", "r-text", "r-bool", "r-none"],
     )
-    def test_bad_values_rejected(self, fields):
+    def test_bad_values_rejected(self, r):
         with pytest.raises(ConfigError):
-            LambdaConfig(**{"r": 3.0, **fields})
+            LambdaConfig(r=r)
 
     def test_values_stored_as_numbers(self):
-        cfg = LambdaConfig(r="3", t_min=1, t_max=50, grid_size="64")
-        assert (cfg.r, cfg.t_min, cfg.t_max, cfg.grid_size) == (3.0, 1.0, 50.0, 64)
-        assert [type(v) for v in (cfg.r, cfg.t_min, cfg.t_max, cfg.grid_size)] == [
-            float, float, float, int
-        ]
+        assert [LambdaConfig(r=r).r for r in ("3", 3, 3.5)] == [3.0, 3.0, 3.5]
+        assert type(LambdaConfig(r=3).r) is float
+
+    def test_r_is_the_one_field(self):
+        assert [f.name for f in dataclasses.fields(LambdaConfig)] == ["r"]
 
 
 class TestLambdaR:
@@ -95,16 +86,19 @@ class TestLambdaR:
             assert lambda_r(GaussianCF(1e307), GaussianCF(1e307), cfg) == 0.0
 
     @pytest.mark.parametrize("call", [
-        lambda cfg: lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg),
-        lambda cfg: clt_bound_check(SymmetrizedGammaCF(1.0), 4, 3.0, cfg).holds,
-        lambda cfg: backward_bound(SymmetrizedGammaCF(1.0), 4, 3.0, cfg).holds,
+        lambda law: lambda_r(law, scale_argument(GaussianCF(1.0), 1e-160), LambdaConfig(r=3.0)),
+        lambda law: clt_bound_check(law, 4, 3.0).holds,
+        lambda law: backward_bound(law, 4, 3.0).holds,
     ], ids=["lambda_r", "clt_bound_check", "backward_bound"])
     def test_grid_where_t_squared_overflows_warns_nothing(self, call):
-        # past t = 1e154 the gaussian exponent overflows to -inf, so f = 0
-        cfg = LambdaConfig(r=3.0, t_max=1e300)
+        # at scale 1e-160 the grid reaches t = u / s = 3.5e161 of the law's
+        # own argument, where t^2 overflows; the law is read at c t in
+        # units instead, and an infinite lambda_r (mismatched variances)
+        # stays inf though s^3 underflows to 0
+        law = scale_argument(SymmetrizedGammaCF(1.0), 1e-160)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert call(cfg)
+            assert call(law)
 
     def test_symmetry(self):
         cfg = LambdaConfig(r=3.0)
@@ -129,51 +123,36 @@ class TestLambdaR:
         got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), LambdaConfig(r=3.0))
         assert got == pytest.approx(exact, rel=1e-6)
 
-    def test_short_grid_extends_up_to_the_supremum(self):
-        # the ratio still grows at t_max = 0.01; the supremum sits near t = 1,
+    def test_short_grid_extends_up_to_the_supremum(self, monkeypatch):
+        # the ratio still grows at u = 0.01; the supremum sits near u = 0.85,
         # two decades further up
-        cfg = LambdaConfig(r=3.0, t_min=1e-4, t_max=0.01)
-        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
+        monkeypatch.setattr(metrics, "_GRID", np.geomspace(1e-4, 0.01, 64))
+        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), LambdaConfig(r=3.0))
         assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
 
-    def test_short_grid_near_zero_on_compound_poisson(self):
+    def test_short_grid_near_zero_on_compound_poisson(self, monkeypatch):
         # rate * (cos(jump t) - 1) would lose its digits near t = 1e-4, and
         # that noise divided by t^3 would outgrow the true ratio here; the
-        # supremum sits near t = 0.7, above this grid
+        # supremum sits near t = 0.7 (u = 1), above this grid
+        monkeypatch.setattr(metrics, "_GRID", np.geomspace(1e-4, 0.01, 64))
         cf = sum_rescale(CompoundPoissonCF(2.0, 1.0), 4)
-        cfg = LambdaConfig(r=3.0, t_min=1e-4, t_max=0.01)
-        got = lambda_r(cf, GaussianCF(2.0), cfg)
+        got = lambda_r(cf, GaussianCF(2.0), LambdaConfig(r=3.0))
         assert got == pytest.approx(L3_CPOISSON2_SUM_M4, abs=1e-6)
 
-    def test_extension_of_a_short_span_is_capped(self, monkeypatch):
-        # 16 points over 4e-4 decades: an extension decade at the
-        # starting density would hold about 3.7e4 points; it holds at
-        # most grid_size
-        sizes = []
-        ratio = metrics._ratio
-
-        def recording(cf_u, cf_v, ts, r):
-            sizes.append(ts.size)
-            return ratio(cf_u, cf_v, ts, r)
-
-        monkeypatch.setattr(metrics, "_ratio", recording)
-        cfg = LambdaConfig(r=3.0, t_min=1.0, t_max=1.001, grid_size=16)
-        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), cfg)
-        assert len(sizes) > 1 and max(sizes) <= 16
-        # 16 points a decade still find the supremum to within 1%
-        assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, rel=1e-2)
+    def test_high_grid_extends_down_to_the_supremum(self, monkeypatch):
+        # the ratio still grows at the bottom, u = 10; the supremum sits
+        # near u = 0.85, one decade and a half further down
+        monkeypatch.setattr(metrics, "_GRID", np.geomspace(10.0, 50.0, 64))
+        got = lambda_r(SymmetrizedGammaCF(1.0), GaussianCF(2.0), LambdaConfig(r=3.0))
+        assert got == pytest.approx(L3_SYMGAMMA1_VS_GAUSS2, abs=1e-4)
 
     def test_start_grid_is_kept_read_only(self):
-        # repeated calls read one geomspace grid; the answer is the same bits
-        cfg, a, b = LambdaConfig(r=3.0), SymmetrizedGammaCF(1.0), GaussianCF(2.0)
-        metrics._start_grid.cache_clear()
-        first = lambda_r(a, b, cfg)
-        assert lambda_r(a, b, cfg) == first and lambda_r(b, a, cfg) == first
-        info = metrics._start_grid.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        ts = metrics._start_grid(cfg.t_min, cfg.t_max, cfg.grid_size)
-        assert not ts.flags.writeable
-        assert np.array_equal(ts, np.geomspace(cfg.t_min, cfg.t_max, cfg.grid_size))
+        # every call starts from the one module grid; the answer is the same bits
+        a, b = SymmetrizedGammaCF(1.0), GaussianCF(2.0)
+        first = lambda_r(a, b, LambdaConfig(r=3.0))
+        assert lambda_r(a, b, LambdaConfig(r=3.0)) == first == lambda_r(b, a, LambdaConfig(r=3.0))
+        assert not metrics._GRID.flags.writeable
+        assert np.array_equal(metrics._GRID, np.geomspace(1e-3, 50.0, 4096))
 
     def test_cf_that_crosses_zero_is_subtracted_directly(self):
         # cos(t) has no logarithm past pi / 2, so the ratio falls back to
@@ -188,17 +167,27 @@ class TestLambdaR:
         cfg = LambdaConfig(r=3.0)
         assert math.isinf(lambda_r(GaussianCF(1.0), GaussianCF(2.0), cfg))
 
+    def test_point_mass_at_zero(self):
+        # variance 0: no length scale, yet the answers are those of any unit
+        point = GaussianCF(0.0)
+        assert lambda_r(point, point, LambdaConfig(r=3.0)) == 0.0
+        assert lambda_r(point, GaussianCF(1.0), LambdaConfig(r=3.0)) == math.inf
+        chk = clt_bound_check(point, 4, 3.0)
+        assert (chk.lhs, chk.rhs, chk.holds, chk.applicable) == (0.0, 0.0, True, True)
+
+    def test_law_without_a_length_scale_refused(self):
+        # f(1e-9) is already below 1/e; lambda_r takes no grid of the caller's
+        with pytest.raises(InputError, match="no length scale") as refused:
+            lambda_r(StableCF(1.5, 1e10), GaussianCF(1.0), LambdaConfig(r=3.0))
+        assert "x_grid" not in str(refused.value)
+
     def test_scale_homogeneity(self):
         # replacing f(t) by f(ct) multiplies lambda_r by c^r
         c, r = 2.0, 3.0
-        base_cfg = LambdaConfig(r=r)
-        scaled_cfg = LambdaConfig(r=r, t_min=base_cfg.t_min / c, t_max=base_cfg.t_max / c)
         a, b = SymmetrizedGammaCF(1.0), GaussianCF(2.0)
-        lam = lambda_r(a, b, base_cfg)
-        lam_scaled = lambda_r(
-            scale_argument(a, c), scale_argument(b, c), scaled_cfg
-        )
-        assert lam_scaled == pytest.approx(c**r * lam, rel=1e-9)
+        lam = lambda_r(a, b, LambdaConfig(r=r))
+        lam_scaled = lambda_r(scale_argument(a, c), scale_argument(b, c), LambdaConfig(r=r))
+        assert lam_scaled == pytest.approx(c**r * lam, rel=1e-12)
 
 
 class TestForwardBound:
@@ -206,6 +195,14 @@ class TestForwardBound:
         chk = clt_bound_check(GaussianCF(1.0), 5, 3.0)
         assert chk.lhs == 0.0 and chk.rhs == 0.0
         assert chk.holds and chk.applicable
+
+    @pytest.mark.parametrize("c", [1e-100, 0.127, 1.0, 7.0, 1e50])
+    def test_stable_two_is_a_gaussian(self, c):
+        # StableCF(2, c) and Z read their exponents in two ways, which in
+        # units differ by rounding alone: they are equal, at distance 0
+        for chk in (clt_bound_check(StableCF(2.0, c), 9, 3.99),
+                    backward_bound(StableCF(2.0, c), 4, 3.0)):
+            assert dataclasses.astuple(chk)[:4] == (0.0, 0.0, True, chk.m)
 
     def test_pinned_values_m4_r3(self):
         chk = clt_bound_check(SymmetrizedGammaCF(1.0), 4, 3.0)
@@ -283,6 +280,50 @@ class TestForwardBoundProperty:
         cf = CanonicalCF(0.0, DiscretizedMeasure(atom_positions=np.array([1.0, 1.0]),
                                                  atom_masses=np.array([1.0, 1.0])))
         assert clt_bound_check(cf, 2, r).holds
+
+
+# the four CLI families; a stable law with alpha < 2 has no variance, so
+# the checks refuse it alike in every unit
+FAMILY_STRATEGY = st.one_of(
+    st.builds(GaussianCF, _log_uniform(0.1, 10.0)),
+    st.builds(StableCF, st.floats(1.0, 2.0), _log_uniform(0.1, 10.0)),
+    st.builds(SymmetrizedGammaCF, _log_uniform(0.1, 10.0)),
+    st.builds(CompoundPoissonCF, _log_uniform(0.1, 10.0), _log_uniform(0.1, 10.0)),
+)
+
+
+class TestUnitInvariance:
+    # lambda_r(cU, cV) = c^r lambda_r(U, V): the rate checks decide the
+    # same in every unit, and both sides scale by c^r
+    @given(cf=st.one_of(CANONICAL_STRATEGY, FAMILY_STRATEGY), c=_log_uniform(1e-100, 1e100),
+           m=st.integers(2, 16), r=st.floats(2.0, 3.999, exclude_min=True),
+           check=st.sampled_from([clt_bound_check, backward_bound]))
+    @settings(max_examples=100, deadline=None)
+    def test_rate_checks_do_not_depend_on_the_unit(self, cf, c, m, r, check):
+        try:
+            unit = check(cf, m, r)
+        except MomentError:
+            with pytest.raises(MomentError):
+                check(scale_argument(cf, c), m, r)
+            return
+        scaled = check(scale_argument(cf, c), m, r)
+        assert (scaled.holds, scaled.applicable) == (unit.holds, unit.applicable)
+        try:
+            c_r = c**r
+        except OverflowError:
+            return
+        normal = sys.float_info.min, sys.float_info.max
+        # each CF value carries rounding of about 1e-16 of its exponent,
+        # u^2 / 2 in units, so a reading carries up to about 1e-16 u^(2-r)
+        # at the grid's bottom, u = 1e-3: near r = 4, and for laws close to
+        # Z, that floor and not 1e-12 of the value bounds the agreement
+        floor = 1e-15 * 1000.0 ** (r - 2.0) * cf.cumulants()[0] ** (r / 2.0)
+        # lhs, then rhs or lower
+        for got, base in zip(dataclasses.astuple(scaled)[:2], dataclasses.astuple(unit)[:2]):
+            if base in (0.0, math.inf):
+                assert got == base
+            elif normal[0] < c_r and normal[0] < base * c_r < normal[1]:
+                assert got / c_r == pytest.approx(base, rel=1e-12, abs=floor)
 
 
 class TestBackwardBound:

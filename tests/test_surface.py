@@ -108,9 +108,25 @@ GAUSS = iddlab.GaussianCF(1.0)
      "config"),
     (lambda: iddlab.approx_compare(GAUSS, 2, quad=5), iddlab.ConfigError, "quad"),
     (lambda: iddlab.cdf_from_cf(GAUSS, 0.0, quad=4096), iddlab.ConfigError, "quad"),
+    (lambda: iddlab.cdf_from_cf(GAUSS, "a"), iddlab.InputError, "x"),
+    (lambda: iddlab.EmpiricalCF("abc"), iddlab.InputError, "samples"),
+    (lambda: iddlab.EmpiricalCF([object()]), iddlab.InputError, "samples"),
+    (lambda: iddlab.has_gaussian_component(GAUSS, t_schedule="abc"), iddlab.InputError,
+     "t_schedule"),
+    (lambda: iddlab.estimate_drift(iddlab.DriftTransform(1.0), s_schedule="abc"),
+     iddlab.InputError, "s_schedule"),
+    (lambda: iddlab.kolmogorov_distance(GAUSS, GAUSS, x_grid="a"), iddlab.InputError, "x_grid"),
+    (lambda: iddlab.fit_stable(GAUSS, x_grid="a"), iddlab.InputError, "x_grid"),
+    (lambda: iddlab.remainder_profile(GAUSS, 0.5, "abc"), iddlab.InputError, "t_grid"),
+    (lambda: iddlab.lambda_r(GAUSS, "abc", iddlab.LambdaConfig(r=3.0)), iddlab.InputError,
+     "cf_v"),
+    (lambda: iddlab.clt_bound_check(None, 2, 3.0), iddlab.InputError, "cf"),
+    (lambda: iddlab.backward_bound(1.0, 2, 3.0), iddlab.InputError, "cf"),
 ], ids=["text-variance", "text-factor", "text-r", "none-variance", "complex-scale",
         "none-alpha", "none-tol", "none-T", "none-config", "dict-config", "int-quad",
-        "int-quad-pointwise"])
+        "int-quad-pointwise", "text-x", "text-samples", "object-samples", "text-t-schedule",
+        "text-s-schedule", "text-x-grid", "text-fit-x-grid", "text-t-grid", "text-law",
+        "none-law", "number-law"])
 def test_malformed_scalar_or_config_is_a_typed_error(call, error, name):
     with pytest.raises(error, match=f"^{name} must be a"):
         call()

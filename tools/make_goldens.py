@@ -62,6 +62,8 @@ CASES = {
                      "--vs", "gauss:variance=4", "--r", "3"],
     "bound-check-backward": ["bound-check", "--family", "symgamma", "--shape", "1",
                              "--m", "4", "--r", "3", "--backward"],
+    "bound-check-jump-1e4": ["bound-check", "--family", "cpoisson", "--rate", "3",
+                             "--jump", "1e4", "--m", "4", "--r", "3"],
     "laplace-drift": ["laplace", "drift", "--family", "drift", "--sigma", "2",
                       "--convolve", "gammasub:shape=1"],
     "laplace-limit": ["laplace", "limit", "--family", "gammasub", "--shape", "1",
