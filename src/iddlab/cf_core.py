@@ -294,14 +294,14 @@ class _Transform:
 
     def evaluate(self, x):
         """phi(x), scalar in, scalar out (arrays pass through elementwise)."""
-        arr = np.asarray(x, dtype=float)
+        arr = _reals("x", x)
         self._check_domain(arr)
         out = self._values(arr)
         return float(out) if arr.ndim == 0 else out
 
     def log_evaluate(self, x):
         """log phi(x), exact for every kind carrying an exponent."""
-        arr = np.asarray(x, dtype=float)
+        arr = _reals("x", x)
         self._check_domain(arr)
         out = self._log_values(arr)
         return float(out) if arr.ndim == 0 else out
@@ -700,16 +700,24 @@ def from_samples(samples) -> EmpiricalCF:
     return EmpiricalCF(samples)
 
 
+def _normal(v: float) -> bool:
+    """Whether v is a positive normal float."""
+    return sys.float_info.min <= v < math.inf
+
+
 def scale_argument(cf: SymmetricCF, factor: float) -> SymmetricCF:
-    """CF of factor * X, i.e. t -> f(factor * t); factor 1 gives cf back,
-    a gaussian stays one while its variance is finite, and a scaled law
-    takes one factor while their product is a positive normal float."""
+    """CF of factor * X, i.e. t -> f(factor * t); factor 1 gives cf back.
+    A gaussian stays one while its variance is 0 or a positive normal
+    float, a stable law while its scale is, and a scaled law takes one
+    factor while their product is."""
     c = _check_positive_param("factor", factor)
     if c == 1.0:
         return cf
-    if isinstance(cf, GaussianCF) and math.isfinite(cf.variance * c * c):
+    if isinstance(cf, GaussianCF) and (cf.variance == 0.0 or _normal(cf.variance * c * c)):
         return GaussianCF(cf.variance * c * c)
-    if isinstance(cf, ScaledCF) and sys.float_info.min <= cf.factor * c < math.inf:
+    if isinstance(cf, StableCF) and _normal(cf.scale * c):
+        return StableCF(cf.alpha, cf.scale * c)
+    if isinstance(cf, ScaledCF) and _normal(cf.factor * c):
         return scale_argument(cf.base, cf.factor * c)
     return ScaledCF(cf, c)
 
@@ -717,7 +725,13 @@ def scale_argument(cf: SymmetricCF, factor: float) -> SymmetricCF:
 def _scale_proxy(cf: SymmetricCF) -> float:
     """A length scale: the standard deviation (0 for the point mass at 0),
     or 1/t for laws without one, where f(t) = 1/e (exactly c for
-    exp(-|c t|^alpha)); refused unless that t lies in [1e-9, 1e5]."""
+    exp(-|c t|^alpha)); refused unless that t lies in [1e-9, 1e5].  A
+    scaled law's is its factor times its base's, whatever its variance."""
+    if isinstance(cf, ScaledCF):
+        base = _scale_proxy(cf.base)
+        if cf.factor * base < math.inf:
+            return cf.factor * base
+        raise InputError(f"the length scale of this CF overflows: {cf.factor:g} times {base:g}")
     try:
         # the variance alone: the fourth cumulant may overflow where it does not
         mu2 = cf.cumulants()[0]

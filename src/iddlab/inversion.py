@@ -37,20 +37,15 @@ candidate of index alpha and scale c is the unit StableCF(alpha, 1) read
 at c t, alpha-major.  The least alpha at the least scale sets a stable
 grid's truncation: where its (c t)^alpha first exceeds -log 1e-10,
 c t > 1, so every larger alpha or scale is below that level there too.
-A pass weights each block of CF values once per rule, flushing to 0 the
-coefficients below 2^60 times the smallest normal float, so that no
-product it forms has a subnormal factor (see _flushed).  Every gap is
-read on the distinct |x| of its grid, since |F_a - F_b| is the same at x
-and -x: on the default grid, its 201 points x >= 0 (see _HALF_GRID).
-Only cdf_from_cf maps a pass back to the caller's x.  Where the distinct
-|x| are k h, k = 0 .. K - 1, as on the default grid, a pass of at most
-24 columns reads sin(k h t) by angle addition from tables of the powers
-of e^(i h t) and e^(i Q h t), Q about sqrt(K / 2) (10 on the default
-grid, see _low_rows): 4 sines and cosines per node in place of 201, the
-sums agreeing with the sine kernel's within 1e-14 (see _angle_sums).
-Every other pass, at a caller's own x or with more columns (the
-candidate table's first), builds the sine kernel sin(|x| t) in blocks of
-rows and multiplies 32 columns at a time.
+A pass weights each block of CF values once per rule, with no subnormal
+factor left in any product it forms (see _flushed).  Every gap is read on
+the distinct |x| of its grid, since |F_a - F_b| is the same at x and -x:
+on the default grid, its 201 points x >= 0 (see _HALF_GRID); only
+cdf_from_cf maps a pass back to the caller's x.  A pass of at most 24
+columns on a grid k h, as the default one, takes 4 sines and cosines per
+node by angle addition in place of 201 (see _angle_sums); every other
+pass, the candidate table's first among them, multiplies a blocked sine
+kernel (see _kernel_sums).
 
 On top of the pointwise CDF sit the Kolmogorov distance (max CDF gap
 over a symmetric grid), a deterministic grid-search fit of a symmetric
@@ -60,12 +55,9 @@ to the best stable law with alpha < 2.  All three read their laws by one
 unit rule (see _in_units): without an x grid of the caller's, in units
 of the largest of their length scales on the one default grid, so no
 default distance depends on the unit of measurement; an explicit x grid
-is absolute.  The two fits share one path (_fit), so the candidates' CDF
-columns on the default grid are a process constant (see
-_candidate_table) and a call inverts only the target, beside the unit
-gaussian in approx_compare.  Against an x or scale grid of the caller's,
-the candidates are inverted afresh at the target's budget, and only the
-closest counts.
+is absolute.  The two fits share one path (_fit): the candidates' CDF
+columns on a grid are kept (see _candidate_table), so a call inverts
+only the target, beside the unit gaussian in approx_compare.
 """
 
 from __future__ import annotations
@@ -150,7 +142,7 @@ class QuadratureSpec:
     that still misses it at 2^18 nodes raises QuadratureError.  An
     explicit N is a fixed budget: one pass, whose estimate is reported,
     and refused when it is 1 or more.  fit_stable and approx_compare
-    hold the candidates' passes (or table) to N as well.
+    hold the candidate table to N as well.
     """
 
     N: int | None = None
@@ -452,13 +444,12 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
     """Invert laws on one grid, at quad's budget or to _TOL, beside optional rivals.
 
     Column 0 is the target and each other law is compared with it.
-    rivals(N) -> (R, e) gives more columns on xs at budget N, at a
-    truncation of their own, and their errors, of which only the closest
-    (first smallest sup gap to column 0) counts.  Of all the columns'
-    errors the reported numbers rest on the groups (0,), (0, j) for each
-    other law j and (0, closest rival), a group's error being the sum of
-    its columns', and the passes (see _passes) run on the largest group
-    error.
+    rivals = (R, e) holds more columns on xs, fixed across passes, and
+    their errors, of which only the closest (first smallest sup gap to
+    column 0) counts.  Of all the columns' errors the reported numbers
+    rest on the groups (0,), (0, j) for each other law j and (0, closest
+    rival), a group's error being the sum of its columns', and the
+    passes (see _passes) run on the largest group error.
 
     The laws are inverted at the largest of their truncation points.
     Returns F (column j holds law j's CDF on xs), the quadrature (T,
@@ -471,7 +462,7 @@ def _cdf_matrix(laws, xs: np.ndarray, quad: QuadratureSpec, rivals=None):
         F, nodes, e = _simpson_pass(laws, (1.0,), xs, T, N)
         gaps = _sup_gaps(F[:, 1:], F[:, 0])
         if rivals is not None:
-            R, e_rivals = rivals(N)
+            R, e_rivals = rivals
             gaps = np.concatenate([gaps, _sup_gaps(R, F[:, 0])])
             e = np.append(e, e_rivals[int(np.argmin(gaps[len(laws) - 1:]))])
         return (F, nodes, gaps), float(e[0] + np.max(e[1:], initial=0.0))
@@ -575,62 +566,56 @@ def fit_stable(
     ties resolve to the smallest alpha, then the smallest scale.  The
     target is read in units of s by kolmogorov_distance's rule (see
     _in_units): its length scale on x in [-8, 8] without x_grid, else
-    s = 1 on x_grid.  scale_grid = None is DEFAULT_SCALE_GRID in units of
-    s (without x_grid, the candidate table) and the fit reports c s; an
-    explicit scale_grid is inverted per call as c / s and the fit reports
-    its entry.
+    s = 1 on x_grid.  The candidates come from the candidate table on
+    that grid: scale_grid = None is DEFAULT_SCALE_GRID in units of s and
+    the fit reports c s; an explicit scale_grid is read as c / s and the
+    fit reports its entry.
     """
     quad = _spec_record("quad", quad, QuadratureSpec, QuadratureSpec())
     alphas, scales = _stable_grid(alpha_grid,
                                   DEFAULT_SCALE_GRID if scale_grid is None else scale_grid)
     s, xs, laws = _in_units(x_grid, target)
-    if x_grid is None and scale_grid is None:
-        return _best_fit(_fit(laws, alphas, scales, quad)[0], alphas, [c * s for c in scales])
+    if scale_grid is None:
+        return _best_fit(_fit(laws, alphas, scales, quad, xs)[0], alphas, [c * s for c in scales])
     return _best_fit(_fit(laws, alphas, [c / s for c in scales], quad, xs)[0], alphas, scales)
 
 
-@lru_cache(maxsize=1)
-def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec):
-    """The candidates' CDF columns on _HALF_GRID (0.68 MB at 420 columns),
-    alpha-major, each column's error and the quadrature (T, N, nodes).
+@lru_cache(maxsize=2)
+def _candidate_table(alphas: tuple, scales: tuple, quad: QuadratureSpec, x: bytes):
+    """The candidates' CDF columns on the distinct |x| whose float bytes
+    are x (0.68 MB at 420 columns on _HALF_GRID), alpha-major, each
+    column's error and the quadrature (T, N, nodes).
 
     T is that of min(alphas) at min(scales).  Each pass after the first
     inverts again only the alphas from the first to the last with a
     column error above _TOL: on the default grid the first pass builds
     the sine kernel for all 420 columns, and the second takes alpha = 1's
-    21 columns by angle addition.  The memo keeps the last key's table,
-    read-only; whatever changes _TOL must clear it.
+    21 columns by angle addition.  The memo keeps the last two keys'
+    tables, read-only, so that the default grid and a caller's can
+    alternate; whatever changes _TOL must clear it.
     """
+    xs = np.frombuffer(x)
     T = _auto_truncation(StableCF(alphas[0], scales[0]))
     units, k = [StableCF(a, 1.0) for a in alphas], len(scales)
-    F, e = np.empty((_HALF_GRID.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
+    F, e = np.empty((xs.size, len(alphas) * k)), np.full(len(alphas) * k, np.inf)
 
     def run(N):
         redo = np.flatnonzero(e.reshape(-1, k).max(axis=1) > _TOL)
         a0, a1 = int(redo[0]), int(redo[-1]) + 1
         cols = slice(k * a0, k * a1)
-        F[:, cols], nodes, e[cols] = _simpson_pass(units[a0:a1], scales, _HALF_GRID, T, N)
+        F[:, cols], nodes, e[cols] = _simpson_pass(units[a0:a1], scales, xs, T, N)
         return nodes, float(e.max())
 
     nodes, N, _ = _passes(run, quad)
     return (*_frozen(F, e), {"T": T, "N": N, "nodes": nodes})
 
 
-def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs=None):
-    """The gaps to laws[0] of the other laws, then of the candidates, and
-    the quadrature: without xs on _HALF_GRID against the candidate table
-    (its T, N and nodes under "candidates"), else on xs, distinct |x|,
-    against candidates inverted at each budget, at the table's T."""
-    if xs is None:
-        F, e, candidates = _candidate_table(tuple(alphas), tuple(scales), quad)
-        _, quadrature, gaps = _cdf_matrix(laws, _HALF_GRID, quad, lambda N: (F, e))
-        return gaps, {**quadrature, "candidates": dict(candidates)}
-    T = _auto_truncation(StableCF(alphas[0], scales[0]))
-    units = [StableCF(a, 1.0) for a in alphas]
-    # a pass gives (F, nodes, errors), of which the rivals are F and errors
-    _, quadrature, gaps = _cdf_matrix(laws, xs, quad,
-                                      lambda N: _simpson_pass(units, scales, xs, T, N)[::2])
-    return gaps, quadrature
+def _fit(laws, alphas: list, scales: list, quad: QuadratureSpec, xs: np.ndarray):
+    """The gaps to laws[0] of the other laws, then of the candidate table's
+    columns, on xs (distinct |x|), and the quadrature, the table's under "candidates"."""
+    F, e, candidates = _candidate_table(tuple(alphas), tuple(scales), quad, xs.tobytes())
+    _, quadrature, gaps = _cdf_matrix(laws, xs, quad, (F, e))
+    return gaps, {**quadrature, "candidates": dict(candidates)}
 
 
 def approx_compare(
@@ -668,7 +653,7 @@ def approx_compare(
 
     sd = math.sqrt(mu2)
     laws = [scale_argument(sum_rescale(family_cf, m), 1.0 / sd), GaussianCF(1.0)]
-    gaps, quadrature = _fit(laws, alphas, scales, quad)
+    gaps, quadrature = _fit(laws, alphas, scales, quad, _HALF_GRID)
     d_gauss = float(gaps[0])
     fit = _best_fit(gaps[1:], alphas, scales)
 

@@ -119,3 +119,32 @@ def test_main_prints_and_stores_a_rise_in_the_failed_share(tmp_path, monkeypatch
     assert "failed share rose: parent 0, change 0.2" in capsys.readouterr().out
     summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
     assert summary["failed_share_rose"] is True and summary["failed"]["change"] == 4
+
+
+def test_main_keeps_the_completed_runs_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "out.json"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "v"}, {"name": "w"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the third run of w, the change's, which runs first in pair 2, fails
+        calls.append(workload)
+        if calls.count("w") == 3:
+            raise bench_pairs.RunFailed(3, "Traceback ...\nValueError: boom\n")
+        return {"seed": seed, "correct": True, "attempted": 10, "failed": 0,
+                "environment": None, "metrics": {"ops_per_s": 100.0}}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--out", str(out), "--pairs", "3", "--seeds", "5,6"]) == 1
+    assert "w pair 2/3 seed 6: change run exited 3:" in capsys.readouterr().out
+    record = json.loads(out.read_text())
+    assert record["failed_run"] == {"side": "change", "workload": "w", "seed": 6,
+                                    "exit_code": 3,
+                                    "stderr": "Traceback ...\nValueError: boom\n"}
+    # v's summary and w's two completed runs, those of pair 1, are kept
+    assert record["workloads"]["v"]["summary"]["ops_per_s"]["pairs"] == 3
+    assert [len(record["workloads"]["w"]["runs"][side]) for side in bench_pairs.SIDES] == [1, 1]

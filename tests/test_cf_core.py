@@ -408,6 +408,9 @@ class TestScaleArgument:
             assert scale_argument(GaussianCF(v), 1.0 / math.sqrt(v)) == GaussianCF(1.0)
         wide = scale_argument(GaussianCF(1e300), 1e10)
         assert isinstance(wide, ScaledCF) and wide.factor == 1e10
+        # nor while it underflows: 2e-400 would read as the point mass at 0
+        assert scale_argument(GaussianCF(2.0), 1e-200) == ScaledCF(GaussianCF(2.0), 1e-200)
+        assert scale_argument(GaussianCF(0.0), 1e-200) == GaussianCF(0.0)
         for factor in (0.0, -1.0, math.nan):
             with pytest.raises(InputError):
                 scale_argument(GaussianCF(1.0), factor)
@@ -422,6 +425,13 @@ class TestScaleArgument:
         # past the normal range the factors stay apart
         tiny = scale_argument(scale_argument(law, 1e-200), 1e-200)
         assert tiny == ScaledCF(ScaledCF(law, 1e-200), 1e-200)
+
+    def test_stable_law_takes_the_factor_into_its_scale(self):
+        assert scale_argument(StableCF(1.5, 2.0), 3.0) == StableCF(1.5, 6.0)
+        assert scale_argument(StableCF(0.7, 1e-150), 1e150) == StableCF(0.7, 1e-150 * 1e150)
+        # past the normal range the factor stays apart
+        for c in (1e-300, 1e300):
+            assert scale_argument(StableCF(1.5, c), c) == ScaledCF(StableCF(1.5, c), c)
 
 
 FAMILY_STRATEGY = st.one_of(

@@ -240,14 +240,10 @@ def _fixed_t(laws, xs, T, N):
     return _simpson_pass(laws, (1.0,), xs, T, N)
 
 
-def _candidates(grid, xs, T):
-    """The rivals fit_stable hands _cdf_matrix: one candidate pass at T and the laws' N."""
-    units = [StableCF(a, 1.0) for a in grid[0]]
-
-    def rivals(N):
-        R, _, e = _simpson_pass(units, grid[1], xs, T, N)
-        return R, e
-    return rivals
+def _candidates(grid, xs, T, N):
+    """Rivals for _cdf_matrix: (R, e) of one candidate pass at T and budget N."""
+    R, _, e = _simpson_pass([StableCF(a, 1.0) for a in grid[0]], grid[1], xs, T, N)
+    return R, e
 
 
 class TestCdfMatrix:
@@ -258,7 +254,7 @@ class TestCdfMatrix:
         xs = np.linspace(-6.0, 6.0, 41)
         F, q, _ = _cdf_matrix(laws, xs, QuadratureSpec(N=1024))
         T = q["T"]
-        F = np.concatenate([F, _candidates((alphas, scales), xs, T)(1024)[0]], axis=1)
+        F = np.concatenate([F, _candidates((alphas, scales), xs, T, 1024)[0]], axis=1)
         laws += [StableCF(a, c) for a in alphas for c in scales]
         assert F.shape == (xs.size, len(laws))
         assert (T, q["nodes"]) == (inversion._auto_truncation(SymmetrizedGammaCF(1.0)), 1025)
@@ -280,12 +276,12 @@ class TestCdfMatrix:
         assert T == inversion._auto_truncation(target, rough)
         e = [_fixed_t([cf], xs, T, quad.N)[2][0] for cf in [target, *candidates]]
         assert max(e) == e[1 + candidates.index(rough)]
-        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs, T))
-        R = _candidates(grid, xs, T)(quad.N)[0]
+        F, q, gaps = _cdf_matrix([target], xs, quad, _candidates(grid, xs, T, quad.N))
+        R = _candidates(grid, xs, T, quad.N)[0]
         assert np.array_equal(gaps, np.max(np.abs(R - F[:, :1]), axis=0))
         assert candidates[int(np.argmin(gaps))] == near
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(near)], rel=1e-9)
-        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, T))[1]
+        q = _cdf_matrix([target, rough], xs, quad, _candidates(grid, xs, T, quad.N))[1]
         assert q["error"] == pytest.approx(e[0] + e[1 + candidates.index(rough)], rel=1e-9)
 
     def test_gap_scan_in_blocks_equals_one_scan(self, monkeypatch):
@@ -447,9 +443,9 @@ class TestSharedTruncation:
         ((1.0, 1.5, 2.0), (0.1, 1.0, 10.0)),
     ], ids=["default", "alpha-below-1", "alpha-2"])
     def test_grid_truncation_is_the_largest_per_candidate_one(self, alphas, scales,
-                                                              monkeypatch):
+                                                              empty_table, monkeypatch):
         # the law decays before the first probe point, and its pass runs at
-        # that T; the candidates' pass runs at the grid's own
+        # that T; the candidate table's pass, which comes first, at the grid's own
         narrow = GaussianCF(1e6)
         truncations = []
         simpson_pass = inversion._simpson_pass
@@ -461,7 +457,7 @@ class TestSharedTruncation:
         monkeypatch.setattr(inversion, "_simpson_pass", recording)
         fit_stable(narrow, alphas, scales, QuadratureSpec(N=64), x_grid=[0.0])
         T = max(inversion._auto_truncation(StableCF(a, c)) for a in alphas for c in scales)
-        assert truncations == [inversion._T_PROBE[0], T]
+        assert truncations == [T, inversion._T_PROBE[0]]
 
     @pytest.mark.parametrize("call", [
         # |f| = exp(-t^0.05) is 0.30 at t = 50 and above 1e-10 far past 1e6
@@ -509,6 +505,8 @@ class TestSharedTruncation:
 
 
 DEFAULT_GRID = (inversion.DEFAULT_ALPHA_GRID, inversion.DEFAULT_SCALE_GRID)
+# the candidate table's key for the default grid: the bytes of its distinct |x|
+HALF = _HALF_GRID.tobytes()
 
 
 class TestCandidateTable:
@@ -523,7 +521,7 @@ class TestCandidateTable:
         # more columns than one product, at one fixed budget and the
         # truncation of the least alpha at the least scale
         alphas, scales = (1.0, 1.3, 1.6, 1.9), tuple(np.geomspace(0.5, 2.0, 10))
-        F, e, q = inversion._candidate_table(alphas, scales, QuadratureSpec(N=1024))
+        F, e, q = inversion._candidate_table(alphas, scales, QuadratureSpec(N=1024), HALF)
         T = inversion._auto_truncation(StableCF(1.0, 0.5))
         assert q == {"T": T, "N": 1024, "nodes": 1025}
         xs = _HALF_GRID
@@ -535,13 +533,13 @@ class TestCandidateTable:
     def test_passes_redo_only_the_alphas_that_miss_the_tolerance(self, empty_table):
         # at 1024 nodes only the Cauchy column at scale 1/4 misses 1e-6, so
         # the second pass inverts alpha = 1 alone, at 2048 nodes
-        F1, e1, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(N=1024))
+        F1, e1, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(N=1024), HALF)
         assert e1[0] > 1e-6 and np.max(e1[1:]) <= 1e-6
-        F, e, q = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        F, e, q = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         assert q["N"] == 2048 and np.max(e) <= 1e-6
         assert np.array_equal(F[:, 21:], F1[:, 21:]) and np.array_equal(e[21:], e1[21:])
         F2, e2, _ = inversion._candidate_table(DEFAULT_GRID[0][:1], DEFAULT_GRID[1],
-                                               QuadratureSpec(N=2048))
+                                               QuadratureSpec(N=2048), HALF)
         assert np.array_equal(F[:, :21], F2) and np.array_equal(e[:21], e2)
 
     def test_fixed_budget_binds_the_sum_and_the_table(self):
@@ -552,7 +550,7 @@ class TestCandidateTable:
         family, m = SymmetrizedGammaCF(1.0), 4
         report = approx_compare(family, m)
         q = report.quadrature
-        table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        table, e_table, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         pair = [scale_argument(sum_rescale(family, m), 1.0 / report.sd), GaussianCF(1.0)]
         F, _, (e_sum, e_gauss) = _simpson_pass(pair, (1.0,), _HALF_GRID, q["T"], q["N"])
         closest = int(np.argmin(np.max(np.abs(table - F[:, :1]), axis=0)))
@@ -575,7 +573,7 @@ class TestKeptCandidateBlocks:
         table = inversion._candidate_table
         approx_compare(SymmetrizedGammaCF(0.5), 10)
         assert (table.cache_info().misses, table.cache_info().currsize) == (1, 1)
-        kept = table(*DEFAULT_GRID, QuadratureSpec())
+        kept = table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         assert table.cache_info().hits == 1
         F, e, q = kept
         # the 201 rows x >= 0 of the default grid: 0.68 MB, about half the
@@ -588,12 +586,20 @@ class TestKeptCandidateBlocks:
                 a[0] = 1.0
         # every family and m reads the same table
         approx_compare(convolve(GaussianCF(1.3), CompoundPoissonCF(2.0, 1.0)), 25)
-        assert table.cache_info().hits == 2 and table(*DEFAULT_GRID, QuadratureSpec()) is kept
-        # another grid or quadrature takes the memo's one entry
+        assert table.cache_info().hits == 2
+        assert table(*DEFAULT_GRID, QuadratureSpec(), HALF) is kept
+        # another grid or quadrature takes the memo's second entry
         approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=1024))
-        assert (table.cache_info().misses, table.cache_info().currsize) == (2, 1)
-        assert table(*DEFAULT_GRID, QuadratureSpec(N=1024))[2]["N"] == 1024
+        assert (table.cache_info().misses, table.cache_info().currsize) == (2, 2)
+        assert table(*DEFAULT_GRID, QuadratureSpec(N=1024), HALF)[2]["N"] == 1024
+        assert table(*DEFAULT_GRID, QuadratureSpec(), HALF) is kept
         assert table.cache_info().misses == 2
+        # and a third replaces the least recently read
+        approx_compare(SymmetrizedGammaCF(0.5), 10, quad=QuadratureSpec(N=512))
+        assert (table.cache_info().misses, table.cache_info().currsize) == (3, 2)
+        assert table(*DEFAULT_GRID, QuadratureSpec(), HALF) is kept
+        table(*DEFAULT_GRID, QuadratureSpec(N=1024), HALF)
+        assert table.cache_info().misses == 4
 
     @given(pool=st.lists(st.tuples(st.sampled_from(range(len(FAMILIES))),
                                    st.sampled_from([4, 10]),
@@ -621,6 +627,40 @@ class TestKeptCandidateBlocks:
             table.cache_clear()
 
 
+class TestOneCandidatePath:
+    """Every fit reads its candidates from the table on its own grid."""
+
+    def test_explicit_default_grid_reads_the_default_table(self, empty_table):
+        # s = 1 for the unit gaussian, so its explicit grid is the default one
+        table, law = inversion._candidate_table, GaussianCF(1.0)
+        fit = fit_stable(law)
+        explicit = fit_stable(law, x_grid=_symmetric_grid(8.0))
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+        assert repr(explicit) == repr(fit)
+
+    def test_explicit_grid_table_columns_are_within_the_tolerance(self, monkeypatch):
+        tables, table = [], inversion._candidate_table
+
+        def recording(*key):
+            tables.append(table(*key))
+            return tables[-1]
+
+        monkeypatch.setattr(inversion, "_candidate_table", recording)
+        fit_stable(GaussianCF(1.0), x_grid=np.linspace(-50.0, 50.0, 401))
+        (F, e, q), = tables
+        assert F.shape == (201, 420) and q["N"] > inversion._START_BUDGET
+        assert np.max(e) <= inversion._TOL
+
+    def test_alternating_grids_build_each_table_once(self, empty_table):
+        table, x_grid = inversion._candidate_table, np.linspace(-6.0, 6.0, 61)
+        target = sum_rescale(SymmetrizedGammaCF(1.0), 4)
+        first = [approx_compare(SymmetrizedGammaCF(1.0), 4), fit_stable(target, x_grid=x_grid)]
+        for _ in range(3):
+            again = [approx_compare(SymmetrizedGammaCF(1.0), 4), fit_stable(target, x_grid=x_grid)]
+            assert repr(again) == repr(first)
+        assert (table.cache_info().misses, table.cache_info().hits) == (2, 6)
+
+
 class TestHalfGridGaps:
     """Every Kolmogorov gap is read on the distinct |x| of its grid: the rows x >= 0."""
 
@@ -643,7 +683,7 @@ class TestHalfGridGaps:
 
         try:
             table.cache_clear()
-            F_table = table(*DEFAULT_GRID, QuadratureSpec())[0]
+            F_table = table(*DEFAULT_GRID, QuadratureSpec(), HALF)[0]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(inversion, "_simpson_pass", recording)
                 d = kolmogorov_distance(target, gauss, x_grid=x_grid)
@@ -667,7 +707,8 @@ class TestHalfGridGaps:
                 mp.setattr(inversion, "_HALF_GRID", _symmetric_grid(8.0))
                 table.cache_clear()
                 full = approx_compare(family, m)
-            assert table(*DEFAULT_GRID, QuadratureSpec())[0].shape[0] == 401
+            full_bytes = _symmetric_grid(8.0).tobytes()
+            assert table(*DEFAULT_GRID, QuadratureSpec(), full_bytes)[0].shape[0] == 401
             assert abs(report.d_gaussian - full.d_gaussian) <= 2.3e-16
             assert abs(report.d_stable - full.d_stable) <= 2.3e-16
         finally:
@@ -1094,6 +1135,28 @@ class TestDefaultFit:
         assert report.d_stable == pytest.approx(ref.d_stable, rel=0.0, abs=2.3e-16)
         assert (report.best_alpha, report.best_scale) == (ref.best_alpha, ref.best_scale)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e160, 1e250])
+    def test_scaled_law_is_read_where_its_variance_under_or_overflows(self, c):
+        # 2 c^2 is 0 or inf, and at 1e250 so is the fourth cumulant; the
+        # length scale is c times the base law's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_stable(scale_argument(SymmetrizedGammaCF(1.0), c))
+        assert (fit.alpha, fit.distance) == (1.4, 0.01313427759368524)
+        assert fit.scale == pytest.approx(0.7071067811865476 * c, rel=1e-15)
+
+    def test_distance_of_laws_whose_variances_underflow(self):
+        a = scale_argument(SymmetrizedGammaCF(1.0), 1e-200)
+        b = scale_argument(GaussianCF(2.0), 1e-200)
+        assert kolmogorov_distance(a, b) == 0.06200675632730801
+
+    def test_scaled_law_whose_length_scale_overflows_refused(self):
+        # 1e300 times the base's 1e150 overflows, and warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="length scale of this CF overflows"):
+                fit_stable(scale_argument(GaussianCF(1e300), 1e300))
+
     def test_scale_below_the_probe_refused(self):
         # f(1e-9) is already below 1/e: the crossing at 1e-10 is not bracketed
         target = StableCF(1.5, 1e10)
@@ -1425,7 +1488,7 @@ class TestStableOracle:
         pytest.importorskip("scipy")
         from scipy.stats import levy_stable
 
-        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         xs = _HALF_GRID
         scales = DEFAULT_GRID[1]
         for c in (scales[0], scales[10], scales[20]):
@@ -1441,7 +1504,7 @@ class TestStableOracle:
         # z = x/c, summed at 40 digits; the series converges fast enough only
         # for alpha >= 1.5 and z <= 4
         mp = pytest.importorskip("mpmath")
-        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         xs = _HALF_GRID
         alphas, scales = DEFAULT_GRID
         with mp.workdps(40):
@@ -1478,7 +1541,7 @@ class TestStableOracle:
 
             exact = float(0.5 + mp.quad(integrand, mp.linspace(0, 60, 40) + [mp.inf]) / mp.pi)
         assert levy_stable.cdf(2.0, 1.5, 0.0) == pytest.approx(exact, abs=1e-15)
-        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec())
+        F, e, _ = inversion._candidate_table(*DEFAULT_GRID, QuadratureSpec(), HALF)
         j = DEFAULT_GRID[0].index(1.5) * 21 + 10
         gap = abs(F[int(np.flatnonzero(_HALF_GRID == 2.0)[0]), j] - exact)
         assert 1e-10 < gap <= e[j]

@@ -175,6 +175,11 @@ class TestLambdaR:
         chk = clt_bound_check(point, 4, 3.0)
         assert (chk.lhs, chk.rhs, chk.holds, chk.applicable) == (0.0, 0.0, True, True)
 
+    def test_law_whose_variance_underflows_against_the_point_mass(self):
+        # 1 - f is about c^2 t^2, so the ratio grows like c^2 / t as t -> 0
+        law = scale_argument(SymmetrizedGammaCF(1.0), 1e-200)
+        assert lambda_r(law, GaussianCF(0.0), LambdaConfig(r=3.0)) == math.inf
+
     def test_law_without_a_length_scale_refused(self):
         # f(1e-9) is already below 1/e; lambda_r takes no grid of the caller's
         with pytest.raises(InputError, match="no length scale") as refused:

@@ -122,11 +122,15 @@ GAUSS = iddlab.GaussianCF(1.0)
      "cf_v"),
     (lambda: iddlab.clt_bound_check(None, 2, 3.0), iddlab.InputError, "cf"),
     (lambda: iddlab.backward_bound(1.0, 2, 3.0), iddlab.InputError, "cf"),
+    (lambda: GAUSS.evaluate("a"), iddlab.InputError, "x"),
+    (lambda: GAUSS.log_evaluate([object()]), iddlab.InputError, "x"),
+    (lambda: iddlab.DriftTransform(1.0).evaluate("a"), iddlab.InputError, "x"),
 ], ids=["text-variance", "text-factor", "text-r", "none-variance", "complex-scale",
         "none-alpha", "none-tol", "none-T", "none-config", "dict-config", "int-quad",
         "int-quad-pointwise", "text-x", "text-samples", "object-samples", "text-t-schedule",
         "text-s-schedule", "text-x-grid", "text-fit-x-grid", "text-t-grid", "text-law",
-        "none-law", "number-law"])
+        "none-law", "number-law", "text-evaluate", "object-log-evaluate",
+        "text-laplace-evaluate"])
 def test_malformed_scalar_or_config_is_a_typed_error(call, error, name):
     with pytest.raises(error, match=f"^{name} must be a"):
         call()

@@ -29,6 +29,9 @@ prints ``failed share rose`` when the change's share of failed operations
 exceeds the parent's, a regression whatever the timings say.
 
 Every run's metrics, failures and seed go to ``--out`` with the summary.
+A run that exits non-zero ends the script with status 1: ``--out`` then
+holds every completed run and, under ``failed_run``, the failing run's
+side, workload, seed, exit code and stderr tail.
 The runs are sequential: run nothing else heavy on the host meanwhile.
 """
 
@@ -44,14 +47,21 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+class RunFailed(RuntimeError):
+    """A run that exited non-zero or printed nothing: its exit code and stderr tail."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(f"exited {exit_code}: {stderr}")
+        self.exit_code, self.stderr = exit_code, stderr
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     result = json.loads(lines[-1])
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), None)
@@ -121,7 +131,18 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[side].append(_run(checkouts[side], workload, seed, seconds))
+                try:
+                    runs[side].append(_run(checkouts[side], workload, seed, seconds))
+                except RunFailed as failure:
+                    # keep every completed run, this workload's too
+                    record["workloads"][workload] = {"runs": runs}
+                    record["failed_run"] = {"side": side, "workload": workload, "seed": seed,
+                                            "exit_code": failure.exit_code,
+                                            "stderr": failure.stderr}
+                    args.out.write_text(json.dumps(record, indent=1) + "\n")
+                    print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: {side} run "
+                          f"exited {failure.exit_code}:\n{failure.stderr}", flush=True)
+                    return 1
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
                 f"{side} {runs[side][-1]['metrics'].get('ops_per_s', float('nan')):.4g} ops/s"
                 for side in SIDES), flush=True)
